@@ -50,6 +50,15 @@ class AnalyticUnavailableError(ValueError):
     """No closed form covers this scenario; use the Monte Carlo engine instead."""
 
 
+def _require_self_gated_closed_form(scenario: Scenario) -> None:
+    if not isinstance(scenario.dependency, Independent):
+        raise AnalyticUnavailableError(
+            "self_gated accuracy has no closed form under a joint or dominant "
+            "dependency (the gate is assumed independent of advice quality); "
+            "use reliance.simulate.estimate_accuracy"
+        )
+
+
 def _mode_and_notes(scenario: Scenario) -> tuple[str, list[str]]:
     mode = scenario.effective_degradation_mode
     notes = []
@@ -135,12 +144,7 @@ def self_gated_accuracy(scenario: Scenario) -> EvalResult:
         raise PolicyMismatchError(
             f"self_gated_accuracy requires a self_gated policy, got {policy_name(policy)}"
         )
-    if not isinstance(scenario.dependency, Independent):
-        raise AnalyticUnavailableError(
-            "self_gated accuracy has no closed form under a joint or dominant "
-            "dependency (the gate is assumed independent of advice quality); "
-            "use reliance.simulate.estimate_accuracy"
-        )
+    _require_self_gated_closed_form(scenario)
     p_a = scenario.aid.p_advice_correct
     p_u = scenario.user.p_unaided_correct
     g_c = policy.p_ignore_given_user_correct
@@ -404,6 +408,7 @@ def free_parameters(scenario: Scenario) -> dict[str, float]:
 
     params = {P_ADVICE: scenario.aid.p_advice_correct}
     if isinstance(policy, SelfGated):
+        _require_self_gated_closed_form(scenario)
         params[P_UNAIDED] = scenario.user.p_unaided_correct
         params["policy.p_ignore_given_user_correct"] = policy.p_ignore_given_user_correct
         params["policy.p_use_given_user_wrong"] = policy.p_use_given_user_wrong
@@ -447,6 +452,7 @@ def accuracy_from_parameters(scenario: Scenario, values: Mapping[str, float]) ->
         return values[P_UNAIDED]
     p_a = values[P_ADVICE]
     if isinstance(policy, SelfGated):
+        _require_self_gated_closed_form(scenario)
         p_u = values[P_UNAIDED]
         g_c = values["policy.p_ignore_given_user_correct"]
         g_w = values["policy.p_use_given_user_wrong"]

@@ -35,6 +35,11 @@ from .sweep import SweepError, SweepSpec, run_sweep
 # All numeric output is rounded to this many significant digits.
 SIGNIFICANT_DIGITS = 12
 
+# Upper bounds on user-controlled sizes; exceeding one is flag misuse (exit 3).
+MAX_TRIALS = 10**9
+MAX_SHARDS = 4096
+MAX_STEPS = 10**6
+
 
 def _round_floats(obj: Any) -> Any:
     if isinstance(obj, float):
@@ -111,9 +116,13 @@ def cmd_compare(scenario_file: Path):
 
 @cli.command("simulate")
 @click.argument("scenario_file", type=click.Path(path_type=Path))
-@click.option("--trials", type=click.IntRange(min=1), default=100_000, show_default=True)
+@click.option(
+    "--trials", type=click.IntRange(min=1, max=MAX_TRIALS), default=100_000, show_default=True
+)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--shards", type=click.IntRange(min=1), default=1, show_default=True)
+@click.option(
+    "--shards", type=click.IntRange(min=1, max=MAX_SHARDS), default=1, show_default=True
+)
 def cmd_simulate(scenario_file: Path, trials: int, seed: int, shards: int):
     """Monte Carlo estimate of aided accuracy (deterministic per seed and shards)."""
     scenario = _load_scenario(scenario_file)
@@ -126,7 +135,7 @@ def cmd_simulate(scenario_file: Path, trials: int, seed: int, shards: int):
 @click.option("--param", required=True, help="Dot-path of the swept parameter, e.g. policy.p_accept.")
 @click.option("--from", "start", type=float, required=True)
 @click.option("--to", "stop", type=float, required=True)
-@click.option("--steps", type=click.IntRange(min=2), required=True)
+@click.option("--steps", type=click.IntRange(min=2, max=MAX_STEPS), required=True)
 @click.option("--out", type=click.Path(path_type=Path), required=True, help="CSV output file.")
 def cmd_sweep(scenario_file: Path, param: str, start: float, stop: float, steps: int, out: Path):
     """Sweep one parameter and write the accuracy series as CSV."""

@@ -123,7 +123,7 @@ class UserProfile:
                 "p_post_reject_correct exceeds p_unaided_correct; deliberation "
                 "time usually degrades the post-rejection rate",
                 DegradedRateWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from reliance.analytic import BreakevenResult, PolicyComparison
-from reliance.cli import main
+from reliance.cli import MAX_SHARDS, MAX_STEPS, MAX_TRIALS, main
 from reliance.model import EvalResult, scenario_to_dict, validate_scenario
 from reliance.simulate import SimEstimate
 
@@ -162,6 +162,23 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", str(path), "--trials", "plenty")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag,limit", [("--trials", MAX_TRIALS), ("--shards", MAX_SHARDS)]
+    )
+    def test_size_above_limit_exits_3(self, tmp_path, capsys, flag, limit):
+        path = write_scenario(tmp_path, BASE_RAW)
+        code, _, err = run_cli(capsys, "simulate", str(path), flag, str(limit + 1))
+        assert code == 3
+        assert flag in err
+
+    def test_shard_limit_with_one_trial_runs(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, BASE_RAW)
+        code, out, _ = run_cli(
+            capsys, "simulate", str(path), "--trials", "1", "--shards", str(MAX_SHARDS)
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["n_shards"] == MAX_SHARDS
+
     def test_agrees_with_eval_command(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SELF_GATED_RAW)
         _, eval_out, _ = run_cli(capsys, "eval", str(path))
@@ -217,6 +234,18 @@ class TestSweep:
             "--steps", "1", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 3
+
+    def test_steps_above_limit_exits_3(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, BASE_RAW)
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", str(scenario),
+            "--param", "policy.p_accept", "--from", "0", "--to", "1",
+            "--steps", str(MAX_STEPS + 1), "--out", str(out_csv),
+        )
+        assert code == 3
+        assert "--steps" in err
+        assert not out_csv.exists()
 
     def test_bound_crossing_sweep_exits_2_naming_value(self, tmp_path, capsys):
         raw = json.loads(json.dumps(BASE_RAW))
@@ -300,3 +329,13 @@ class TestCommandLineContract:
         second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_cli_import_leaves_the_thread_pool_unloaded(self):
+        env = os.environ.copy()
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        probe = "import sys, reliance.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0
+        assert result.stdout.strip() == "False"

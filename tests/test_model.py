@@ -64,8 +64,10 @@ class TestProfiles:
             AidProfile(1.5)
 
     def test_user_profile_warns_when_rejection_beats_unaided(self):
-        with pytest.warns(DegradedRateWarning):
+        with pytest.warns(DegradedRateWarning) as record:
             UserProfile(p_unaided_correct=0.4, p_post_reject_correct=0.6)
+        # reported at the constructing line, not the dataclass-generated __init__
+        assert record[0].filename == __file__
 
     def test_user_profile_quiet_when_degraded(self):
         UserProfile(p_unaided_correct=0.6, p_post_reject_correct=0.4)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from reliance.analytic import evaluate
+from reliance import simulate
 from reliance.model import (
+    CONDITIONAL_FROM_JOINT,
     Discriminating,
     Dominant,
     Independent,
@@ -105,6 +108,85 @@ class TestDeterminism:
     def test_negative_seed_is_normalized_not_fatal(self, base_scenario):
         estimate = estimate_accuracy(base_scenario, 100, seed=-7)
         assert estimate.n_trials == 100
+
+
+GOLDEN_SCENARIOS = {
+    "discriminating": lambda: make_scenario(
+        policy=Discriminating(0.8, 0.3), dependency=Joint(0.5), mode=CONDITIONAL_FROM_JOINT
+    ),
+    "self_gated": lambda: make_scenario(policy=SelfGated(0.8, 0.3), dependency=Dominant()),
+}
+
+# (scenario, seed, shards, n_trials, p_hat, outcome counts in OUTCOME_CELLS
+# order, (advice, user, either) latent counts), computed once with the
+# serial 1M-batch engine.  Batch size and shard threading must never move them.
+GOLDEN = [
+    ("discriminating", 0, 1, 1, 0.0, (0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0)),
+    ("discriminating", 7, 1, 70_001, 0.7311038413736947,
+     (39410, 0, 6924, 2776, 0, 6270, 4844, 9777), (49110, 42064, 56086)),
+    ("discriminating", 7, 3, 70_001, 0.7286181625976772,
+     (39063, 0, 7074, 2729, 0, 6417, 4867, 9851), (48866, 41996, 55905)),
+    ("discriminating", 12345, 4, 1_000_003, 0.7302938091185727,
+     (559850, 0, 100588, 39870, 0, 89966, 69858, 139871), (700308, 600677, 800353)),
+    ("discriminating", 4, 8, 3, 0.3333333333333333, (1, 0, 0, 0, 0, 1, 0, 1), (1, 1, 1)),
+    ("self_gated", 0, 1, 1, 0.0, (0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0)),
+    ("self_gated", 7, 1, 70_001, 0.6300195711489835,
+     (10339, 0, 33763, 5008, 0, 6270, 0, 14621), (49110, 42029, 49110)),
+    ("self_gated", 7, 3, 70_001, 0.627976743189383,
+     (10345, 0, 33614, 4907, 0, 6417, 0, 14718), (48866, 41874, 48866)),
+    ("self_gated", 12345, 4, 1_000_003, 0.6301851094446717,
+     (149646, 0, 480541, 70121, 0, 89966, 0, 209729), (700308, 600213, 700308)),
+    ("self_gated", 4, 8, 3, 0.3333333333333333, (0, 0, 1, 0, 0, 1, 0, 1), (1, 1, 1)),
+]
+
+
+def assert_golden(estimate, p_hat, cells, latent):
+    assert estimate.p_hat == p_hat
+    assert tuple(estimate.outcome_counts[cell] for cell in OUTCOME_CELLS) == cells
+    assert (
+        estimate.advice_correct_count,
+        estimate.user_correct_count,
+        estimate.either_correct_count,
+    ) == latent
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("name,seed,shards,n_trials,p_hat,cells,latent", GOLDEN)
+    def test_pinned_estimate(self, name, seed, shards, n_trials, p_hat, cells, latent):
+        estimate = estimate_accuracy(GOLDEN_SCENARIOS[name](), n_trials, seed, shards)
+        assert (estimate.seed, estimate.n_shards, estimate.n_trials) == (seed, shards, n_trials)
+        assert_golden(estimate, p_hat, cells, latent)
+
+    @pytest.mark.parametrize("batch", [7, 1000])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_batch_size_never_changes_the_estimate(self, monkeypatch, name, batch):
+        scenario = GOLDEN_SCENARIOS[name]()
+        reference = estimate_accuracy(scenario, 70_001, seed=7, shards=3)
+        monkeypatch.setattr(simulate, "_BATCH", batch)
+        assert estimate_accuracy(scenario, 70_001, seed=7, shards=3) == reference
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_thread_count_never_changes_the_estimate(self, monkeypatch, name, cpus):
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        for case in GOLDEN:
+            if case[0] == name and case[2] > 1:
+                _, seed, shards, n_trials, p_hat, cells, latent = case
+                estimate = estimate_accuracy(GOLDEN_SCENARIOS[name](), n_trials, seed, shards)
+                assert_golden(estimate, p_hat, cells, latent)
+
+    def test_huge_shard_count_runs_only_the_nonempty_shards(self, monkeypatch, base_scenario):
+        calls = []
+
+        def recording_shard_rng(seed, shard):
+            calls.append((shard, threading.current_thread()))
+            return shard_rng(seed, shard)
+
+        monkeypatch.setattr(simulate, "shard_rng", recording_shard_rng)
+        estimate = estimate_accuracy(base_scenario, 1, seed=3, shards=10**6)
+        assert calls == [(0, threading.main_thread())]
+        assert estimate.n_shards == 10**6
+        assert estimate.outcome_counts == estimate_accuracy(base_scenario, 1, seed=3).outcome_counts
 
 
 class TestEstimateAccuracy:

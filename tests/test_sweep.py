@@ -5,9 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reliance.analytic import evaluate
+from reliance.analytic import (
+    AnalyticUnavailableError,
+    accuracy_partials,
+    evaluate,
+    free_parameters,
+)
 from reliance.model import (
     Discriminating,
+    Dominant,
     Joint,
     RoutineAccept,
     RoutineIgnore,
@@ -142,6 +148,15 @@ class TestSensitivity:
     def test_self_gated_partial_for_advisor_rate(self):
         partials = sensitivity(make_scenario(policy=SelfGated(0.7, 0.7)))
         assert partials["aid.p_advice_correct"] == pytest.approx(0.46, abs=EXACT)
+
+    @pytest.mark.parametrize("dependency", [Joint(0.55), Dominant()], ids=["joint", "dominant"])
+    def test_self_gated_under_dependency_has_no_partials(self, dependency):
+        # the independent-model partials would be wrong here (d/dg_c = 0.18
+        # against the true p01 = 0.05 under Joint(0.55)), so none are given
+        scenario = make_scenario(p_a=0.7, p_u=0.6, policy=SelfGated(0.8, 0.3), dependency=dependency)
+        for query in (sensitivity, accuracy_partials, free_parameters):
+            with pytest.raises(AnalyticUnavailableError):
+                query(scenario)
 
     def test_routine_policies_have_unit_partials(self):
         assert sensitivity(make_scenario(policy=RoutineAccept())) == {
