@@ -46,8 +46,32 @@ from .model import (
     scenario_to_dict,
     validate_scenario,
 )
-from .simulate import SimEstimate, TrialOutcome, estimate_accuracy, sample_trial
-from .sweep import SweepError, SweepSeries, SweepSpec, find_reference_crossing, run_sweep, sensitivity
+
+# The Monte Carlo engine and sweeps need numpy; their names load on first
+# use, so importing the closed forms alone (model, analytic) does not.
+_NUMPY_MODULES = {
+    "simulate": ("SimEstimate", "TrialOutcome", "estimate_accuracy", "sample_trial"),
+    "sweep": (
+        "SweepError",
+        "SweepSeries",
+        "SweepSpec",
+        "find_reference_crossing",
+        "run_sweep",
+        "sensitivity",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _NUMPY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AidProfile",

@@ -143,11 +143,9 @@ def cmd_sweep(scenario_file: Path, param: str, start: float, stop: float, steps:
     spec = SweepSpec(base=scenario, parameter_path=param, start=start, stop=stop, steps=steps)
     series = run_sweep(spec)
     lines = ["param_value,aided_accuracy,unaided_reference,routine_accept_reference"]
+    references = f"{_csv_cell(series.unaided_reference)},{_csv_cell(series.routine_accept_reference)}"
     for value, accuracy in zip(series.parameter_values, series.accuracies):
-        lines.append(
-            f"{_csv_cell(value)},{_csv_cell(accuracy)},"
-            f"{_csv_cell(series.unaided_reference)},{_csv_cell(series.routine_accept_reference)}"
-        )
+        lines.append(f"{_csv_cell(value)},{_csv_cell(accuracy)},{references}")
     out.write_text("\n".join(lines) + "\n")
     summary = {
         "parameter_path": series.parameter_path,

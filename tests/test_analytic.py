@@ -1,6 +1,10 @@
 """Closed-form accuracies: worked values, algebraic identities, and bounds."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,3 +396,15 @@ class TestBreakevenDiscrimination:
         unreachable = breakeven_discrimination(AidProfile(0.5), UserProfile(0.9, 0.1), Independent())
         assert unreachable.to_dict()["d_star"] == "unattainable"
         assert BreakevenResult.from_dict(unreachable.to_dict()) == unreachable
+
+
+def test_closed_forms_import_without_numpy():
+    # numpy stays behind the Monte Carlo engine and sweeps, so a command that
+    # only needs the closed forms can skip importing it
+    env = os.environ.copy()
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys, reliance.analytic; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

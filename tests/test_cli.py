@@ -1,5 +1,6 @@
 """Command-line interface: payloads, exit codes, file formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -204,7 +205,50 @@ class TestSimulate:
         assert payload["ci95"][0] <= 0.67 <= payload["ci95"][1]
 
 
+# (scenario, sweep flags) -> sha256 of the CSV and of stdout, computed with
+# the per-point sweep; the CSV is written to a relative path so stdout's
+# "out" field is the same on every run.
+GOLDEN_SWEEP_RUNS = [
+    (
+        BASE_RAW,
+        ["--param", "policy.p_accept", "--from", "0", "--to", "1", "--steps", "101"],
+        "e79d4d132987f3853556efb712675038ec588244cbd3ed910e42a89a0c3198e2",
+        "54c873a0e0db5edfd118a273e00706f02293663ecadc663536150e63abcbde5f",
+    ),
+    (
+        {
+            "aid": {"p_advice_correct": 0.7},
+            "user": {"p_unaided_correct": 0.6, "p_post_reject_correct": 0.4},
+            "policy": {
+                "type": "discriminating",
+                "p_accept_given_correct": 0.7,
+                "p_accept_given_wrong": 0.3,
+            },
+            "dependency": {"type": "joint", "p_both_correct": 0.45},
+        },
+        ["--param", "dependency.p_both_correct", "--from", "0.3", "--to", "0.6", "--steps", "13"],
+        "a01f4eb30245d78b3d07a3ca22ab2871d1252c37b3fc56105e2aa914782ade00",
+        "24a23305d59649dde4f55d504a1ba06a0772507b406d678615411a6b94dbe068",
+    ),
+    (
+        SELF_GATED_RAW,
+        ["--param", "aid.p_advice_correct", "--from", "1", "--to", "0", "--steps", "37"],
+        "0379c36037433ee06970c212c0891124b76aae848aad32702ba8245ed71e8c3c",
+        "155784c707937d7f907a2936c7d18b474fec4332847cf2d13b38435ddcc7977a",
+    ),
+]
+
+
 class TestSweep:
+    @pytest.mark.parametrize("raw,flags,csv_sha,stdout_sha", GOLDEN_SWEEP_RUNS)
+    def test_golden_bytes(self, tmp_path, capsys, monkeypatch, raw, flags, csv_sha, stdout_sha):
+        scenario = write_scenario(tmp_path, raw)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "sweep", str(scenario), *flags, "--out", "series.csv")
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
     def test_csv_contents(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, BASE_RAW)
         out_csv = tmp_path / "series.csv"
@@ -258,6 +302,22 @@ class TestSweep:
         )
         assert code == 2
         assert "0.0" in err
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag,field", [("--from", "start"), ("--to", "stop")])
+    def test_non_finite_bound_exits_2_naming_it(self, tmp_path, capsys, flag, field, bound):
+        scenario = write_scenario(tmp_path, BASE_RAW)
+        out_csv = tmp_path / "x.csv"
+        bounds = {"--from": "0", "--to": "1", flag: bound}
+        code, _, err = run_cli(
+            capsys, "sweep", str(scenario), "--param", "policy.p_accept",
+            "--from", bounds["--from"], "--to", bounds["--to"],
+            "--steps", "5", "--out", str(out_csv),
+        )
+        assert code == 2
+        assert f"sweep {field} must be finite, got {float(bound)!r}" in err
+        assert "swept value" not in err
+        assert not out_csv.exists()
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, BASE_RAW)

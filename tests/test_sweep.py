@@ -1,5 +1,8 @@
 """Sweeps, reference-line crossings, and exact sensitivities."""
 
+import itertools
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +15,19 @@ from reliance.analytic import (
     free_parameters,
 )
 from reliance.model import (
+    DegradedRateWarning,
     Discriminating,
     Dominant,
+    Independent,
+    Indiscriminate,
     Joint,
     RoutineAccept,
     RoutineIgnore,
+    ScenarioValidationError,
     SelfGated,
+    frechet_bounds,
+    scenario_to_dict,
+    validate_scenario,
 )
 from reliance.sweep import (
     FD_STEP,
@@ -32,6 +42,313 @@ from reliance.sweep import (
 from conftest import make_scenario, perturbed_scenario, random_scenario
 
 EXACT = 1e-12
+
+# --- golden sweeps -----------------------------------------------------------
+#
+# One 7-point sweep per policy x dependency x mode x applicable leaf of the
+# conftest worked scenario (advisor .7, user .6, degraded .4, joint .45).
+# The grids stay inside the valid domain and keep the degraded rate at or
+# below the unaided one (no warning); the joint and dominant ranges end
+# on the Frechet or dominance bound, where validation slack and clamping act.
+# Values are the repr of every accuracy, computed by the per-point
+# validate-then-evaluate sweep and pinned so any rewrite keeps every bit.
+
+GOLDEN_POLICIES = {
+    "routine_accept": RoutineAccept(),
+    "routine_ignore": RoutineIgnore(),
+    "indiscriminate": Indiscriminate(0.5),
+    "discriminating": Discriminating(0.7, 0.3),
+    "self_gated": SelfGated(0.7, 0.7),
+}
+GOLDEN_DEPENDENCIES = {"independent": Independent(), "joint": Joint(0.45), "dominant": Dominant()}
+GOLDEN_RANGES = {
+    "user.p_unaided_correct": (0.4, 1.0),
+    "user.p_post_reject_correct": (0.0, 0.6),
+    ("joint", "aid.p_advice_correct"): (0.45, 0.85),
+    ("joint", "user.p_unaided_correct"): (0.45, 0.75),
+    ("joint", "dependency.p_both_correct"): (0.3, 0.6),
+    ("dominant", "aid.p_advice_correct"): (0.6, 1.0),
+    ("dominant", "user.p_unaided_correct"): (0.4, 0.7),
+}
+
+
+def leaf_paths(scenario):
+    """Dot-paths of every probability leaf the scenario has."""
+    return [
+        f"{section}.{key}"
+        for section, fields in scenario_to_dict(scenario).items()
+        if isinstance(fields, dict)
+        for key in fields
+        if key != "type"
+    ]
+
+
+def golden_sweep_specs():
+    """(key, SweepSpec) for every golden sweep, in a fixed order."""
+    for policy_name, policy in GOLDEN_POLICIES.items():
+        for dep_name, dependency in GOLDEN_DEPENDENCIES.items():
+            if policy_name == "self_gated" and dep_name != "independent":
+                continue  # no closed form; covered by the error tests
+            for mode in ("fixed_rate", "conditional_from_joint"):
+                scenario = make_scenario(policy=policy, dependency=dependency, mode=mode)
+                for path in leaf_paths(scenario):
+                    start, stop = GOLDEN_RANGES.get(
+                        (dep_name, path), GOLDEN_RANGES.get(path, (0.0, 1.0))
+                    )
+                    yield (
+                        f"{policy_name} {dep_name} {mode} {path}",
+                        SweepSpec(scenario, path, start, stop, 7),
+                    )
+
+
+def golden_crossing_specs():
+    """Six crossing searches over different policies, leaves and grid widths."""
+    return [
+        SweepSpec(make_scenario(), "policy.p_accept", 0.0, 1.0, 11),
+        SweepSpec(make_scenario(p_a=0.7, p_u=0.55, r=0.4), "policy.p_accept", 0.0, 1.0, 11),
+        SweepSpec(
+            make_scenario(policy=Discriminating(0.7, 0.3), dependency=Joint(0.45)),
+            "policy.p_accept_given_correct", 0.0, 1.0, 101,
+        ),
+        SweepSpec(make_scenario(policy=SelfGated(0.7, 0.7)), "aid.p_advice_correct", 0.0, 1.0, 101),
+        SweepSpec(
+            make_scenario(policy=Discriminating(0.7, 0.3), dependency=Dominant(), mode="fixed_rate"),
+            "user.p_post_reject_correct", 0.0, 0.6, 13,
+        ),
+        SweepSpec(
+            make_scenario(p_u=0.65, dependency=Joint(0.5), mode="conditional_from_joint"),
+            "aid.p_advice_correct", 0.5, 0.85, 29,
+        ),
+    ]
+
+
+GOLDEN_ACCURACIES = {
+    "routine_accept independent fixed_rate aid.p_advice_correct":
+        "0.0 0.16666666666666666 0.3333333333333333 0.5 0.6666666666666666 0.8333333333333333 1.0",
+    "routine_accept independent fixed_rate user.p_unaided_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept independent fixed_rate user.p_post_reject_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept independent conditional_from_joint aid.p_advice_correct":
+        "0.0 0.16666666666666666 0.3333333333333333 0.5 0.6666666666666666 0.8333333333333333 1.0",
+    "routine_accept independent conditional_from_joint user.p_unaided_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept independent conditional_from_joint user.p_post_reject_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept joint fixed_rate aid.p_advice_correct":
+        "0.45 0.5166666666666667 0.5833333333333334 0.65 0.7166666666666667 0.7833333333333333 0.8500000000000001",
+    "routine_accept joint fixed_rate user.p_unaided_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept joint fixed_rate user.p_post_reject_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept joint fixed_rate dependency.p_both_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept joint conditional_from_joint aid.p_advice_correct":
+        "0.45 0.5166666666666667 0.5833333333333334 0.65 0.7166666666666667 0.7833333333333333 0.8500000000000001",
+    "routine_accept joint conditional_from_joint user.p_unaided_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept joint conditional_from_joint user.p_post_reject_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept joint conditional_from_joint dependency.p_both_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept dominant fixed_rate aid.p_advice_correct":
+        "0.6 0.6666666666666666 0.7333333333333333 0.8 0.8666666666666667 0.9333333333333333 1.0",
+    "routine_accept dominant fixed_rate user.p_unaided_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept dominant fixed_rate user.p_post_reject_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept dominant conditional_from_joint aid.p_advice_correct":
+        "0.6 0.6666666666666666 0.7333333333333333 0.8 0.8666666666666667 0.9333333333333333 1.0",
+    "routine_accept dominant conditional_from_joint user.p_unaided_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_accept dominant conditional_from_joint user.p_post_reject_correct":
+        "0.7 0.7 0.7 0.7 0.7 0.7 0.7",
+    "routine_ignore independent fixed_rate aid.p_advice_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore independent fixed_rate user.p_unaided_correct":
+        "0.4 0.5 0.6 0.7 0.8 0.8999999999999999 1.0",
+    "routine_ignore independent fixed_rate user.p_post_reject_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore independent conditional_from_joint aid.p_advice_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore independent conditional_from_joint user.p_unaided_correct":
+        "0.4 0.5 0.6 0.7 0.8 0.8999999999999999 1.0",
+    "routine_ignore independent conditional_from_joint user.p_post_reject_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore joint fixed_rate aid.p_advice_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore joint fixed_rate user.p_unaided_correct":
+        "0.45 0.5 0.55 0.6 0.65 0.7 0.75",
+    "routine_ignore joint fixed_rate user.p_post_reject_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore joint fixed_rate dependency.p_both_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore joint conditional_from_joint aid.p_advice_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore joint conditional_from_joint user.p_unaided_correct":
+        "0.45 0.5 0.55 0.6 0.65 0.7 0.75",
+    "routine_ignore joint conditional_from_joint user.p_post_reject_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore joint conditional_from_joint dependency.p_both_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore dominant fixed_rate aid.p_advice_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore dominant fixed_rate user.p_unaided_correct":
+        "0.4 0.45 0.5 0.55 0.6 0.6499999999999999 0.7",
+    "routine_ignore dominant fixed_rate user.p_post_reject_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore dominant conditional_from_joint aid.p_advice_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "routine_ignore dominant conditional_from_joint user.p_unaided_correct":
+        "0.4 0.45 0.5 0.55 0.6 0.6499999999999999 0.7",
+    "routine_ignore dominant conditional_from_joint user.p_post_reject_correct":
+        "0.6 0.6 0.6 0.6 0.6 0.6 0.6",
+    "indiscriminate independent fixed_rate aid.p_advice_correct":
+        "0.2 0.2833333333333333 0.3666666666666667 0.44999999999999996 0.5333333333333333 0.6166666666666666 0.7",
+    "indiscriminate independent fixed_rate user.p_unaided_correct":
+        "0.55 0.55 0.55 0.55 0.55 0.55 0.55",
+    "indiscriminate independent fixed_rate user.p_post_reject_correct":
+        "0.35 0.39999999999999997 0.45 0.49999999999999994 0.55 0.5999999999999999 0.6499999999999999",
+    "indiscriminate independent fixed_rate policy.p_accept":
+        "0.4 0.45000000000000007 0.5 0.55 0.6 0.6499999999999999 0.7",
+    "indiscriminate independent conditional_from_joint aid.p_advice_correct":
+        "0.3 0.3833333333333333 0.4666666666666667 0.55 0.6333333333333333 0.7166666666666667 0.8",
+    "indiscriminate independent conditional_from_joint user.p_unaided_correct":
+        "0.55 0.5999999999999999 0.6499999999999999 0.7 0.7499999999999999 0.7999999999999999 0.85",
+    "indiscriminate independent conditional_from_joint user.p_post_reject_correct":
+        "0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999",
+    "indiscriminate independent conditional_from_joint policy.p_accept":
+        "0.6 0.6166666666666667 0.6333333333333333 0.6499999999999999 0.6666666666666666 0.6833333333333333 0.7",
+    "indiscriminate joint fixed_rate aid.p_advice_correct":
+        "0.42500000000000004 0.45833333333333337 0.4916666666666667 0.525 0.5583333333333333 0.5916666666666667 0.6250000000000001",
+    "indiscriminate joint fixed_rate user.p_unaided_correct":
+        "0.55 0.55 0.55 0.55 0.55 0.55 0.55",
+    "indiscriminate joint fixed_rate user.p_post_reject_correct":
+        "0.35 0.39999999999999997 0.45 0.49999999999999994 0.55 0.5999999999999999 0.6499999999999999",
+    "indiscriminate joint fixed_rate policy.p_accept":
+        "0.4 0.45000000000000007 0.5 0.55 0.6 0.6499999999999999 0.7",
+    "indiscriminate joint fixed_rate dependency.p_both_correct":
+        "0.55 0.55 0.55 0.55 0.55 0.55 0.55",
+    "indiscriminate joint conditional_from_joint aid.p_advice_correct":
+        "0.525 0.5583333333333333 0.5916666666666667 0.625 0.6583333333333333 0.6916666666666667 0.7250000000000001",
+    "indiscriminate joint conditional_from_joint user.p_unaided_correct":
+        "0.575 0.6 0.625 0.6499999999999999 0.6749999999999999 0.7 0.725",
+    "indiscriminate joint conditional_from_joint user.p_post_reject_correct":
+        "0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999",
+    "indiscriminate joint conditional_from_joint policy.p_accept":
+        "0.6 0.6166666666666667 0.6333333333333333 0.6499999999999999 0.6666666666666667 0.6833333333333333 0.7",
+    "indiscriminate joint conditional_from_joint dependency.p_both_correct":
+        "0.65 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.65 0.6499999999999999",
+    "indiscriminate dominant fixed_rate aid.p_advice_correct":
+        "0.5 0.5333333333333333 0.5666666666666667 0.6000000000000001 0.6333333333333333 0.6666666666666666 0.7",
+    "indiscriminate dominant fixed_rate user.p_unaided_correct":
+        "0.55 0.55 0.55 0.55 0.55 0.55 0.55",
+    "indiscriminate dominant fixed_rate user.p_post_reject_correct":
+        "0.35 0.39999999999999997 0.45 0.49999999999999994 0.55 0.5999999999999999 0.6499999999999999",
+    "indiscriminate dominant fixed_rate policy.p_accept":
+        "0.4 0.45000000000000007 0.5 0.55 0.6 0.6499999999999999 0.7",
+    "indiscriminate dominant conditional_from_joint aid.p_advice_correct":
+        "0.6 0.6333333333333333 0.6666666666666666 0.7 0.7333333333333334 0.7666666666666666 0.8",
+    "indiscriminate dominant conditional_from_joint user.p_unaided_correct":
+        "0.55 0.575 0.6 0.625 0.6499999999999999 0.6749999999999999 0.7",
+    "indiscriminate dominant conditional_from_joint user.p_post_reject_correct":
+        "0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999",
+    "indiscriminate dominant conditional_from_joint policy.p_accept":
+        "0.6 0.6166666666666668 0.6333333333333333 0.6499999999999999 0.6666666666666666 0.6833333333333333 0.7",
+    "discriminating independent fixed_rate aid.p_advice_correct":
+        "0.27999999999999997 0.37 0.45999999999999996 0.5499999999999999 0.64 0.73 0.82",
+    "discriminating independent fixed_rate user.p_unaided_correct":
+        "0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999",
+    "discriminating independent fixed_rate user.p_post_reject_correct":
+        "0.48999999999999994 0.5319999999999999 0.574 0.6159999999999999 0.6579999999999999 0.7 0.7419999999999999",
+    "discriminating independent fixed_rate policy.p_accept_given_correct":
+        "0.364 0.43400000000000005 0.504 0.5740000000000001 0.6439999999999999 0.714 0.784",
+    "discriminating independent fixed_rate policy.p_accept_given_wrong":
+        "0.694 0.6739999999999999 0.6539999999999999 0.634 0.614 0.594 0.574",
+    "discriminating independent conditional_from_joint aid.p_advice_correct":
+        "0.42 0.4966666666666667 0.5733333333333333 0.65 0.7266666666666667 0.8033333333333333 0.88",
+    "discriminating independent conditional_from_joint user.p_unaided_correct":
+        "0.6579999999999999 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
+    "discriminating independent conditional_from_joint user.p_post_reject_correct":
+        "0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999",
+    "discriminating independent conditional_from_joint policy.p_accept_given_correct":
+        "0.546 0.5926666666666667 0.6393333333333333 0.6859999999999999 0.7326666666666666 0.7793333333333333 0.826",
+    "discriminating independent conditional_from_joint policy.p_accept_given_wrong":
+        "0.7959999999999999 0.7659999999999999 0.7359999999999999 0.7059999999999998 0.6759999999999999 0.6459999999999999 0.6159999999999999",
+    "discriminating joint fixed_rate aid.p_advice_correct":
+        "0.523 0.5589999999999999 0.595 0.6309999999999999 0.6669999999999999 0.7030000000000001 0.739",
+    "discriminating joint fixed_rate user.p_unaided_correct":
+        "0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999",
+    "discriminating joint fixed_rate user.p_post_reject_correct":
+        "0.48999999999999994 0.5319999999999999 0.574 0.6159999999999999 0.6579999999999999 0.7 0.7419999999999999",
+    "discriminating joint fixed_rate policy.p_accept_given_correct":
+        "0.364 0.43400000000000005 0.504 0.5740000000000001 0.6439999999999999 0.714 0.784",
+    "discriminating joint fixed_rate policy.p_accept_given_wrong":
+        "0.694 0.6739999999999999 0.6539999999999999 0.634 0.614 0.594 0.574",
+    "discriminating joint fixed_rate dependency.p_both_correct":
+        "0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999",
+    "discriminating joint conditional_from_joint aid.p_advice_correct":
+        "0.555 0.6016666666666667 0.6483333333333333 0.695 0.7416666666666666 0.7883333333333333 0.8349999999999999",
+    "discriminating joint conditional_from_joint user.p_unaided_correct":
+        "0.625 0.66 0.6950000000000001 0.73 0.765 0.7999999999999999 0.835",
+    "discriminating joint conditional_from_joint user.p_post_reject_correct":
+        "0.73 0.73 0.73 0.73 0.73 0.73 0.73",
+    "discriminating joint conditional_from_joint policy.p_accept_given_correct":
+        "0.5549999999999999 0.5966666666666667 0.6383333333333333 0.6799999999999999 0.7216666666666667 0.7633333333333333 0.8049999999999999",
+    "discriminating joint conditional_from_joint policy.p_accept_given_wrong":
+        "0.7749999999999999 0.75 0.725 0.7 0.675 0.65 0.625",
+    "discriminating joint conditional_from_joint dependency.p_both_correct":
+        "0.7899999999999999 0.77 0.75 0.73 0.7099999999999999 0.69 0.6699999999999999",
+    "discriminating dominant fixed_rate aid.p_advice_correct":
+        "0.604 0.64 0.6759999999999999 0.7119999999999999 0.7480000000000001 0.7839999999999999 0.82",
+    "discriminating dominant fixed_rate user.p_unaided_correct":
+        "0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999",
+    "discriminating dominant fixed_rate user.p_post_reject_correct":
+        "0.48999999999999994 0.5319999999999999 0.574 0.6159999999999999 0.6579999999999999 0.7 0.7419999999999999",
+    "discriminating dominant fixed_rate policy.p_accept_given_correct":
+        "0.364 0.43400000000000005 0.504 0.5740000000000001 0.6439999999999999 0.714 0.784",
+    "discriminating dominant fixed_rate policy.p_accept_given_wrong":
+        "0.694 0.6739999999999999 0.6539999999999999 0.634 0.614 0.594 0.574",
+    "discriminating dominant conditional_from_joint aid.p_advice_correct":
+        "0.6 0.6466666666666666 0.6933333333333334 0.74 0.7866666666666667 0.8333333333333333 0.88",
+    "discriminating dominant conditional_from_joint user.p_unaided_correct":
+        "0.61 0.625 0.6399999999999999 0.655 0.6699999999999999 0.6849999999999999 0.7",
+    "discriminating dominant conditional_from_joint user.p_post_reject_correct":
+        "0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999",
+    "discriminating dominant conditional_from_joint policy.p_accept_given_correct":
+        "0.6 0.6166666666666668 0.6333333333333333 0.6499999999999999 0.6666666666666666 0.6833333333333333 0.7",
+    "discriminating dominant conditional_from_joint policy.p_accept_given_wrong":
+        "0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999",
+    "self_gated independent fixed_rate aid.p_advice_correct":
+        "0.42 0.4966666666666667 0.5733333333333333 0.6499999999999999 0.7266666666666667 0.8033333333333332 0.8799999999999999",
+    "self_gated independent fixed_rate user.p_unaided_correct":
+        "0.6579999999999999 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
+    "self_gated independent fixed_rate user.p_post_reject_correct":
+        "0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999",
+    "self_gated independent fixed_rate policy.p_ignore_given_user_correct":
+        "0.6159999999999999 0.6459999999999999 0.6759999999999999 0.706 0.7359999999999999 0.7659999999999999 0.796",
+    "self_gated independent fixed_rate policy.p_use_given_user_wrong":
+        "0.5459999999999999 0.5926666666666667 0.6393333333333332 0.6859999999999998 0.7326666666666666 0.7793333333333332 0.826",
+    "self_gated independent conditional_from_joint aid.p_advice_correct":
+        "0.42 0.4966666666666667 0.5733333333333333 0.6499999999999999 0.7266666666666667 0.8033333333333332 0.8799999999999999",
+    "self_gated independent conditional_from_joint user.p_unaided_correct":
+        "0.6579999999999999 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
+    "self_gated independent conditional_from_joint user.p_post_reject_correct":
+        "0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999",
+    "self_gated independent conditional_from_joint policy.p_ignore_given_user_correct":
+        "0.6159999999999999 0.6459999999999999 0.6759999999999999 0.706 0.7359999999999999 0.7659999999999999 0.796",
+    "self_gated independent conditional_from_joint policy.p_use_given_user_wrong":
+        "0.5459999999999999 0.5926666666666667 0.6393333333333332 0.6859999999999998 0.7326666666666666 0.7793333333333332 0.826",
+}
+
+GOLDEN_CROSSINGS = [
+    "0.6666666667908431",
+    "0.5",
+    "0.18",
+    "0.3913043478131294",
+    "0.2619047615677118",
+    "0.650000000372529",
+]
 
 
 class TestRunSweep:
@@ -104,7 +421,281 @@ class TestRunSweep:
         assert SweepSeries.from_dict(series.to_dict()) == series
 
 
+GOLDEN_SPECS = dict(golden_sweep_specs())
+
+
+class TestGoldenSweeps:
+    @pytest.mark.parametrize("key", list(GOLDEN_SPECS))
+    def test_accuracies_are_bit_identical(self, key):
+        series = run_sweep(GOLDEN_SPECS[key])
+        assert " ".join(map(repr, series.accuracies)) == GOLDEN_ACCURACIES[key]
+
+    def test_every_case_is_pinned(self):
+        assert list(GOLDEN_SPECS) == list(GOLDEN_ACCURACIES)
+
+    def test_crossings_are_bit_identical(self):
+        found = [find_reference_crossing(spec) for spec in golden_crossing_specs()]
+        assert list(map(repr, found)) == GOLDEN_CROSSINGS
+
+
+# --- differential check of the array sweep against the per-point loop -------
+
+SLACK = 0.5e-9  # inside the 1e-9 bound tolerance
+# the clamp's own end points -1e-12 and 1 + 1e-12 included
+EDGE_VALUES = (0.0, -0.0, 1.0, 1e-300, 0.5, -5e-13, 1.0 + 5e-13, -1e-12, 1.0 + 1e-12, 1.0 - 2.0**-53)
+
+
+def per_point_sweep(spec):
+    """The reference: grid by loop, validate every point, then evaluate each.
+
+    Returns (grid, accuracies), or the SweepError message the first invalid
+    grid value must produce.
+    """
+    width = (spec.stop - spec.start) / (spec.steps - 1)
+    grid = [spec.start + i * width for i in range(spec.steps)]
+    section, key = spec.parameter_path.split(".")
+    scenarios = []
+    for value in grid:
+        raw = scenario_to_dict(spec.base)
+        raw[section][key] = value
+        try:
+            scenarios.append(validate_scenario(raw))
+        except ScenarioValidationError as err:
+            return f"swept value {value!r} for {spec.parameter_path!r} is invalid: {err}"
+    return grid, [evaluate(s).p_correct_aided for s in scenarios]
+
+
+def assert_matches_per_point(spec):
+    expected = per_point_sweep(spec)
+    if isinstance(expected, str):
+        with pytest.raises(SweepError) as info:
+            run_sweep(spec)
+        assert str(info.value) == expected
+        return False
+    series = run_sweep(spec)
+    grid, accuracies = expected
+    assert list(map(repr, series.parameter_values)) == list(map(repr, grid))
+    assert list(map(repr, series.accuracies)) == list(map(repr, accuracies)), spec
+    return True
+
+
+def edge_value(rng, bounds=()):
+    """An edge value, a bound of the swept leaf, or a uniform draw."""
+    pool = EDGE_VALUES + tuple(bounds)
+    if rng.uniform() < 0.6:
+        return pool[rng.integers(len(pool))]
+    return rng.uniform(0.0, 1.0)
+
+
+def leaf_bounds(scenario, path):
+    """Where validity of the swept leaf ends: exactly, inside and past the slack."""
+    p_a = scenario.aid.p_advice_correct
+    p_u = scenario.user.p_unaided_correct
+    dependency = scenario.dependency
+    ends = []
+    if isinstance(dependency, Joint):
+        p11 = dependency.p_both_correct
+        ends = {
+            "dependency.p_both_correct": frechet_bounds(p_a, p_u),
+            "aid.p_advice_correct": (p11, 1.0 - p_u + p11),
+            "user.p_unaided_correct": (p11, 1.0 - p_a + p11),
+        }.get(path, ())
+    elif isinstance(dependency, Dominant):
+        ends = {"aid.p_advice_correct": (p_u,), "user.p_unaided_correct": (p_a,)}.get(path, ())
+    return [v + d for v in ends for d in (0.0, -SLACK, SLACK, -3 * SLACK, 3 * SLACK)]
+
+
+def random_edge_scenario(rng):
+    """A valid scenario built from edge values, with any policy and dependency."""
+    while True:
+        p_a = edge_value(rng)
+        p_u = edge_value(rng)
+        kind = ("independent", "joint", "dominant")[rng.integers(3)]
+        if kind == "dominant":
+            p_u = min(p_u, p_a + (SLACK if rng.uniform() < 0.3 else 0.0))
+        raw = {
+            "aid": {"p_advice_correct": p_a},
+            "user": {"p_unaided_correct": p_u, "p_post_reject_correct": edge_value(rng)},
+            "policy": scenario_to_dict(make_scenario(policy=random_policy_at_edges(rng)))["policy"],
+            "dependency": {"type": kind},
+            "degradation_mode": ("fixed_rate", "conditional_from_joint")[rng.integers(2)],
+        }
+        if kind == "joint":
+            lo, hi = frechet_bounds(min(max(p_a, 0.0), 1.0), min(max(p_u, 0.0), 1.0))
+            raw["dependency"]["p_both_correct"] = edge_value(rng, (lo, hi, lo - SLACK, hi + SLACK))
+        if raw["policy"]["type"] == "self_gated" and kind != "independent":
+            continue
+        try:
+            return validate_scenario(raw)
+        except ScenarioValidationError:
+            continue
+
+
+def random_policy_at_edges(rng):
+    kind = rng.integers(5)
+    if kind == 0:
+        return RoutineAccept()
+    if kind == 1:
+        return RoutineIgnore()
+    if kind == 2:
+        return Indiscriminate(min(max(edge_value(rng), 0.0), 1.0))
+    a, b = (min(max(edge_value(rng), 0.0), 1.0) for _ in range(2))
+    return Discriminating(a, b) if kind == 3 else SelfGated(a, b)
+
+
+class TestArrayPathMatchesPerPoint:
+    def test_random_scenarios(self):
+        rng = np.random.default_rng(401)
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedRateWarning)
+            for _ in range(300):
+                scenario = random_scenario(rng, explicit_mode=True)
+                paths = leaf_paths(scenario)
+                path = paths[rng.integers(len(paths))]
+                start, stop = map(float, rng.uniform(-0.05, 1.05, 2))
+                outcomes.append(assert_matches_per_point(
+                    SweepSpec(scenario, path, start, stop, int(rng.integers(2, 40)))
+                ))
+        # both the evaluated and the rejected path were exercised
+        assert outcomes.count(True) > 50 and outcomes.count(False) > 50
+
+    def test_edge_values_and_slack(self):
+        rng = np.random.default_rng(402)
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedRateWarning)
+            for _ in range(1500):
+                scenario = random_edge_scenario(rng)
+                paths = leaf_paths(scenario)
+                path = paths[rng.integers(len(paths))]
+                bounds = leaf_bounds(scenario, path)
+                start, stop = edge_value(rng, bounds), edge_value(rng, bounds)
+                outcomes.append(assert_matches_per_point(
+                    SweepSpec(scenario, path, start, stop, int(rng.integers(2, 9)))
+                ))
+        assert outcomes.count(True) > 1000 and outcomes.count(False) > 200
+
+    @pytest.mark.parametrize(
+        "start,stop",
+        [(-5e-13, 1.0 + 5e-13), (1.0 + 9e-13, -9e-13), (-0.0, -5e-13), (0.0, 1e-300), (1e-300, 1.0)],
+    )
+    def test_grids_at_the_clamp(self, start, stop):
+        for policy in GOLDEN_POLICIES.values():
+            for leaf in ("aid.p_advice_correct", "user.p_unaided_correct"):
+                scenario = make_scenario(p_u=0.0, r=0.0, policy=policy)
+                assert assert_matches_per_point(SweepSpec(scenario, leaf, start, stop, 5))
+
+    @pytest.mark.parametrize("dependency", ["independent", "joint", "dominant"])
+    def test_signed_zero_marginals(self, dependency):
+        # ties between 0.0 and -0.0 in min and max keep the first argument,
+        # which decides the sign of a zero accuracy
+        policies = [
+            RoutineAccept(),
+            RoutineIgnore(),
+            Indiscriminate(0.5),
+            Discriminating(0.7, -0.0),
+            SelfGated(-0.0, 0.5),
+        ]
+        for p_a, p_u, r, p11 in itertools.product((0.0, -0.0), repeat=4):
+            for policy, mode in itertools.product(policies, ("fixed_rate", "conditional_from_joint")):
+                if isinstance(policy, SelfGated) and dependency != "independent":
+                    continue
+                raw = {
+                    "aid": {"p_advice_correct": p_a},
+                    "user": {"p_unaided_correct": p_u, "p_post_reject_correct": r},
+                    "policy": scenario_to_dict(make_scenario(policy=policy))["policy"],
+                    "dependency": {"type": dependency},
+                    "degradation_mode": mode,
+                }
+                if dependency == "joint":
+                    raw["dependency"]["p_both_correct"] = p11
+                scenario = validate_scenario(raw)
+                for path in ("aid.p_advice_correct", "user.p_unaided_correct"):
+                    assert assert_matches_per_point(SweepSpec(scenario, path, -0.0, -5e-13, 3))
+
+    def test_negative_zero_survives(self):
+        scenario = make_scenario(policy=RoutineAccept())
+        series = run_sweep(SweepSpec(scenario, "aid.p_advice_correct", -0.0, -5e-13, 3))
+        assert repr(series.accuracies[0]) == "-0.0"
+        assert_matches_per_point(SweepSpec(scenario, "aid.p_advice_correct", -0.0, -5e-13, 3))
+
+    @pytest.mark.parametrize(
+        "spec_args,message",
+        [
+            (
+                (Joint(0.42), None, "dependency.p_both_correct", 0.0, 0.6, 7),
+                "swept value 0.0 for 'dependency.p_both_correct' is invalid: invalid scenario:\n"
+                "  dependency.p_both_correct: 0.0 not in [0.3, 0.6] "
+                "(Frechet-Hoeffding bounds for the given marginals)",
+            ),
+            (
+                (Dominant(), SelfGated(0.8, 0.3), "aid.p_advice_correct", 1.0, 0.0, 5),
+                "swept value 0.5 for 'aid.p_advice_correct' is invalid: invalid scenario:\n"
+                "  dependency: 'p_advice_correct=0.5 < p_unaided_correct=0.6' not in "
+                "p_advice_correct >= p_unaided_correct "
+                "(a uniformly dominant advisor must solve everything the user would)",
+            ),
+            (
+                (None, None, "policy.p_accept", -1e-12, 1.0 + 1.5e-12, 3),
+                "swept value 1.0000000000015 for 'policy.p_accept' is invalid: invalid scenario:\n"
+                "  policy.p_accept: 1.0000000000015 not in [0, 1]",
+            ),
+        ],
+    )
+    def test_invalid_grid_message_is_word_for_word(self, spec_args, message):
+        dependency, policy, path, start, stop, steps = spec_args
+        scenario = make_scenario(policy=policy, dependency=dependency)
+        with pytest.raises(SweepError) as info:
+            run_sweep(SweepSpec(scenario, path, start, stop, steps))
+        assert str(info.value) == message
+
+
+class TestSweepWarningsAndErrors:
+    def test_post_reject_rate_crossing_unaided_warns(self, base_scenario):
+        spec = SweepSpec(base_scenario, "user.p_post_reject_correct", 0.2, 0.8, 7)
+        with pytest.warns(DegradedRateWarning):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize(
+        "path,start,stop",
+        [("user.p_post_reject_correct", 0.0, 0.6), ("user.p_unaided_correct", 0.4, 1.0)],
+    )
+    def test_rates_never_above_unaided_do_not_warn(self, base_scenario, path, start, stop):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedRateWarning)
+            run_sweep(SweepSpec(base_scenario, path, start, stop, 7))
+
+    @pytest.mark.parametrize("dependency", [Joint(0.55), Dominant()], ids=["joint", "dominant"])
+    def test_self_gated_under_dependency_has_no_sweep(self, dependency):
+        scenario = make_scenario(p_a=0.7, p_u=0.6, policy=SelfGated(0.8, 0.3), dependency=dependency)
+        with pytest.raises(AnalyticUnavailableError):
+            run_sweep(SweepSpec(scenario, "policy.p_use_given_user_wrong", 0.0, 1.0, 5))
+        # the grid is validated first: an invalid value wins over the missing closed form
+        with pytest.raises(SweepError, match="swept value 0.0 for 'aid.p_advice_correct'"):
+            run_sweep(SweepSpec(scenario, "aid.p_advice_correct", 0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["start", "stop"])
+    def test_non_finite_bounds_rejected(self, base_scenario, field, bound):
+        bounds = {"start": 0.0, "stop": 1.0, field: bound}
+        with pytest.raises(SweepError, match=f"sweep {field} must be finite"):
+            SweepSpec(base_scenario, "policy.p_accept", steps=5, **bounds)
+
+    def test_overflowing_width_rejected(self, base_scenario):
+        with pytest.raises(SweepError, match="overflows"):
+            SweepSpec(base_scenario, "policy.p_accept", -1e308, 1e308, 5)
+
+
 class TestReferenceCrossing:
+    def test_bracket_from_a_foreign_series_is_validated(self, base_scenario):
+        # a series over another grid would bisect outside the valid range
+        scenario = replace(base_scenario, dependency=Joint(0.42))
+        spec = SweepSpec(scenario, "dependency.p_both_correct", 0.3, 0.6, 7)
+        foreign = SweepSeries("dependency.p_both_correct", (0.0, 0.6), (0.5, 0.7), 0.6, 0.7)
+        with pytest.raises(SweepError, match="swept value 0.0 for 'dependency.p_both_correct'"):
+            find_reference_crossing(spec, foreign)
+
     def test_crossing_at_known_parameter(self, base_scenario):
         spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
         crossing = find_reference_crossing(spec)
