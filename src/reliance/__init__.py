@@ -41,6 +41,7 @@ from .model import (
     Scenario,
     ScenarioValidationError,
     SelfGated,
+    SweepError,
     UserProfile,
     conditional_user_rates,
     scenario_to_dict,
@@ -51,14 +52,7 @@ from .model import (
 # use, so importing the closed forms alone (model, analytic) does not.
 _NUMPY_MODULES = {
     "simulate": ("SimEstimate", "TrialOutcome", "estimate_accuracy", "sample_trial"),
-    "sweep": (
-        "SweepError",
-        "SweepSeries",
-        "SweepSpec",
-        "find_reference_crossing",
-        "run_sweep",
-        "sensitivity",
-    ),
+    "sweep": ("SweepSeries", "SweepSpec", "find_reference_crossing", "run_sweep", "sensitivity"),
 }
 _LAZY_NAMES = {name: module for module, names in _NUMPY_MODULES.items() for name in names}
 

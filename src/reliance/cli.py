@@ -4,6 +4,9 @@ Every command reads a scenario JSON file (schema in the README), prints a
 JSON envelope with the canonicalized scenario and the result payload, and
 follows a stable exit-code contract: 0 success, 1 I/O or parse failure,
 2 semantic validation failure, 3 flag misuse.
+
+numpy, the simulator and sweeps are imported only by the `simulate` and
+`sweep` commands, so `eval`, `compare` and `breakeven` start without them.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from .model import (
     OUTCOME_CELLS,
     Scenario,
     ScenarioValidationError,
+    SweepError,
     scenario_to_dict,
     validate_scenario,
 )
-from .simulate import estimate_accuracy
-from .sweep import SweepError, SweepSpec, run_sweep
 
 # All numeric output is rounded to this many significant digits.
 SIGNIFICANT_DIGITS = 12
@@ -125,6 +127,8 @@ def cmd_compare(scenario_file: Path):
 )
 def cmd_simulate(scenario_file: Path, trials: int, seed: int, shards: int):
     """Monte Carlo estimate of aided accuracy (deterministic per seed and shards)."""
+    from .simulate import estimate_accuracy
+
     scenario = _load_scenario(scenario_file)
     estimate = estimate_accuracy(scenario, n_trials=trials, seed=seed, shards=shards)
     _emit(_envelope(scenario, estimate.to_dict()))
@@ -139,6 +143,8 @@ def cmd_simulate(scenario_file: Path, trials: int, seed: int, shards: int):
 @click.option("--out", type=click.Path(path_type=Path), required=True, help="CSV output file.")
 def cmd_sweep(scenario_file: Path, param: str, start: float, stop: float, steps: int, out: Path):
     """Sweep one parameter and write the accuracy series as CSV."""
+    from .sweep import SweepSpec, run_sweep
+
     scenario = _load_scenario(scenario_file)
     spec = SweepSpec(base=scenario, parameter_path=param, start=start, stop=stop, steps=steps)
     series = run_sweep(spec)

@@ -9,6 +9,7 @@ after validation and safe to share across threads.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -63,6 +64,30 @@ class ScenarioValidationError(ValueError):
         self.violations = list(violations)
         lines = "\n  ".join(str(v) for v in self.violations)
         super().__init__(f"invalid scenario:\n  {lines}")
+
+
+class SweepError(ValueError):
+    """A sweep specification cannot be evaluated as requested.
+
+    Defined here, not in ``sweep``, so that the CLI can catch it without
+    importing numpy; ``reliance.sweep`` re-exports it.
+    """
+
+
+def _caller_stacklevel() -> int:
+    """The `stacklevel` that names the first caller outside this module.
+
+    Counted from the function that calls this one and warns.  Frames of this
+    module are skipped, and so is the dataclass-generated ``__init__``, which
+    runs in this module's globals: a `UserProfile` built directly is
+    reported where it was built, one loaded by `validate_scenario` where
+    `validate_scenario` was called.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals is globals():
+        level += 1
+        frame = frame.f_back
+    return level
 
 
 def as_probability(value: Any, name: str = "probability") -> float:
@@ -123,7 +148,7 @@ class UserProfile:
                 "p_post_reject_correct exceeds p_unaided_correct; deliberation "
                 "time usually degrades the post-rejection rate",
                 DegradedRateWarning,
-                stacklevel=3,  # past the dataclass __init__ to its caller
+                stacklevel=_caller_stacklevel(),
             )
 
 

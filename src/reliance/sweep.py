@@ -52,6 +52,7 @@ from .model import (
     Scenario,
     ScenarioValidationError,
     SelfGated,
+    SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
     scenario_to_dict,
     validate_scenario,
 )
@@ -59,10 +60,6 @@ from .model import (
 # Central-difference step and required agreement for the sensitivity guard.
 FD_STEP = 1e-6
 FD_TOLERANCE = 1e-6
-
-
-class SweepError(ValueError):
-    """A sweep specification cannot be evaluated as requested."""
 
 
 @dataclass(frozen=True)

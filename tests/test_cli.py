@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import reliance.cli
 from reliance.analytic import BreakevenResult, PolicyComparison
 from reliance.cli import MAX_SHARDS, MAX_STEPS, MAX_TRIALS, main
-from reliance.model import EvalResult, scenario_to_dict, validate_scenario
+from reliance.model import DegradedRateWarning, EvalResult, scenario_to_dict, validate_scenario
 from reliance.simulate import SimEstimate
 
 from conftest import BASE_RAW
@@ -40,6 +41,33 @@ def run_cli(capsys, *args) -> tuple[int, str, str]:
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Modules the closed-form commands must not import.
+NUMPY_MODULES = ("numpy", "reliance.simulate", "reliance.sweep")
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's package."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def probe_main(argvs) -> tuple[list[int], list[str]]:
+    """Exit codes of `main` on each argv in one fresh interpreter, then which
+    of NUMPY_MODULES it had loaded."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from reliance.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))\n"
+    )
+    result = run_python("-c", probe, json.dumps(argvs), json.dumps(NUMPY_MODULES))
+    assert result.returncode == 0, result.stderr
+    codes, loaded = json.loads(result.stdout)
+    return codes, loaded
 
 
 class TestEval:
@@ -239,6 +267,64 @@ GOLDEN_SWEEP_RUNS = [
 ]
 
 
+DEGRADED_RAW = {
+    "aid": {"p_advice_correct": 0.62},
+    "user": {"p_unaided_correct": 0.55, "p_post_reject_correct": 0.7},
+    "policy": {
+        "type": "self_gated",
+        "p_ignore_given_user_correct": 0.35,
+        "p_use_given_user_wrong": 0.8,
+    },
+    "dependency": {"type": "independent"},
+}
+
+JOINT_CONDITIONAL_RAW = {
+    "aid": {"p_advice_correct": 0.7},
+    "user": {"p_unaided_correct": 0.6, "p_post_reject_correct": 0.4},
+    "policy": {
+        "type": "discriminating",
+        "p_accept_given_correct": 0.8,
+        "p_accept_given_wrong": 0.25,
+    },
+    "dependency": {"type": "joint", "p_both_correct": 0.48},
+    "degradation_mode": "conditional_from_joint",
+}
+
+GOLDEN_SCENARIOS = {
+    "base": BASE_RAW,
+    "degraded": DEGRADED_RAW,
+    "joint_conditional": JOINT_CONDITIONAL_RAW,
+}
+
+# (scenario, command and flags) -> sha256 of stdout, computed before the CLI
+# loaded numpy lazily; the scenario path never appears in these outputs.
+GOLDEN_CLI_RUNS = [
+    ("base", ["eval"], "cda8664c0fbb8f0c0d8eceaaa4951f415306b1e887abb448378ea7d86cc208c5"),
+    ("base", ["eval", "--format", "csv"], "2a8f85e66780d1d0bb2266a1f8d2019d8e493dab7e9f1d3e0e97e6a6df497699"),
+    ("base", ["compare"], "fd21e1799f2a5e1c4ad7d0bd24454736a76e00d85db1d26106848f8a02ee6e20"),
+    ("base", ["breakeven"], "4ebfba000b18eed6f77b07e4ee491c25dfe594cf8003aec63fcd079437f4edf4"),
+    ("degraded", ["eval"], "8da667253f21e23a4da9925d8839dacf4be15194aa372dc34e074180f2cc0b68"),
+    ("degraded", ["eval", "--format", "csv"], "b37a8c666cbee1d986173aa38e01daf26700a279054f09812764224e07425aef"),
+    ("degraded", ["compare"], "6cd0e3d56617f30cdc6d98c1c44d6f6f41a18a9accecb56f5cfbd53be912ba20"),
+    ("degraded", ["breakeven"], "992c7a185b695eb0be2f9c3bf906779eed7ddb9e901016b1d76fe49dc8adb4d9"),
+    ("joint_conditional", ["eval"], "867078677792b1dc170608c7cb9609d5084092e0567e839987b57dd9fb4c603a"),
+    ("joint_conditional", ["eval", "--format", "csv"], "4a7a99e5b907712099c4c4975599b95fcfb729dd2fc612b6e2b83796a7278fd2"),
+    ("joint_conditional", ["compare"], "83518f338a9250071fdccd451471a27ac069d1b68650c1bd93541e1dfc033007"),
+    ("joint_conditional", ["breakeven"], "42b125432204f15e68ef14fa3b9fab2e10f641de83d33e235848469ac710d5bf"),
+    ("joint_conditional", ["simulate", "--trials", "20000", "--seed", "5", "--shards", "3"], "78ca803aed81c27c9f58a02df53bbc35539ad1a05d14c5cad39ab59a72d0e94a"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
+    @pytest.mark.parametrize("name,args,stdout_sha", GOLDEN_CLI_RUNS)
+    def test_stdout(self, tmp_path, capsys, name, args, stdout_sha):
+        path = write_scenario(tmp_path, GOLDEN_SCENARIOS[name])
+        code, out, _ = run_cli(capsys, args[0], str(path), *args[1:])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+
 class TestSweep:
     @pytest.mark.parametrize("raw,flags,csv_sha,stdout_sha", GOLDEN_SWEEP_RUNS)
     def test_golden_bytes(self, tmp_path, capsys, monkeypatch, raw, flags, csv_sha, stdout_sha):
@@ -391,11 +477,63 @@ class TestCommandLineContract:
         assert first.stdout == second.stdout
 
     def test_cli_import_leaves_the_thread_pool_unloaded(self):
-        env = os.environ.copy()
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         probe = "import sys, reliance.cli; print('concurrent.futures' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-        )
+        result = run_python("-c", probe)
         assert result.returncode == 0
         assert result.stdout.strip() == "False"
+
+    def test_closed_form_commands_leave_numpy_unloaded(self, tmp_path):
+        path = str(write_scenario(tmp_path, BASE_RAW))
+        argvs = [["eval", path], ["compare", path], ["breakeven", path], ["--help"], ["--version"]]
+        codes, loaded = probe_main(argvs)
+        assert codes == [0] * len(argvs)
+        assert loaded == []
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "breakeven"])
+    def test_module_entry_point_never_imports_numpy(self, tmp_path, command):
+        path = write_scenario(tmp_path, BASE_RAW)
+        result = run_python("-X", "importtime", "-m", "reliance", command, str(path))
+        assert result.returncode == 0
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+        assert "reliance.cli" in imported
+        assert not imported & set(NUMPY_MODULES)
+
+    def test_sweep_and_simulate_load_only_their_own_module(self, tmp_path):
+        path = str(write_scenario(tmp_path, BASE_RAW))
+        sweep = ["sweep", path, "--param", "policy.p_accept", "--from", "0", "--to", "1"]
+        sweep += ["--steps", "3", "--out", str(tmp_path / "x.csv")]
+        assert probe_main([sweep]) == ([0], ["numpy", "reliance.sweep"])
+        simulate = ["simulate", path, "--trials", "100"]
+        assert probe_main([simulate]) == ([0], ["numpy", "reliance.simulate"])
+
+    def test_sweep_error_exits_2_before_the_sweep_module_is_loaded(self, tmp_path):
+        path = str(write_scenario(tmp_path, BASE_RAW))
+        argv = ["sweep", path, "--param", "policy.p_accept", "--from", "nan", "--to", "1"]
+        argv += ["--steps", "5", "--out", str(tmp_path / "x.csv")]
+        probe = (
+            "import json, sys; from reliance.cli import main; "
+            "loaded = 'reliance.sweep' in sys.modules; "
+            "code = main(json.loads(sys.argv[1])); print(json.dumps([loaded, code]))"
+        )
+        result = run_python("-c", probe, json.dumps(argv))
+        assert json.loads(result.stdout) == [False, 2]
+        assert result.stderr == "error: sweep start must be finite, got nan\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_error_is_exported_without_numpy(self):
+        import reliance
+        import reliance.sweep
+
+        assert reliance.sweep.SweepError is reliance.SweepError
+        result = run_python(
+            "-c", "import sys; from reliance import SweepError; print('numpy' in sys.modules)"
+        )
+        assert result.stdout.strip() == "False"
+
+    def test_degraded_rate_warning_names_the_loading_line(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(BASE_RAW))
+        raw["user"]["p_post_reject_correct"] = 0.7
+        with pytest.warns(DegradedRateWarning) as record:
+            code, _, _ = run_cli(capsys, "eval", str(write_scenario(tmp_path, raw)))
+        assert code == 0
+        assert [w.filename for w in record] == [reliance.cli.__file__]

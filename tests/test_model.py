@@ -69,6 +69,18 @@ class TestProfiles:
         # reported at the constructing line, not the dataclass-generated __init__
         assert record[0].filename == __file__
 
+    def test_validate_scenario_warns_at_its_caller(self):
+        raw = {
+            "aid": {"p_advice_correct": 0.7},
+            "user": {"p_unaided_correct": 0.4, "p_post_reject_correct": 0.6},
+            "policy": {"type": "routine_accept"},
+            "dependency": {"type": "independent"},
+        }
+        with pytest.warns(DegradedRateWarning) as record:
+            validate_scenario(raw)
+        # reported at this call, not at the UserProfile line inside validate_scenario
+        assert [w.filename for w in record] == [__file__]
+
     def test_user_profile_quiet_when_degraded(self):
         UserProfile(p_unaided_correct=0.6, p_post_reject_correct=0.4)
 
