@@ -11,7 +11,6 @@ sensitivities, and policy comparison and break-even analyses.
 __version__ = "0.1.0"
 
 from .analytic import (
-    AnalyticUnavailableError,
     BreakevenResult,
     PolicyComparison,
     PolicyMismatchError,
@@ -69,7 +68,6 @@ def __getattr__(name):
 
 __all__ = [
     "AidProfile",
-    "AnalyticUnavailableError",
     "BreakevenResult",
     "ConstraintViolation",
     "DegradedRateWarning",

@@ -1,21 +1,31 @@
 """Closed-form aided accuracy for every reliance policy, plus derived quantities.
 
-All operations are pure functions of immutable inputs.  Each accuracy is
-returned as an EvalResult carrying the full eight-cell outcome decomposition,
-so downstream checks (and the Monte Carlo engine) can compare cell by cell
-rather than only the headline number.
+One kernel states the model.  Each policy gives a row per advice cell
+(advice correct, advice wrong): the probability the advice is used, the
+probabilities it is not used when solving alone would be right and when it
+would be wrong, and the rate of being right alone.  Weighted by the advice
+cells and read at the dependency's conditional user rates, the rows give
+`evaluate`'s eight-cell outcome table, headline and marginal use rate, the
+policy comparison, break-even's post-rejection rates and the sweep arrays,
+on floats and numpy arrays alike without importing numpy.  The exact
+partials read the same closed form summed over the latent cells, which
+needs no division.  Every result is an EvalResult carrying the full outcome
+decomposition, so the Monte Carlo engine can check it cell by cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .model import (
-    CONDITIONAL_FROM_JOINT,
     FIXED_RATE,
     OUTCOME_CELLS,
+    P_ADVICE,
+    P_BOTH,
+    P_POST_REJECT,
+    P_UNAIDED,
     AidProfile,
     DependencyModel,
     Discriminating,
@@ -23,7 +33,6 @@ from .model import (
     EvalResult,
     Independent,
     Indiscriminate,
-    Joint,
     ReliancePolicy,
     RoutineAccept,
     RoutineIgnore,
@@ -31,11 +40,13 @@ from .model import (
     ScenarioValidationError,
     SelfGated,
     UserProfile,
-    conditional_rates_for,
-    conditional_user_rates,
+    conditional_rates,
     dependency_violations,
     joint_success_probability,
+    leaves_of,
     policy_name,
+    post_reject_rates,
+    resolve_degradation_mode,
 )
 
 # Two accuracies within this distance are treated as tied.
@@ -46,62 +57,107 @@ class PolicyMismatchError(TypeError):
     """An operation was handed a scenario with the wrong policy variant."""
 
 
-class AnalyticUnavailableError(ValueError):
-    """No closed form covers this scenario; use the Monte Carlo engine instead."""
+def _rows(policy: ReliancePolicy, mode: str, dependency: DependencyModel, v: Mapping[str, Any]):
+    """The policy's rows for the advice-correct and advice-wrong cells.
 
-
-def _require_self_gated_closed_form(scenario: Scenario) -> None:
-    if not isinstance(scenario.dependency, Independent):
-        raise AnalyticUnavailableError(
-            "self_gated accuracy has no closed form under a joint or dominant "
-            "dependency (the gate is assumed independent of advice quality); "
-            "use reliance.simulate.estimate_accuracy"
-        )
-
-
-def _mode_and_notes(scenario: Scenario) -> tuple[str, list[str]]:
-    mode = scenario.effective_degradation_mode
-    notes = []
-    if scenario.degradation_mode is None:
-        notes.append(f"degradation_mode defaulted to {mode}")
-    return mode, notes
-
-
-def _post_reject_rates(scenario: Scenario) -> tuple[float, float, list[str]]:
-    """Resolve (rate | advice correct, rate | advice wrong) after a rejection."""
-    mode, notes = _mode_and_notes(scenario)
-    if mode == FIXED_RATE:
-        r = scenario.user.p_post_reject_correct
-        return r, r, notes
-    u_c, u_w = conditional_user_rates(scenario)
-    return u_c, u_w, notes
-
-
-def _attend_result(scenario: Scenario, ac: float, aw: float) -> EvalResult:
-    """Outcome decomposition for attend-then-accept-or-reject policies.
-
-    ac and aw are the acceptance rates given correct and wrong advice; on a
-    rejection the user solves alone at the degradation-mode-resolved rate.
+    A row is (use, keep_right, keep_wrong, q): the probability the advice is
+    used, the probabilities it is not used when solving alone would be right
+    and when wrong, and q, the rate of being right alone.  The self-gated
+    user gates on their own correctness, which the dependency ties to the
+    advice; an attending user decides first, then solves at the mode's rate.
     """
-    p_a = scenario.aid.p_advice_correct
-    u_c, u_w, notes = _post_reject_rates(scenario)
-    table = {
-        (True, True, True): p_a * ac,
-        (True, True, False): 0.0,
-        (True, False, True): p_a * (1.0 - ac) * u_c,
-        (True, False, False): p_a * (1.0 - ac) * (1.0 - u_c),
-        (False, True, True): 0.0,
-        (False, True, False): (1.0 - p_a) * aw,
-        (False, False, True): (1.0 - p_a) * (1.0 - aw) * u_w,
-        (False, False, False): (1.0 - p_a) * (1.0 - aw) * (1.0 - u_w),
-    }
-    p_correct = table[(True, True, True)] + table[(True, False, True)] + table[(False, False, True)]
+    if isinstance(policy, SelfGated):
+        g_c, keep_wrong = v["policy.p_ignore_given_user_correct"], 1.0 - v["policy.p_use_given_user_wrong"]
+        u_c, u_w = conditional_rates(dependency, v)
+        return (_gate_use(v, u_c), g_c, keep_wrong, u_c), (_gate_use(v, u_w), g_c, keep_wrong, u_w)
+    (a_c, a_w), (q_c, q_w) = _acceptance(policy, v), post_reject_rates(mode, dependency, v)
+    keep_c, keep_w = 1.0 - a_c, 1.0 - a_w
+    return (a_c, keep_c, keep_c, q_c), (a_w, keep_w, keep_w, q_w)
+
+
+def _gate_use(v: Mapping[str, Any], u: Any) -> Any:
+    """How often the self-gated user uses the advice when they would be right at rate u."""
+    return (1.0 - v["policy.p_ignore_given_user_correct"]) * u + v["policy.p_use_given_user_wrong"] * (1.0 - u)
+
+
+def _acceptance(policy: ReliancePolicy, v: Mapping[str, Any]) -> tuple[Any, Any]:
+    """An attending policy's acceptance rates for correct and for wrong advice."""
+    if isinstance(policy, Indiscriminate):
+        return v["policy.p_accept"], v["policy.p_accept"]
+    if isinstance(policy, Discriminating):
+        return v["policy.p_accept_given_correct"], v["policy.p_accept_given_wrong"]
+    raise PolicyMismatchError(f"unknown policy variant: {policy!r}")
+
+
+def _advice_cells(scenario: Scenario, policy: ReliancePolicy, v: Mapping[str, Any]):
+    """(mass, row) of the advice-correct and the advice-wrong cell."""
+    p_a = v[P_ADVICE]
+    right, wrong = _rows(policy, scenario.effective_degradation_mode, scenario.dependency, v)
+    return (p_a, right), (1.0 - p_a, wrong)
+
+
+def _correct(cells) -> Any:
+    """P(final answer correct): correct advice used, plus right alone, in table order."""
+    (m_c, (use_c, keep_c, _, q_c)), (m_w, (_, keep_w, _, q_w)) = cells
+    return m_c * use_c + m_c * keep_c * q_c + m_w * keep_w * q_w
+
+
+def _accuracy(scenario: Scenario, v: Mapping[str, Any]) -> Any:
+    """Headline accuracy at the leaves `v`; the routine policies keep their rates exactly."""
+    policy = scenario.policy
+    if isinstance(policy, RoutineAccept):
+        return v[P_ADVICE]
+    if isinstance(policy, RoutineIgnore):
+        return v[P_UNAIDED]
+    return _correct(_advice_cells(scenario, policy, v))
+
+
+def _result(scenario: Scenario, policy: ReliancePolicy, v: Mapping[str, Any]) -> EvalResult:
+    p_a, p_u = v[P_ADVICE], v[P_UNAIDED]
+    table = dict.fromkeys(OUTCOME_CELLS, 0.0)
+    if isinstance(policy, RoutineAccept):
+        table[(True, True, True)], table[(False, True, False)] = p_a, 1.0 - p_a
+        return EvalResult(p_correct_aided=p_a, outcome_table=table, p_accept_marginal=1.0)
+    if isinstance(policy, RoutineIgnore):
+        # never used: the table is the latent (advice, user) distribution
+        p11 = joint_success_probability(scenario.dependency, v)
+        table[(True, False, True)] = p11
+        table[(True, False, False)] = max(0.0, p_a - p11)
+        table[(False, False, True)] = max(0.0, p_u - p11)
+        table[(False, False, False)] = max(0.0, 1.0 - p_a - p_u + p11)
+        return EvalResult(p_correct_aided=p_u, outcome_table=table, p_accept_marginal=0.0)
+
+    cells = _advice_cells(scenario, policy, v)
+    for advice, (mass, (use, keep_right, keep_wrong, q)) in zip((True, False), cells):
+        table[(advice, True, advice)] = mass * use
+        table[(advice, False, True)] = mass * keep_right * q
+        table[(advice, False, False)] = mass * keep_wrong * (1.0 - q)
+    notes = ()
+    if isinstance(policy, SelfGated):
+        marginal = _gate_use(v, p_u)  # the user is right at rate p_u whatever the dependency
+    else:
+        marginal = table[(True, True, True)] + table[(False, True, False)]
+        if scenario.degradation_mode is None:
+            notes = (f"degradation_mode defaulted to {scenario.effective_degradation_mode}",)
     return EvalResult(
-        p_correct_aided=p_correct,
+        p_correct_aided=_correct(cells),
         outcome_table=table,
-        p_accept_marginal=ac * p_a + aw * (1.0 - p_a),
-        notes=tuple(notes),
+        p_accept_marginal=marginal,
+        notes=notes,
     )
+
+
+def evaluate(scenario: Scenario) -> EvalResult:
+    """Closed-form accuracy for whatever policy the scenario configures."""
+    return _result(scenario, scenario.policy, scenario.leaves)
+
+
+def _evaluate_as(scenario: Scenario, kind: type, name: str) -> EvalResult:
+    if not isinstance(scenario.policy, kind):
+        raise PolicyMismatchError(
+            f"{name}_accuracy requires a policy of type {name}, got {policy_name(scenario.policy)}"
+        )
+    return evaluate(scenario)
 
 
 def indiscriminate_accuracy(scenario: Scenario) -> EvalResult:
@@ -110,99 +166,23 @@ def indiscriminate_accuracy(scenario: Scenario) -> EvalResult:
     With acceptance probability p and post-rejection rate r this is
     p_advice_correct * p + r * (1 - p) under the fixed-rate mode.
     """
-    policy = scenario.policy
-    if not isinstance(policy, Indiscriminate):
-        raise PolicyMismatchError(
-            f"indiscriminate_accuracy requires an indiscriminate policy, "
-            f"got {policy_name(policy)}"
-        )
-    return _attend_result(scenario, policy.p_accept, policy.p_accept)
+    return _evaluate_as(scenario, Indiscriminate, "indiscriminate")
 
 
 def discriminating_accuracy(scenario: Scenario) -> EvalResult:
     """Accuracy when acceptance depends on whether the advice is actually correct."""
-    policy = scenario.policy
-    if not isinstance(policy, Discriminating):
-        raise PolicyMismatchError(
-            f"discriminating_accuracy requires a discriminating policy, "
-            f"got {policy_name(policy)}"
-        )
-    return _attend_result(
-        scenario, policy.p_accept_given_correct, policy.p_accept_given_wrong
-    )
+    return _evaluate_as(scenario, Discriminating, "discriminating")
 
 
 def self_gated_accuracy(scenario: Scenario) -> EvalResult:
     """Accuracy when the user first predicts their own success and gates on it.
 
     The gate costs no solving time, so no degradation applies: an ignored
-    advisor leaves the unaided rate intact.  The closed form assumes advisor
-    correctness is independent of user correctness.
+    advisor leaves the unaided rate intact.  Under any dependency this is
+    p11 + p10 * p_use_given_user_wrong + p01 * p_ignore_given_user_correct
+    over the latent cells (advice correct?, user would be correct?).
     """
-    policy = scenario.policy
-    if not isinstance(policy, SelfGated):
-        raise PolicyMismatchError(
-            f"self_gated_accuracy requires a self_gated policy, got {policy_name(policy)}"
-        )
-    _require_self_gated_closed_form(scenario)
-    p_a = scenario.aid.p_advice_correct
-    p_u = scenario.user.p_unaided_correct
-    g_c = policy.p_ignore_given_user_correct
-    g_w = policy.p_use_given_user_wrong
-    p_use = (1.0 - g_c) * p_u + g_w * (1.0 - p_u)
-    table = {
-        (True, True, True): p_a * p_use,
-        (True, True, False): 0.0,
-        (True, False, True): p_a * g_c * p_u,
-        (True, False, False): p_a * (1.0 - g_w) * (1.0 - p_u),
-        (False, True, True): 0.0,
-        (False, True, False): (1.0 - p_a) * p_use,
-        (False, False, True): (1.0 - p_a) * g_c * p_u,
-        (False, False, False): (1.0 - p_a) * (1.0 - g_w) * (1.0 - p_u),
-    }
-    p_correct = table[(True, True, True)] + table[(True, False, True)] + table[(False, False, True)]
-    return EvalResult(
-        p_correct_aided=p_correct,
-        outcome_table=table,
-        p_accept_marginal=p_use,
-        notes=(),
-    )
-
-
-def _routine_accept_result(scenario: Scenario) -> EvalResult:
-    p_a = scenario.aid.p_advice_correct
-    table = {cell: 0.0 for cell in OUTCOME_CELLS}
-    table[(True, True, True)] = p_a
-    table[(False, True, False)] = 1.0 - p_a
-    return EvalResult(p_correct_aided=p_a, outcome_table=table, p_accept_marginal=1.0)
-
-
-def _routine_ignore_result(scenario: Scenario) -> EvalResult:
-    p_a = scenario.aid.p_advice_correct
-    p_u = scenario.user.p_unaided_correct
-    p11 = joint_success_probability(scenario.aid, scenario.user, scenario.dependency)
-    table = {cell: 0.0 for cell in OUTCOME_CELLS}
-    table[(True, False, True)] = p11
-    table[(True, False, False)] = max(0.0, p_a - p11)
-    table[(False, False, True)] = max(0.0, p_u - p11)
-    table[(False, False, False)] = max(0.0, 1.0 - p_a - p_u + p11)
-    return EvalResult(p_correct_aided=p_u, outcome_table=table, p_accept_marginal=0.0)
-
-
-def evaluate(scenario: Scenario) -> EvalResult:
-    """Closed-form accuracy for whatever policy the scenario configures."""
-    policy = scenario.policy
-    if isinstance(policy, RoutineAccept):
-        return _routine_accept_result(scenario)
-    if isinstance(policy, RoutineIgnore):
-        return _routine_ignore_result(scenario)
-    if isinstance(policy, Indiscriminate):
-        return indiscriminate_accuracy(scenario)
-    if isinstance(policy, Discriminating):
-        return discriminating_accuracy(scenario)
-    if isinstance(policy, SelfGated):
-        return self_gated_accuracy(scenario)
-    raise PolicyMismatchError(f"unknown policy variant: {policy!r}")
+    return _evaluate_as(scenario, SelfGated, "self_gated")
 
 
 def potential_combined(
@@ -212,7 +192,7 @@ def potential_combined(
     bad = dependency_violations(aid, user, dependency)
     if bad:
         raise ScenarioValidationError(bad)
-    p11 = joint_success_probability(aid, user, dependency)
+    p11 = joint_success_probability(dependency, leaves_of(aid, user, dependency))
     return aid.p_advice_correct + user.p_unaided_correct - p11
 
 
@@ -267,12 +247,13 @@ class PolicyComparison:
 def compare_policies(scenario: Scenario) -> PolicyComparison:
     """Evaluate the configured policy next to routine acceptance and routine ignoring."""
     configured = policy_name(scenario.policy)
+    v = scenario.leaves
     results: dict[str, EvalResult] = {
-        "routine_ignore": evaluate(replace(scenario, policy=RoutineIgnore())),
-        "routine_accept": evaluate(replace(scenario, policy=RoutineAccept())),
+        "routine_ignore": _result(scenario, RoutineIgnore(), v),
+        "routine_accept": _result(scenario, RoutineAccept(), v),
     }
     if configured not in results:
-        results[configured] = evaluate(scenario)
+        results[configured] = _result(scenario, scenario.policy, v)
 
     top = max(r.p_correct_aided for r in results.values())
     precedence = ["routine_ignore", "routine_accept"]
@@ -359,14 +340,10 @@ def breakeven_discrimination(
     bad = dependency_violations(aid, user, dependency)
     if bad:
         raise ScenarioValidationError(bad)
-    if mode is None:
-        mode = FIXED_RATE if isinstance(dependency, Independent) else CONDITIONAL_FROM_JOINT
+    mode = resolve_degradation_mode(mode, dependency)
     p_a = aid.p_advice_correct
     p_u = user.p_unaided_correct
-    if mode == FIXED_RATE:
-        u_c = u_w = user.p_post_reject_correct
-    else:
-        u_c, u_w = conditional_rates_for(aid, user, dependency)
+    u_c, u_w = post_reject_rates(mode, dependency, leaves_of(aid, user, dependency))
 
     target = max(p_a, p_u)
     intercept = p_a * u_c
@@ -392,58 +369,27 @@ def breakeven_discrimination(
 # construction would reject.  Parameters are keyed by the dot-paths used in
 # scenario JSON (e.g. "policy.p_accept").
 
-P_ADVICE = "aid.p_advice_correct"
-P_UNAIDED = "user.p_unaided_correct"
-P_POST_REJECT = "user.p_post_reject_correct"
-P_BOTH = "dependency.p_both_correct"
-
 
 def free_parameters(scenario: Scenario) -> dict[str, float]:
     """The probability parameters the scenario's closed form actually reads."""
+    values = scenario.leaves
     policy = scenario.policy
-    if isinstance(policy, RoutineAccept):
-        return {P_ADVICE: scenario.aid.p_advice_correct}
-    if isinstance(policy, RoutineIgnore):
-        return {P_UNAIDED: scenario.user.p_unaided_correct}
-
-    params = {P_ADVICE: scenario.aid.p_advice_correct}
-    if isinstance(policy, SelfGated):
-        _require_self_gated_closed_form(scenario)
-        params[P_UNAIDED] = scenario.user.p_unaided_correct
-        params["policy.p_ignore_given_user_correct"] = policy.p_ignore_given_user_correct
-        params["policy.p_use_given_user_wrong"] = policy.p_use_given_user_wrong
-        return params
-
-    if isinstance(policy, Indiscriminate):
-        params["policy.p_accept"] = policy.p_accept
-    else:
-        params["policy.p_accept_given_correct"] = policy.p_accept_given_correct
-        params["policy.p_accept_given_wrong"] = policy.p_accept_given_wrong
-
-    if scenario.effective_degradation_mode == FIXED_RATE:
-        params[P_POST_REJECT] = scenario.user.p_post_reject_correct
-    else:
-        params[P_UNAIDED] = scenario.user.p_unaided_correct
-        if isinstance(scenario.dependency, Joint):
-            params[P_BOTH] = scenario.dependency.p_both_correct
-    return params
-
-
-def _acceptance_rates(policy: ReliancePolicy, values: Mapping[str, float]) -> tuple[float, float]:
-    if isinstance(policy, Indiscriminate):
-        p = values["policy.p_accept"]
-        return p, p
-    return (
-        values["policy.p_accept_given_correct"],
-        values["policy.p_accept_given_wrong"],
-    )
+    if isinstance(policy, (RoutineAccept, RoutineIgnore)):
+        name = P_ADVICE if isinstance(policy, RoutineAccept) else P_UNAIDED
+        return {name: values[name]}
+    fixed = not isinstance(policy, SelfGated) and scenario.effective_degradation_mode == FIXED_RATE
+    for name in (P_UNAIDED, P_BOTH) if fixed else (P_POST_REJECT,):
+        values.pop(name, None)
+    return values
 
 
 def accuracy_from_parameters(scenario: Scenario, values: Mapping[str, float]) -> float:
-    """Evaluate the scenario's closed form at arbitrary raw parameter values.
+    """Evaluate the scenario's closed form at the free parameters `values`.
 
-    Multilinear and division-free, hence well-defined slightly outside [0, 1];
-    used as the finite-difference side of the sensitivity cross-check.
+    Summed over the latent cells, whose masses (p11, p_a - p11, p_u - p11)
+    stand in for the conditional rates: multilinear and division-free, hence
+    well-defined slightly outside [0, 1].  It gives the exact partials and
+    is the finite-difference side of the sensitivity cross-check.
     """
     policy = scenario.policy
     if isinstance(policy, RoutineAccept):
@@ -451,85 +397,32 @@ def accuracy_from_parameters(scenario: Scenario, values: Mapping[str, float]) ->
     if isinstance(policy, RoutineIgnore):
         return values[P_UNAIDED]
     p_a = values[P_ADVICE]
-    if isinstance(policy, SelfGated):
-        _require_self_gated_closed_form(scenario)
-        p_u = values[P_UNAIDED]
-        g_c = values["policy.p_ignore_given_user_correct"]
-        g_w = values["policy.p_use_given_user_wrong"]
-        return g_c * p_u + p_a * (1.0 - g_c) * p_u + p_a * g_w * (1.0 - p_u)
-
-    ac, aw = _acceptance_rates(policy, values)
-    if scenario.effective_degradation_mode == FIXED_RATE:
-        r = values[P_POST_REJECT]
-        return ac * p_a + r * ((1.0 - ac) * p_a + (1.0 - aw) * (1.0 - p_a))
+    if not isinstance(policy, SelfGated):
+        ac, aw = _acceptance(policy, values)
+        if scenario.effective_degradation_mode == FIXED_RATE:
+            r = values[P_POST_REJECT]
+            return ac * p_a + r * ((1.0 - ac) * p_a + (1.0 - aw) * (1.0 - p_a))
     p_u = values[P_UNAIDED]
     dependency = scenario.dependency
     if isinstance(dependency, Independent):
-        return ac * p_a + p_u * ((1.0 - ac) * p_a + (1.0 - aw) * (1.0 - p_a))
-    p11 = p_u if isinstance(dependency, Dominant) else values[P_BOTH]
+        p11 = p_a * p_u
+    else:
+        p11 = p_u if isinstance(dependency, Dominant) else values[P_BOTH]
+    if isinstance(policy, SelfGated):
+        g_c = values["policy.p_ignore_given_user_correct"]
+        return p11 + (p_a - p11) * values["policy.p_use_given_user_wrong"] + (p_u - p11) * g_c
     return ac * p_a + p11 * (1.0 - ac) + (p_u - p11) * (1.0 - aw)
 
 
 def accuracy_partials(scenario: Scenario) -> dict[str, float]:
-    """Exact partial derivatives of the active closed form, hand-derived.
+    """Exact partial derivatives of the active closed form.
 
-    Every formula is multilinear in its parameters, so each partial is itself
-    a short product expression.
+    Every closed form is multilinear in its parameters, so each partial is
+    the difference of the form at that parameter set to 1 and to 0.
     """
-    policy = scenario.policy
-    if isinstance(policy, RoutineAccept):
-        return {P_ADVICE: 1.0}
-    if isinstance(policy, RoutineIgnore):
-        return {P_UNAIDED: 1.0}
-
     values = free_parameters(scenario)
-    p_a = values[P_ADVICE]
-    if isinstance(policy, SelfGated):
-        p_u = values[P_UNAIDED]
-        g_c = values["policy.p_ignore_given_user_correct"]
-        g_w = values["policy.p_use_given_user_wrong"]
-        return {
-            P_ADVICE: (1.0 - g_c) * p_u + g_w * (1.0 - p_u),
-            P_UNAIDED: g_c + p_a * (1.0 - g_c) - p_a * g_w,
-            "policy.p_ignore_given_user_correct": p_u * (1.0 - p_a),
-            "policy.p_use_given_user_wrong": p_a * (1.0 - p_u),
-        }
-
-    ac, aw = _acceptance_rates(policy, values)
-    mode = scenario.effective_degradation_mode
-    dependency = scenario.dependency
-
-    if mode == FIXED_RATE:
-        r = values[P_POST_REJECT]
-        d_ac = p_a * (1.0 - r)
-        d_aw = -r * (1.0 - p_a)
-        out = {
-            P_ADVICE: ac + r * (aw - ac),
-            P_POST_REJECT: (1.0 - ac) * p_a + (1.0 - aw) * (1.0 - p_a),
-        }
-    elif isinstance(dependency, Independent):
-        p_u = values[P_UNAIDED]
-        d_ac = p_a * (1.0 - p_u)
-        d_aw = -p_u * (1.0 - p_a)
-        out = {
-            P_ADVICE: ac + p_u * (aw - ac),
-            P_UNAIDED: (1.0 - ac) * p_a + (1.0 - aw) * (1.0 - p_a),
-        }
-    elif isinstance(dependency, Dominant):
-        p_u = values[P_UNAIDED]
-        d_ac = p_a - p_u
-        d_aw = 0.0
-        out = {P_ADVICE: ac, P_UNAIDED: 1.0 - ac}
-    else:
-        p_u = values[P_UNAIDED]
-        p11 = values[P_BOTH]
-        d_ac = p_a - p11
-        d_aw = -(p_u - p11)
-        out = {P_ADVICE: ac, P_UNAIDED: 1.0 - aw, P_BOTH: aw - ac}
-
-    if isinstance(policy, Indiscriminate):
-        out["policy.p_accept"] = d_ac + d_aw
-    else:
-        out["policy.p_accept_given_correct"] = d_ac
-        out["policy.p_accept_given_wrong"] = d_aw
-    return out
+    return {
+        name: accuracy_from_parameters(scenario, {**values, name: 1.0})
+        - accuracy_from_parameters(scenario, {**values, name: 0.0})
+        for name in values
+    }

@@ -19,12 +19,7 @@ from typing import Any
 import click
 
 from . import __version__
-from .analytic import (
-    AnalyticUnavailableError,
-    breakeven_discrimination,
-    compare_policies,
-    evaluate,
-)
+from .analytic import breakeven_discrimination, compare_policies, evaluate
 from .model import (
     OUTCOME_CELLS,
     Scenario,
@@ -193,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (ScenarioValidationError, AnalyticUnavailableError, SweepError) as exc:
+    except (ScenarioValidationError, SweepError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except json.JSONDecodeError as exc:

@@ -25,6 +25,12 @@ PROBABILITY_CLAMP = 1e-12
 # Slack for cross-field bound checks (Frechet-Hoeffding, dominance).
 BOUND_TOLERANCE = 1e-9
 
+# Dot-paths of the scenario's probability leaves, as in scenario JSON.
+P_ADVICE = "aid.p_advice_correct"
+P_UNAIDED = "user.p_unaided_correct"
+P_POST_REJECT = "user.p_post_reject_correct"
+P_BOTH = "dependency.p_both_correct"
+
 FIXED_RATE = "fixed_rate"
 CONDITIONAL_FROM_JOINT = "conditional_from_joint"
 DEGRADATION_MODES = (FIXED_RATE, CONDITIONAL_FROM_JOINT)
@@ -269,9 +275,41 @@ def dependency_name(dependency: DependencyModel) -> str:
     return _DEPENDENCY_NAMES[type(dependency)]
 
 
-def frechet_bounds(p_a: float, p_u: float) -> tuple[float, float]:
-    """Feasible range for P(both correct) given the two marginals."""
-    return max(0.0, p_a + p_u - 1.0), min(p_a, p_u)
+# `a if cond else b`, min and max for floats and numpy arrays alike; numpy is
+# imported only when an array is passed, so it is already loaded.
+def _where(cond, a, b):
+    if isinstance(cond, bool):
+        return a if cond else b
+    import numpy
+
+    return numpy.where(cond, a, b)
+
+
+# min(a, b) and max(a, b) keep a unless b is strictly smaller or larger, which
+# decides between 0.0 and -0.0; np.minimum and np.maximum would not.
+def _min(a, b):
+    return _where(b < a, b, a)
+
+
+def _max(a, b):
+    return _where(b > a, b, a)
+
+
+def frechet_bounds(p_a, p_u):
+    """Feasible range for P(both correct) given the two marginals (floats or arrays)."""
+    return _max(0.0, p_a + p_u - 1.0), _min(p_a, p_u)
+
+
+def bound_violated(dependency: DependencyModel, p_a, p_u, p_both=None):
+    """Whether P(both correct) `p_both` leaves its Frechet-Hoeffding bounds, or a
+    dominant advisor falls below the user, by more than BOUND_TOLERANCE;
+    elementwise for numpy arrays."""
+    if isinstance(dependency, Joint):
+        lo, hi = frechet_bounds(p_a, p_u)
+        return (p_both < lo - BOUND_TOLERANCE) | (p_both > hi + BOUND_TOLERANCE)
+    if isinstance(dependency, Dominant):
+        return p_a < p_u - BOUND_TOLERANCE
+    return False
 
 
 def dependency_violations(
@@ -280,30 +318,27 @@ def dependency_violations(
     """Cross-field bound checks of a dependency against the marginals."""
     p_a = aid.p_advice_correct
     p_u = user.p_unaided_correct
-    out: list[ConstraintViolation] = []
+    p11 = getattr(dependency, "p_both_correct", None)
+    if not bound_violated(dependency, p_a, p_u, p11):
+        return []
     if isinstance(dependency, Joint):
         lo, hi = frechet_bounds(p_a, p_u)
-        p11 = dependency.p_both_correct
-        if p11 < lo - BOUND_TOLERANCE or p11 > hi + BOUND_TOLERANCE:
-            out.append(
-                ConstraintViolation(
-                    "dependency.p_both_correct",
-                    p11,
-                    f"[{lo:.12g}, {hi:.12g}]",
-                    "Frechet-Hoeffding bounds for the given marginals",
-                )
+        return [
+            ConstraintViolation(
+                "dependency.p_both_correct",
+                p11,
+                f"[{lo:.12g}, {hi:.12g}]",
+                "Frechet-Hoeffding bounds for the given marginals",
             )
-    elif isinstance(dependency, Dominant):
-        if p_a < p_u - BOUND_TOLERANCE:
-            out.append(
-                ConstraintViolation(
-                    "dependency",
-                    f"p_advice_correct={p_a:.12g} < p_unaided_correct={p_u:.12g}",
-                    "p_advice_correct >= p_unaided_correct",
-                    "a uniformly dominant advisor must solve everything the user would",
-                )
-            )
-    return out
+        ]
+    return [
+        ConstraintViolation(
+            "dependency",
+            f"p_advice_correct={p_a:.12g} < p_unaided_correct={p_u:.12g}",
+            "p_advice_correct >= p_unaided_correct",
+            "a uniformly dominant advisor must solve everything the user would",
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -337,56 +372,86 @@ class Scenario:
         violations.extend(dependency_violations(self.aid, self.user, self.dependency))
         if violations:
             raise ScenarioValidationError(violations)
+        object.__setattr__(self, "_leaves", leaves_of(self.aid, self.user, self.dependency, self.policy))
+        object.__setattr__(self, "_mode", resolve_degradation_mode(self.degradation_mode, self.dependency))
 
     @property
     def effective_degradation_mode(self) -> str:
         """The explicit mode if set, else the dependency-based default."""
-        if self.degradation_mode is not None:
-            return self.degradation_mode
-        if isinstance(self.dependency, Independent):
-            return FIXED_RATE
-        return CONDITIONAL_FROM_JOINT
+        return self._mode
+
+    @property
+    def leaves(self) -> dict[str, float]:
+        """Every probability of the scenario keyed by its dot-path, as a fresh dict."""
+        return dict(self._leaves)
 
 
-def joint_success_probability(
-    aid: AidProfile, user: UserProfile, dependency: DependencyModel
-) -> float:
+def leaves_of(aid, user, dependency, policy=None) -> dict[str, float]:
+    """The probabilities of a scenario's sections keyed by their dot-paths."""
+    values = {P_ADVICE: aid.p_advice_correct, P_UNAIDED: user.p_unaided_correct}
+    values[P_POST_REJECT] = user.p_post_reject_correct
+    if policy is not None:
+        for key, value in vars(policy).items():
+            values["policy." + key] = value
+    if isinstance(dependency, Joint):
+        values[P_BOTH] = dependency.p_both_correct
+    return values
+
+
+def resolve_degradation_mode(mode: str | None, dependency: DependencyModel) -> str:
+    """`mode` if given, else fixed_rate under independence and conditional_from_joint otherwise."""
+    if mode is not None:
+        return mode
+    return FIXED_RATE if isinstance(dependency, Independent) else CONDITIONAL_FROM_JOINT
+
+
+def joint_success_probability(dependency: DependencyModel, values: Mapping[str, Any]):
     """P(advisor correct AND user would be correct) implied by the dependency.
 
+    `values` maps dot-paths to floats or numpy arrays (see Scenario.leaves).
     The result is clamped to the exact Frechet-Hoeffding bounds, so values
     admitted under the validation slack cannot produce negative cell masses.
     """
-    p_a = aid.p_advice_correct
-    p_u = user.p_unaided_correct
+    p_a, p_u = values[P_ADVICE], values[P_UNAIDED]
     if isinstance(dependency, Independent):
         return p_a * p_u
-    if isinstance(dependency, Dominant):
-        return min(p_a, p_u)
     lo, hi = frechet_bounds(p_a, p_u)
-    return min(max(dependency.p_both_correct, lo), hi)
+    if isinstance(dependency, Dominant):
+        return hi
+    return _min(_max(values[P_BOTH], lo), hi)
+
+
+def conditional_rates(dependency: DependencyModel, values: Mapping[str, Any]):
+    """(P(user would be correct | advice correct), P(... | advice wrong)).
+
+    Floats or arrays, as `joint_success_probability`.  Degenerate
+    conditionals are pinned to zero (p_advice_correct = 1 leaves no wrong
+    advice, and 0 no correct advice); their denominator is replaced first.
+    """
+    p_a, p_u = values[P_ADVICE], values[P_UNAIDED]
+    if isinstance(dependency, Independent):
+        return p_u, p_u
+    p11 = joint_success_probability(dependency, values)
+    never, sure = p_a == 0.0, p_a == 1.0
+    given_correct = _where(never, 0.0, _min(1.0, p11 / _where(never, 1.0, p_a)))
+    given_wrong = _where(
+        sure, 0.0, _min(1.0, _max(0.0, (p_u - p11) / _where(sure, 1.0, 1.0 - p_a)))
+    )
+    return given_correct, given_wrong
 
 
 def conditional_user_rates(scenario: Scenario) -> tuple[float, float]:
     """(P(user would be correct | advice correct), P(user would be correct | advice wrong))."""
-    return conditional_rates_for(scenario.aid, scenario.user, scenario.dependency)
+    return conditional_rates(scenario.dependency, scenario.leaves)
 
 
-def conditional_rates_for(
-    aid: AidProfile, user: UserProfile, dependency: DependencyModel
-) -> tuple[float, float]:
-    """Conditional user correctness rates for a dependency, without a full Scenario.
-
-    Degenerate conditionals are pinned to zero: with p_advice_correct = 1 the
-    advice-wrong event has probability zero, and symmetrically for 0.
-    """
-    p_a = aid.p_advice_correct
-    p_u = user.p_unaided_correct
-    if isinstance(dependency, Independent):
-        return p_u, p_u
-    p11 = joint_success_probability(aid, user, dependency)
-    given_correct = 0.0 if p_a == 0.0 else min(1.0, p11 / p_a)
-    given_wrong = 0.0 if p_a == 1.0 else min(1.0, max(0.0, (p_u - p11) / (1.0 - p_a)))
-    return given_correct, given_wrong
+def post_reject_rates(mode: str, dependency: DependencyModel, values: Mapping[str, Any]):
+    """Rates of solving correctly alone after rejecting correct and wrong advice:
+    p_post_reject_correct under fixed_rate, else the conditional user rates."""
+    if mode == FIXED_RATE:
+        r = values[P_POST_REJECT]
+        return r, r
+    return conditional_rates(dependency, values)
 
 
 @dataclass(frozen=True)

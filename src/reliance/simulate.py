@@ -24,15 +24,14 @@ from typing import Any
 import numpy as np
 
 from .model import (
-    FIXED_RATE,
     Indiscriminate,
     OUTCOME_CELLS,
     RoutineAccept,
     RoutineIgnore,
     Scenario,
     SelfGated,
-    conditional_user_rates,
     joint_success_probability,
+    post_reject_rates,
 )
 
 # Uniforms consumed per trial, in fixed order.
@@ -153,16 +152,9 @@ def _joint_cell_cuts(scenario: Scenario) -> tuple[float, float, float]:
     """
     p_a = scenario.aid.p_advice_correct
     p_u = scenario.user.p_unaided_correct
-    p11 = joint_success_probability(scenario.aid, scenario.user, scenario.dependency)
+    p11 = joint_success_probability(scenario.dependency, scenario.leaves)
     p01 = max(0.0, p_u - p11)
     return p11, p_a, p_a + p01
-
-
-def _post_reject_rates(scenario: Scenario) -> tuple[float, float]:
-    if scenario.effective_degradation_mode == FIXED_RATE:
-        r = scenario.user.p_post_reject_correct
-        return r, r
-    return conditional_user_rates(scenario)
 
 
 def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
@@ -189,7 +181,9 @@ def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
     accepted = bool(u2 < (ac if advice else aw))
     if accepted:
         return TrialOutcome(advice, user, True, True, advice)
-    u_c, u_w = _post_reject_rates(scenario)
+    u_c, u_w = post_reject_rates(
+        scenario.effective_degradation_mode, scenario.dependency, scenario.leaves
+    )
     final = bool(u3 < (u_c if advice else u_w))
     return TrialOutcome(advice, user, True, False, final)
 
@@ -225,7 +219,9 @@ def _simulate_batch(scenario: Scenario, n: int, rng: np.random.Generator) -> np.
         else:
             ac, aw = policy.p_accept_given_correct, policy.p_accept_given_wrong
         accepted = (advice & (u2 < ac)) | (~advice & (u2 < aw))
-        u_c, u_w = _post_reject_rates(scenario)
+        u_c, u_w = post_reject_rates(
+            scenario.effective_degradation_mode, scenario.dependency, scenario.leaves
+        )
         solved_alone = (advice & (u3 < u_c)) | (~advice & (u3 < u_w))
         final = (accepted & advice) | (~accepted & solved_alone)
 

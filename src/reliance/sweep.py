@@ -11,17 +11,15 @@ in one numpy pass over the whole grid:
   values are re-validated by ``validate_scenario`` in grid order, so the
   first invalid value aborts the sweep with the validator's own message
   before anything is evaluated.
-- The closed form is evaluated on the arrays with the float operations of
-  ``analytic.py`` in the same order, so every accuracy is bit-identical to
-  ``evaluate`` on that point's scenario.
+- The closed form is ``analytic``'s kernel itself, run on the arrays, so
+  every accuracy is bit-identical to ``evaluate`` on that point's scenario.
 
-Sensitivities are exact hand-derived partials, guarded in-process by central
-finite differences.
+Sensitivities are exact partials of the multilinear closed forms, guarded
+in-process by central finite differences.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -29,30 +27,17 @@ from typing import Any
 
 import numpy as np
 
-from .analytic import (
+from .analytic import _accuracy, accuracy_from_parameters, accuracy_partials, free_parameters
+from .model import (
     P_ADVICE,
     P_BOTH,
     P_POST_REJECT,
     P_UNAIDED,
-    _require_self_gated_closed_form,
-    accuracy_from_parameters,
-    accuracy_partials,
-    free_parameters,
-)
-from .model import (
-    BOUND_TOLERANCE,
-    FIXED_RATE,
     PROBABILITY_CLAMP,
-    Dominant,
-    Independent,
-    Indiscriminate,
-    Joint,
-    RoutineAccept,
-    RoutineIgnore,
     Scenario,
     ScenarioValidationError,
-    SelfGated,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
+    bound_violated,
     scenario_to_dict,
     validate_scenario,
 )
@@ -144,103 +129,10 @@ def _resolve_path(base: Scenario, path: str) -> tuple[str, str]:
     return section, key
 
 
-def _scenario_at(base: Scenario, section: str, key: str, value: float) -> Scenario:
-    raw = copy.deepcopy(scenario_to_dict(base))
-    raw[section][key] = value
-    return validate_scenario(raw)
-
-
-def _leaves(base: Scenario) -> dict[str, Any]:
-    """Every probability leaf of the scenario, keyed by its dot-path."""
-    canonical = scenario_to_dict(base)
-    return {
-        f"{section}.{key}": value
-        for section in ("aid", "user", "policy", "dependency")
-        for key, value in canonical[section].items()
-        if key != "type"
-    }
-
-
 def _clamped(values):
     """as_probability's clamp of overshoot within 1e-12 of [0, 1]; the rest passes."""
     values = np.where((values >= -PROBABILITY_CLAMP) & (values < 0.0), 0.0, values)
     return np.where((values > 1.0) & (values <= 1.0 + PROBABILITY_CLAMP), 1.0, values)
-
-
-# Python's min(a, b) and max(a, b) keep a unless b is strictly smaller or
-# larger; np.minimum and np.maximum can pick the other zero of -0.0 and 0.0.
-def _min(a, b):
-    return np.where(b < a, b, a)
-
-
-def _max(a, b):
-    return np.where(b > a, b, a)
-
-
-def _frechet_bounds(p_a, p_u):
-    return _max(0.0, p_a + p_u - 1.0), _min(p_a, p_u)
-
-
-def _invalid(base: Scenario, leaves: Mapping[str, Any], swept: str):
-    """Mask of points whose scenario validation could reject (a superset).
-
-    The swept leaf must be a number in [0, 1] after clamping, and the
-    dependency must respect its bounds within BOUND_TOLERANCE.
-    """
-    value = leaves[swept]
-    bad = ~((value >= 0.0) & (value <= 1.0))
-    p_a, p_u = leaves[P_ADVICE], leaves[P_UNAIDED]
-    if isinstance(base.dependency, Joint):
-        lo, hi = _frechet_bounds(p_a, p_u)
-        p11 = leaves[P_BOTH]
-        bad = bad | (p11 < lo - BOUND_TOLERANCE) | (p11 > hi + BOUND_TOLERANCE)
-    elif isinstance(base.dependency, Dominant):
-        bad = bad | (p_a < p_u - BOUND_TOLERANCE)
-    return bad
-
-
-def _accuracies(base: Scenario, leaves: Mapping[str, Any]):
-    """Closed-form aided accuracy with any leaves given as arrays.
-
-    Repeats the float operations of ``analytic.evaluate`` in the same order,
-    with Python's min and max as ``_min`` and ``_max``, so each element equals
-    ``evaluate(...).p_correct_aided`` for that point bit for bit.
-    """
-    policy = base.policy
-    p_a = leaves[P_ADVICE]
-    if isinstance(policy, RoutineAccept):
-        return p_a
-    p_u = leaves[P_UNAIDED]
-    if isinstance(policy, RoutineIgnore):
-        return p_u
-    if isinstance(policy, SelfGated):
-        _require_self_gated_closed_form(base)
-        g_c = leaves["policy.p_ignore_given_user_correct"]
-        g_w = leaves["policy.p_use_given_user_wrong"]
-        p_use = (1.0 - g_c) * p_u + g_w * (1.0 - p_u)
-        return p_a * p_use + p_a * g_c * p_u + (1.0 - p_a) * g_c * p_u
-
-    if isinstance(policy, Indiscriminate):
-        ac = aw = leaves["policy.p_accept"]
-    else:
-        ac = leaves["policy.p_accept_given_correct"]
-        aw = leaves["policy.p_accept_given_wrong"]
-    dependency = base.dependency
-    if base.effective_degradation_mode == FIXED_RATE:
-        u_c = u_w = leaves[P_POST_REJECT]
-    elif isinstance(dependency, Independent):
-        u_c = u_w = p_u
-    else:
-        if isinstance(dependency, Dominant):
-            p11 = _min(p_a, p_u)
-        else:
-            lo, hi = _frechet_bounds(p_a, p_u)
-            p11 = _min(_max(leaves[P_BOTH], lo), hi)
-        # the degenerate conditionals are pinned to zero, as in conditional_rates_for
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u_c = np.where(p_a == 0.0, 0.0, _min(1.0, p11 / p_a))
-            u_w = np.where(p_a == 1.0, 0.0, _min(1.0, _max(0.0, (p_u - p11) / (1.0 - p_a))))
-    return p_a * ac + p_a * (1.0 - ac) * u_c + (1.0 - p_a) * (1.0 - aw) * u_w
 
 
 def _validate_grid(spec: SweepSpec, grid, leaves) -> None:
@@ -248,16 +140,25 @@ def _validate_grid(spec: SweepSpec, grid, leaves) -> None:
 
     Only the values the vector screen flags go through validate_scenario,
     plus the first point whose post-rejection rate exceeds its unaided
-    rate, so that its DegradedRateWarning is issued.
+    rate, so that its DegradedRateWarning is issued; a degraded base already
+    warned when it was built, so it is not warned about again.
     """
     section, key = spec.parameter_path.split(".")
-    check = _invalid(spec.base, leaves, spec.parameter_path)
+    # a superset of what validation rejects: outside [0, 1] after clamping,
+    # or the dependency past its bound
+    value = leaves[spec.parameter_path]
+    check = ~((value >= 0.0) & (value <= 1.0)) | bound_violated(
+        spec.base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
+    )
     degraded = np.broadcast_to(leaves[P_POST_REJECT] > leaves[P_UNAIDED], grid.shape)
-    if degraded.any():
+    user = spec.base.user
+    if degraded.any() and not user.p_post_reject_correct > user.p_unaided_correct:
         check[degraded.argmax()] = True
     for value in grid[check].tolist():
+        raw = scenario_to_dict(spec.base)
+        raw[section][key] = value
         try:
-            _scenario_at(spec.base, section, key, value)
+            validate_scenario(raw)
         except ScenarioValidationError as err:
             raise SweepError(
                 f"swept value {value!r} for {spec.parameter_path!r} is invalid: {err}"
@@ -269,15 +170,15 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
 
     Every swept scenario is validated before any evaluation begins; the
     first invalid grid value aborts the whole sweep, by name.  One
-    DegradedRateWarning is issued if any point's post-rejection rate
-    exceeds its unaided rate.
+    DegradedRateWarning is issued if a point's post-rejection rate exceeds
+    its unaided rate while the base scenario's does not.
     """
     _resolve_path(spec.base, spec.parameter_path)
     grid = spec._grid()
-    leaves = _leaves(spec.base)
+    leaves = spec.base.leaves
     leaves[spec.parameter_path] = _clamped(grid)
     _validate_grid(spec, grid, leaves)
-    accuracies = np.broadcast_to(_accuracies(spec.base, leaves), grid.shape)
+    accuracies = np.broadcast_to(_accuracy(spec.base, leaves), grid.shape)
     return SweepSeries(
         parameter_path=spec.parameter_path,
         parameter_values=tuple(grid.tolist()),
@@ -302,11 +203,11 @@ def find_reference_crossing(
         series = run_sweep(spec)
     _resolve_path(spec.base, spec.parameter_path)
     reference = series.unaided_reference
-    leaves = _leaves(spec.base)
+    leaves = spec.base.leaves
 
     def gap(value: float) -> float:
         leaves[spec.parameter_path] = _clamped(value)
-        return float(_accuracies(spec.base, leaves)) - reference
+        return float(_accuracy(spec.base, leaves)) - reference
 
     values = series.parameter_values
     gaps = [acc - reference for acc in series.accuracies]
@@ -338,7 +239,9 @@ def sensitivity(scenario: Scenario) -> dict[str, float]:
     """Exact partial derivative of aided accuracy per free probability parameter.
 
     Keys are the scenario-JSON dot-paths of the parameters the active closed
-    form reads.  Each hand-derived partial is cross-checked in-process against
+    form reads.  The closed form is multilinear, so each partial is its
+    value with the parameter at 1 minus its value at 0, as in
+    ``accuracy_partials``.  Each partial is cross-checked in-process against
     a central finite difference (step 1e-6, agreement 1e-6 absolute); a
     mismatch means an implementation bug and raises ArithmeticError.
     """

@@ -106,8 +106,6 @@ def random_scenario(
         dependency = Joint(rng.uniform(lo + margin, hi - margin))
     else:
         dependency = random_dependency(rng, p_a, p_u)
-    if isinstance(policy, SelfGated) and not isinstance(dependency, Independent):
-        dependency = Independent()
     if explicit_mode and mode is None:
         mode = str(rng.choice(["fixed_rate", "conditional_from_joint"]))
     return make_scenario(p_a, p_u, r, policy=policy, dependency=dependency, mode=mode)

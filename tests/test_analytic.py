@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from reliance.analytic import (
-    AnalyticUnavailableError,
     BreakevenResult,
     PolicyComparison,
     PolicyMismatchError,
@@ -222,10 +221,21 @@ class TestSelfGatedAccuracy:
         scenario = make_scenario(policy=SelfGated(0.5, 0.5))
         assert self_gated_accuracy(scenario).p_correct_aided == pytest.approx(0.65, abs=EXACT)
 
-    def test_dependent_scenarios_directed_to_simulator(self):
+    def test_joint_dependency_worked_example(self):
+        # p11 = .55, p10 = .15, p01 = .05: p11 + p10 * g_w + p01 * g_c
+        scenario = make_scenario(policy=SelfGated(0.8, 0.3), dependency=Joint(0.55))
+        result = self_gated_accuracy(scenario)
+        assert result.p_correct_aided == pytest.approx(0.55 + 0.15 * 0.3 + 0.05 * 0.8, abs=EXACT)
+        assert result.p_correct_aided == pytest.approx(0.635, abs=EXACT)
+        assert result.outcome_table[(True, False, True)] == pytest.approx(0.55 * 0.8, abs=EXACT)
+        assert result.outcome_table[(False, False, True)] == pytest.approx(0.05 * 0.8, abs=EXACT)
+        # the gate reads the user's own correctness, so its use rate ignores the dependency
+        assert result.p_accept_marginal == pytest.approx(0.2 * 0.6 + 0.3 * 0.4, abs=EXACT)
+
+    def test_dominant_dependency_adds_only_the_advisor_surplus(self):
+        # p11 = p_u, p10 = p_a - p_u, p01 = 0: p_u + (p_a - p_u) * g_w
         scenario = make_scenario(policy=SelfGated(0.7, 0.7), dependency=Dominant())
-        with pytest.raises(AnalyticUnavailableError, match="simulate"):
-            self_gated_accuracy(scenario)
+        assert self_gated_accuracy(scenario).p_correct_aided == pytest.approx(0.6 + 0.1 * 0.7, abs=EXACT)
 
     def test_wrong_policy_variant_rejected(self):
         with pytest.raises(PolicyMismatchError):

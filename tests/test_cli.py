@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,21 @@ SELF_GATED_RAW = {
     },
     "dependency": {"type": "independent"},
 }
+
+
+# self_gated under a dependency: p11 = .55, p10 = .15, p01 = .05, so the
+# accuracy is p11 + p10 * g_w + p01 * g_c = .635
+SELF_GATED_JOINT_RAW = {
+    "aid": {"p_advice_correct": 0.7},
+    "user": {"p_unaided_correct": 0.6, "p_post_reject_correct": 0.4},
+    "policy": {
+        "type": "self_gated",
+        "p_ignore_given_user_correct": 0.8,
+        "p_use_given_user_wrong": 0.3,
+    },
+    "dependency": {"type": "joint", "p_both_correct": 0.55},
+}
+SELF_GATED_JOINT_EVAL_SHA = "9470cb6fa0e0648538fa27d265203b6f8ddc116ff295e71785d704e9d0a01c83"
 
 
 def write_scenario(tmp_path, raw, name="scenario.json") -> Path:
@@ -84,6 +100,26 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", str(path))
         assert code == 0
         assert json.loads(out)["result"]["p_correct_aided"] == 0.742
+
+    @pytest.mark.parametrize("dependency", [{"type": "joint", "p_both_correct": 0.55}, {"type": "dominant"}])
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_self_gated_under_dependency(self, tmp_path, capsys, command, dependency):
+        path = write_scenario(tmp_path, {**SELF_GATED_JOINT_RAW, "dependency": dependency})
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        if command == "compare":
+            result = result["results"]["self_gated"]
+        # dominant: p11 = p_u, p10 = p_a - p_u, so p_u + (p_a - p_u) * g_w
+        expected = 0.635 if dependency["type"] == "joint" else 0.63
+        assert result["p_correct_aided"] == expected
+
+    def test_self_gated_under_joint_dependency_golden_bytes(self, tmp_path, capsys):
+        # pinned when the closed form for self_gated under a dependency was added
+        path = write_scenario(tmp_path, SELF_GATED_JOINT_RAW)
+        code, out, _ = run_cli(capsys, "eval", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SELF_GATED_JOINT_EVAL_SHA
 
     def test_scenario_echo_round_trips(self, tmp_path, capsys):
         path = write_scenario(tmp_path, BASE_RAW)
@@ -334,6 +370,19 @@ class TestSweep:
         assert code == 0
         assert hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
+    def test_degraded_scenario_warns_once(self, tmp_path, capsys, monkeypatch):
+        # the loaded scenario warns; its degraded grid points add no second warning
+        scenario = write_scenario(tmp_path, DEGRADED_RAW)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(
+                capsys, "sweep", str(scenario), "--param", "policy.p_use_given_user_wrong",
+                "--from", "0", "--to", "1", "--steps", "5", "--out", "series.csv",
+            )
+        assert code == 0
+        assert [w.category for w in record] == [DegradedRateWarning]
 
     def test_csv_contents(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, BASE_RAW)

@@ -199,7 +199,7 @@ class TestValidateScenario:
 
     def test_frechet_slack_admits_then_clamps(self):
         scenario = make_scenario(dependency=Joint(0.6 + 1e-10))
-        p11 = joint_success_probability(scenario.aid, scenario.user, scenario.dependency)
+        p11 = joint_success_probability(scenario.dependency, scenario.leaves)
         assert p11 == 0.6
 
 

@@ -253,8 +253,8 @@ class TestOracleAgreement:
             self.check(scenario, seed=int(rng.integers(1 << 32)))
 
     def test_self_gated_with_dependency_only_simulated(self):
-        # no closed form here: check the simulated accuracy against a direct
-        # law-of-total-probability computation instead
+        # the simulated accuracy against a direct law-of-total-probability
+        # computation and against the closed form
         scenario = make_scenario(policy=SelfGated(0.7, 0.7), dependency=Joint(0.5))
         estimate = estimate_accuracy(scenario, self.N, seed=106)
         p_a, p_u, p11 = 0.7, 0.6, 0.5
@@ -267,6 +267,9 @@ class TestOracleAgreement:
             + p00 * 0.0
         )
         assert abs(estimate.p_hat - expected) < 4 * estimate.std_err
+        closed_form = evaluate(scenario).p_correct_aided
+        assert closed_form == pytest.approx(expected, abs=1e-12)
+        assert abs(estimate.p_hat - closed_form) < 4 * estimate.std_err
 
     def test_marginal_recovery_per_dependency(self):
         for dependency in (Independent(), Joint(0.5), Dominant()):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from reliance.analytic import (
-    AnalyticUnavailableError,
     accuracy_partials,
     evaluate,
     free_parameters,
@@ -88,7 +87,7 @@ def golden_sweep_specs():
     for policy_name, policy in GOLDEN_POLICIES.items():
         for dep_name, dependency in GOLDEN_DEPENDENCIES.items():
             if policy_name == "self_gated" and dep_name != "independent":
-                continue  # no closed form; covered by the error tests
+                continue  # no closed form when pinned; the differential tests cover them
             for mode in ("fixed_rate", "conditional_from_joint"):
                 scenario = make_scenario(policy=policy, dependency=dependency, mode=mode)
                 for path in leaf_paths(scenario):
@@ -523,8 +522,6 @@ def random_edge_scenario(rng):
         if kind == "joint":
             lo, hi = frechet_bounds(min(max(p_a, 0.0), 1.0), min(max(p_u, 0.0), 1.0))
             raw["dependency"]["p_both_correct"] = edge_value(rng, (lo, hi, lo - SLACK, hi + SLACK))
-        if raw["policy"]["type"] == "self_gated" and kind != "independent":
-            continue
         try:
             return validate_scenario(raw)
         except ScenarioValidationError:
@@ -599,8 +596,6 @@ class TestArrayPathMatchesPerPoint:
         ]
         for p_a, p_u, r, p11 in itertools.product((0.0, -0.0), repeat=4):
             for policy, mode in itertools.product(policies, ("fixed_rate", "conditional_from_joint")):
-                if isinstance(policy, SelfGated) and dependency != "independent":
-                    continue
                 raw = {
                     "aid": {"p_advice_correct": p_a},
                     "user": {"p_unaided_correct": p_u, "p_post_reject_correct": r},
@@ -667,11 +662,14 @@ class TestSweepWarningsAndErrors:
             run_sweep(SweepSpec(base_scenario, path, start, stop, 7))
 
     @pytest.mark.parametrize("dependency", [Joint(0.55), Dominant()], ids=["joint", "dominant"])
-    def test_self_gated_under_dependency_has_no_sweep(self, dependency):
+    def test_self_gated_under_dependency_sweeps_like_evaluate(self, dependency):
         scenario = make_scenario(p_a=0.7, p_u=0.6, policy=SelfGated(0.8, 0.3), dependency=dependency)
-        with pytest.raises(AnalyticUnavailableError):
-            run_sweep(SweepSpec(scenario, "policy.p_use_given_user_wrong", 0.0, 1.0, 5))
-        # the grid is validated first: an invalid value wins over the missing closed form
+        ranges = {"aid.p_advice_correct": (0.6, 0.7), "user.p_unaided_correct": (0.55, 0.7),
+                  "user.p_post_reject_correct": (0.0, 0.55),
+                  "dependency.p_both_correct": (0.3, 0.6)}
+        for path in leaf_paths(scenario):
+            start, stop = ranges.get(path, (0.0, 1.0))
+            assert assert_matches_per_point(SweepSpec(scenario, path, start, stop, 5))
         with pytest.raises(SweepError, match="swept value 0.0 for 'aid.p_advice_correct'"):
             run_sweep(SweepSpec(scenario, "aid.p_advice_correct", 0.0, 1.0, 5))
 
@@ -740,14 +738,27 @@ class TestSensitivity:
         partials = sensitivity(make_scenario(policy=SelfGated(0.7, 0.7)))
         assert partials["aid.p_advice_correct"] == pytest.approx(0.46, abs=EXACT)
 
-    @pytest.mark.parametrize("dependency", [Joint(0.55), Dominant()], ids=["joint", "dominant"])
-    def test_self_gated_under_dependency_has_no_partials(self, dependency):
-        # the independent-model partials would be wrong here (d/dg_c = 0.18
-        # against the true p01 = 0.05 under Joint(0.55)), so none are given
+    @pytest.mark.parametrize(
+        "dependency,expected",
+        [
+            # p11 + (p_a - p11) g_w + (p_u - p11) g_c with p11 = .55
+            (Joint(0.55), {"aid.p_advice_correct": 0.3, "user.p_unaided_correct": 0.8,
+                           "policy.p_ignore_given_user_correct": 0.05,
+                           "policy.p_use_given_user_wrong": 0.15,
+                           "dependency.p_both_correct": -0.1}),
+            # p_u + (p_a - p_u) g_w
+            (Dominant(), {"aid.p_advice_correct": 0.3, "user.p_unaided_correct": 0.7,
+                          "policy.p_ignore_given_user_correct": 0.0,
+                          "policy.p_use_given_user_wrong": 0.1}),
+        ],
+        ids=["joint", "dominant"],
+    )
+    def test_self_gated_under_dependency_partials(self, dependency, expected):
         scenario = make_scenario(p_a=0.7, p_u=0.6, policy=SelfGated(0.8, 0.3), dependency=dependency)
-        for query in (sensitivity, accuracy_partials, free_parameters):
-            with pytest.raises(AnalyticUnavailableError):
-                query(scenario)
+        partials = sensitivity(scenario)
+        assert partials == pytest.approx(expected, abs=EXACT)
+        assert accuracy_partials(scenario) == partials
+        assert set(free_parameters(scenario)) == set(expected)
 
     def test_routine_policies_have_unit_partials(self):
         assert sensitivity(make_scenario(policy=RoutineAccept())) == {
