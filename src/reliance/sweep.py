@@ -14,6 +14,10 @@ in one numpy pass over the whole grid:
 - The closed form is ``analytic``'s kernel itself, run on the arrays, so
   every accuracy is bit-identical to ``evaluate`` on that point's scenario.
 
+A reference crossing is the linear root of the grid cell where the accuracy
+crosses the unaided rate, certified by one evaluation tol/2 beside it: the
+closed form is affine in one leaf inside the valid domain.
+
 Sensitivities are exact partials of the multilinear closed forms, guarded
 in-process by central finite differences.
 """
@@ -37,6 +41,7 @@ from .model import (
     Scenario,
     ScenarioValidationError,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
+    _where,
     bound_violated,
     scenario_to_dict,
     validate_scenario,
@@ -130,9 +135,9 @@ def _resolve_path(base: Scenario, path: str) -> tuple[str, str]:
 
 
 def _clamped(values):
-    """as_probability's clamp of overshoot within 1e-12 of [0, 1]; the rest passes."""
-    values = np.where((values >= -PROBABILITY_CLAMP) & (values < 0.0), 0.0, values)
-    return np.where((values > 1.0) & (values <= 1.0 + PROBABILITY_CLAMP), 1.0, values)
+    """as_probability's clamp of overshoot within 1e-12 of [0, 1], on floats or arrays."""
+    values = _where((values >= -PROBABILITY_CLAMP) & (values < 0.0), 0.0, values)
+    return _where((values > 1.0) & (values <= 1.0 + PROBABILITY_CLAMP), 1.0, values)
 
 
 def _validate_grid(spec: SweepSpec, grid, leaves) -> None:
@@ -194,14 +199,22 @@ def find_reference_crossing(
     """Parameter value where the swept accuracy crosses the unaided reference.
 
     Scans the series for a sign change between adjacent grid points, then
-    bisects the analytic evaluation of the swept scenario down to `tol`.
-    The two ends of the bracket are validated; the valid range of one leaf
-    is an interval, so the midpoints between them are evaluated unvalidated.
-    Returns None when the series never crosses the reference line.
+    probes the bracket's linear root x and the point tol/2 from it towards
+    the sign change: a zero or a sign change there puts a root within tol/2
+    of x, which is returned.  Where a clamp bends the line, the bracket
+    shrinks past both probes and the next x is the root of the line through
+    them, or the bracket's midpoint if that root falls outside.  Only the
+    ends of a bracket from a caller's series are validated: the valid range
+    of one leaf is an interval.  Returns None when the series never crosses
+    the reference line.
     """
-    if series is None:
-        series = run_sweep(spec)
-    _resolve_path(spec.base, spec.parameter_path)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise SweepError(f"tol must be finite and > 0, got {tol!r}")
+    foreign = series is not None
+    if foreign:
+        _resolve_path(spec.base, spec.parameter_path)
+    else:
+        series = run_sweep(spec)  # validates every grid value, bracket ends included
     reference = series.unaided_reference
     leaves = spec.base.leaves
 
@@ -211,25 +224,38 @@ def find_reference_crossing(
 
     values = series.parameter_values
     gaps = [acc - reference for acc in series.accuracies]
-    for i in range(len(values) - 1):
-        if gaps[i] == 0.0:
+    for i, (g, g_next) in enumerate(zip(gaps, gaps[1:])):
+        if g == 0.0:
             return values[i]
-        if gaps[i] * gaps[i + 1] < 0.0:
-            lo, hi = values[i], values[i + 1]
-            bracket = np.array([lo, hi])
-            leaves[spec.parameter_path] = _clamped(bracket)
-            _validate_grid(spec, bracket, leaves)
-            g_lo = gaps[i]
-            while abs(hi - lo) > tol:
-                mid = 0.5 * (lo + hi)
-                g_mid = gap(mid)
-                if g_mid == 0.0:
-                    return mid
-                if (g_lo < 0.0) == (g_mid < 0.0):
-                    lo, g_lo = mid, g_mid
+        if g_next != 0.0 and (g < 0.0) != (g_next < 0.0):  # no product to underflow
+            if foreign:
+                bracket = np.array(values[i : i + 2])
+                leaves[spec.parameter_path] = _clamped(bracket)
+                _validate_grid(spec, bracket, leaves)
+            (lo, g_lo), (hi, g_hi) = sorted(zip(values[i : i + 2], gaps[i : i + 2]))
+            x, mid = lo + (hi - lo) * (g_lo / (g_lo - g_hi)), 0.5 * (lo + hi)
+            while hi - lo > tol and lo < mid < hi:
+                if not lo < x < hi:
+                    x = mid
+                g_x = gap(x)
+                if g_x == 0.0:
+                    return x
+                # tol/2 from x towards the sign change; past an end, the end is that near
+                right = (g_x < 0.0) == (g_lo < 0.0)
+                side = x + 0.5 * tol if right else x - 0.5 * tol
+                if not lo < side < hi:
+                    return x
+                g_side = gap(side)
+                if g_side == 0.0 or (g_side < 0.0) != (g_x < 0.0):
+                    return x
+                if right:
+                    lo, g_lo = side, g_side
                 else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+                    hi, g_hi = side, g_side
+                # the root of the line through the last two gaps, else the midpoint
+                mid = 0.5 * (lo + hi)
+                x = side - g_side * ((side - x) / (g_side - g_x)) if g_side != g_x else mid
+            return mid
     if gaps and gaps[-1] == 0.0:
         return values[-1]
     return None

@@ -1,6 +1,7 @@
 """Properties of the closed forms over every policy x dependency x mode, edges included."""
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -8,15 +9,28 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from reliance.analytic import evaluate  # noqa: E402
+from reliance.analytic import (  # noqa: E402
+    TIE_TOLERANCE,
+    breakeven_discrimination,
+    compare_policies,
+    evaluate,
+)
 from reliance.model import (  # noqa: E402
     DegradedRateWarning,
+    Discriminating,
     ScenarioValidationError,
     frechet_bounds,
     scenario_to_dict,
     validate_scenario,
 )
-from reliance.sweep import FD_STEP, SweepError, SweepSpec, run_sweep, sensitivity  # noqa: E402
+from reliance.sweep import (  # noqa: E402
+    FD_STEP,
+    SweepError,
+    SweepSpec,
+    find_reference_crossing,
+    run_sweep,
+    sensitivity,
+)
 
 from conftest import perturbed_scenario  # noqa: E402
 
@@ -112,3 +126,67 @@ def test_sensitivity_agrees_with_central_differences_of_evaluate(scenario):
         up = evaluate(perturbed_scenario(scenario, name, FD_STEP)).p_correct_aided
         down = evaluate(perturbed_scenario(scenario, name, -FD_STEP)).p_correct_aided
         assert (up - down) / (2 * FD_STEP) == pytest.approx(exact, abs=1e-6), name
+
+
+@PROPERTY
+@given(scenarios())
+def test_scenario_dict_round_trips(scenario):
+    canonical = scenario_to_dict(scenario)
+    again = validate_scenario(canonical)
+    assert repr(scenario_to_dict(again)) == repr(canonical)
+    assert again == replace(scenario, degradation_mode=scenario.effective_degradation_mode)
+
+
+@PROPERTY
+@given(scenarios())
+def test_compare_margins_and_best_policy(scenario):
+    comparison = compare_policies(scenario)
+    accuracy = {name: r.p_correct_aided for name, r in comparison.results.items()}
+    top = max(accuracy.values())
+    precedence = ["routine_ignore", "routine_accept", comparison.configured_policy]
+    assert comparison.best_policy == next(n for n in precedence if accuracy[n] >= top - TIE_TOLERANCE)
+    for name, margin in comparison.margins.items():
+        assert margin >= 0.0
+        assert margin == max(0.0, accuracy[comparison.best_policy] - accuracy[name])
+
+
+@PROPERTY
+@given(scenarios())
+def test_breakeven_d_star_lies_in_the_domain_and_meets_the_target(scenario):
+    result = breakeven_discrimination(
+        scenario.aid, scenario.user, scenario.dependency, scenario.degradation_mode
+    )
+    assert result.target == max(scenario.aid.p_advice_correct, scenario.user.p_unaided_correct)
+    if result.d_star is None:
+        return
+    assert 0.5 <= result.d_star <= 1.0
+    at_d_star = replace(scenario, policy=Discriminating(result.d_star, 1.0 - result.d_star))
+    assert evaluate(at_d_star).p_correct_aided >= result.target - TIE_TOLERANCE
+
+
+def gap(scenario, path, value):
+    """Aided accuracy minus the base unaided rate with one leaf set to value."""
+    section, key = path.split(".")
+    raw = scenario_to_dict(scenario)
+    raw[section][key] = value
+    return evaluate(validate_scenario(raw)).p_correct_aided - scenario.user.p_unaided_correct
+
+
+@PROPERTY
+@given(scenarios(), st.data())
+def test_the_gaps_half_a_tol_either_side_of_a_crossing_straddle_zero(scenario, data):
+    canonical = scenario_to_dict(scenario)
+    leaves = [f"{s}.{k}" for s in ("aid", "user", "policy", "dependency") for k in canonical[s] if k != "type"]
+    path = data.draw(st.sampled_from(leaves))
+    start, stop = data.draw(edge_probability), data.draw(edge_probability)
+    tol = data.draw(st.sampled_from((1e-6, 1e-9, 1e-12)))
+    spec = SweepSpec(scenario, path, start, stop, data.draw(st.integers(2, 12)))
+    try:
+        x = find_reference_crossing(spec, tol=tol)
+    except SweepError:
+        assume(False)
+    assume(x is not None)
+    # kept inside the grid, which the sweep validated
+    lo, hi = min(spec.grid()), max(spec.grid())
+    below, above = gap(scenario, path, max(lo, x - 0.5 * tol)), gap(scenario, path, min(hi, x + 0.5 * tol))
+    assert min(below, above) <= 0.0 <= max(below, above)

@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reliance import sweep
 from reliance.analytic import (
+    _accuracy,
     accuracy_partials,
     evaluate,
     free_parameters,
@@ -33,6 +35,7 @@ from reliance.sweep import (
     SweepError,
     SweepSeries,
     SweepSpec,
+    _clamped,
     find_reference_crossing,
     run_sweep,
     sensitivity,
@@ -341,12 +344,12 @@ GOLDEN_ACCURACIES = {
 }
 
 GOLDEN_CROSSINGS = [
-    "0.6666666667908431",
+    "0.6666666666666666",
     "0.5",
     "0.18",
-    "0.3913043478131294",
-    "0.2619047615677118",
-    "0.650000000372529",
+    "0.39130434782608703",
+    "0.2619047619047619",
+    "0.6500000000000002",
 ]
 
 
@@ -720,6 +723,220 @@ class TestReferenceCrossing:
             spec = SweepSpec(scenario, "policy.p_accept", 0.0, 1.0, 11)
             crossing = find_reference_crossing(spec)
             assert crossing == pytest.approx((p_u - r) / (p_a - r), abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, base_scenario, tol):
+        spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
+        with pytest.raises(SweepError, match="tol must be finite and > 0"):
+            find_reference_crossing(spec, tol=tol)
+
+    def test_gaps_too_small_to_multiply_still_cross(self):
+        # gaps of -1e-300 and 2e-300: their product underflows to -0.0
+        scenario = make_scenario(p_a=3e-300, p_u=1e-300, r=0.0, mode="fixed_rate")
+        spec = SweepSpec(scenario, "policy.p_accept", 0.0, 1.0, 2)
+        assert find_reference_crossing(spec) == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-11, 1e-12])
+    @pytest.mark.parametrize("accept", [(0.7, 0.3), (0.99, 0.01), (0.01, 0.99)])
+    def test_a_root_on_a_clamp_is_found_to_half_tol(self, kernel_calls, accept, tol):
+        # under dominance the advisor equal to the user scores the user's rate:
+        # the root sits on the kink of min(p_a, p_u), with the slack zone below it
+        scenario = make_scenario(policy=Discriminating(*accept), dependency=Dominant())
+        spec = SweepSpec(scenario, "aid.p_advice_correct", 0.6 - SLACK, 0.6 + 1e-6, 2)
+        series = run_sweep(spec)
+        del kernel_calls[:]
+        crossing = find_reference_crossing(spec, series, tol)
+        assert abs(crossing - 0.6) <= 0.5 * tol + 2e-16
+        assert 2 < len(kernel_calls) <= math.ceil(math.log2((1e-6 + SLACK) / tol))
+
+    def test_tol_below_float_resolution_ends(self, base_scenario):
+        spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
+        assert find_reference_crossing(spec, tol=1e-300) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+# --- the certified linear root against the bisection it replaced ------------
+
+
+def gap_at(spec, value):
+    """The swept accuracy minus the base unaided rate, straight from the kernel."""
+    leaves = spec.base.leaves
+    leaves[spec.parameter_path] = _clamped(value)
+    return _accuracy(spec.base, leaves) - spec.base.user.p_unaided_correct
+
+
+def bisected_crossing(spec, tol=1e-9):
+    """The crossing search before the linear root, kept as the reference.
+
+    Bisects the first bracketing grid cell down to tol.  Its scan compares
+    signs, as the search now does, where it used to test a product that
+    underflows.  Returns the crossing and the number of closed-form
+    evaluations it made.
+    """
+    series = run_sweep(spec)
+    evaluations = 0
+
+    def gap(value):
+        nonlocal evaluations
+        evaluations += 1
+        return gap_at(spec, value)
+
+    values = series.parameter_values
+    gaps = [acc - series.unaided_reference for acc in series.accuracies]
+    for i in range(len(values) - 1):
+        if gaps[i] == 0.0:
+            return values[i], evaluations
+        if gaps[i + 1] != 0.0 and (gaps[i] < 0.0) != (gaps[i + 1] < 0.0):
+            lo, hi, g_lo = values[i], values[i + 1], gaps[i]
+            while abs(hi - lo) > tol:
+                mid = 0.5 * (lo + hi)
+                g_mid = gap(mid)
+                if g_mid == 0.0:
+                    return mid, evaluations
+                if (g_lo < 0.0) == (g_mid < 0.0):
+                    lo, g_lo = mid, g_mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi), evaluations
+    if gaps and gaps[-1] == 0.0:
+        return values[-1], evaluations
+    return None, evaluations
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the closed-form evaluations find_reference_crossing makes."""
+    calls = []
+
+    def counted(scenario, leaves):
+        calls.append(dict(leaves))
+        return _accuracy(scenario, leaves)
+
+    monkeypatch.setattr(sweep, "_accuracy", counted)
+    return calls
+
+
+def bracket_of(series):
+    """The first grid cell whose gaps to the unaided line change sign."""
+    gaps = [acc - series.unaided_reference for acc in series.accuracies]
+    for i in range(len(gaps) - 1):
+        if min(gaps[i : i + 2]) < 0.0 < max(gaps[i : i + 2]):
+            return series.parameter_values[i : i + 2], gaps[i : i + 2]
+    return None
+
+
+CROSSING_POLICIES = (*GOLDEN_POLICIES.values(), Discriminating(0.95, 0.6), SelfGated(0.2, 0.9))
+CROSSING_MARGINALS = ((0.7, 0.6, 0.4), (0.8, 0.5, 0.3), (0.55, 0.65, 0.2), (0.6 - SLACK, 0.6, 0.3))
+MODES = ("fixed_rate", "conditional_from_joint")
+
+
+def crossing_scenarios():
+    """Every policy x dependency x mode at a few marginals; Joint also at each
+    Frechet end and past it by the slack, dominance also inside its slack."""
+    for p_a, p_u, r in CROSSING_MARGINALS:
+        lo, hi = frechet_bounds(p_a, p_u)
+        joints = [Joint(p11 + d) for p11 in (lo, 0.5 * (lo + hi), hi) for d in (0.0, -SLACK, SLACK)]
+        for policy, dependency, mode in itertools.product(
+            CROSSING_POLICIES, [Independent(), Dominant(), *joints], MODES
+        ):
+            try:
+                yield make_scenario(p_a, p_u, r, policy=policy, dependency=dependency, mode=mode)
+            except ScenarioValidationError:
+                continue  # past a bound by more than the slack
+
+
+def leaf_range(scenario, path):
+    """The swept leaf's valid interval within [0, 1], ends exact."""
+    lo, hi = 0.0, 1.0
+    ends = leaf_bounds(scenario, path)[::5]  # without the slack offsets
+    if len(ends) == 2:
+        lo, hi = ends
+    elif ends and path == "aid.p_advice_correct":
+        lo = ends[0]  # a dominant advisor: at least the user
+    elif ends:
+        hi = ends[0]
+    return max(lo, 0.0), min(hi, 1.0)
+
+
+def sign_change_near(spec, x, tol, lo, hi):
+    """Whether the gap is zero at x or changes sign within tol/2 of it, inside [lo, hi]."""
+    gaps = [gap_at(spec, value) for value in (max(lo, x - 0.5 * tol), x, min(hi, x + 0.5 * tol))]
+    return gaps[1] == 0.0 or any(min(a, b) <= 0.0 <= max(a, b) for a, b in zip(gaps, gaps[1:]))
+
+
+class TestLinearRootAgainstBisection:
+    def check(self, spec, tol, calls, outcomes):
+        """The linear root agrees with bisection within tol and costs no more.
+
+        Bisection's cost is its step count on the bracketing grid cell,
+        ceil(log2(width / tol)); it stops sooner only when a midpoint happens
+        to hit a zero gap.  Where a step of tol/2 around the root moves the
+        rounded gap by less than 1e-13, the rounded gaps do not fix the root
+        to tol, and any point with a sign change within tol/2 is as good:
+        there the linear root must only be certified.
+        """
+        try:
+            series = run_sweep(spec)
+        except SweepError:
+            return
+        expected, _ = bisected_crossing(spec, tol)
+        del calls[:]
+        found = find_reference_crossing(spec, series, tol)
+        if expected is None:
+            assert found is None, spec
+            outcomes.append(None)
+            return
+        outcomes.append(len(calls))
+        bracket = bracket_of(series)
+        if bracket is None or not calls:  # a grid point with a zero gap
+            assert found == expected, spec
+            return
+        lo, hi = sorted(bracket[0])
+        near = gap_at(spec, max(lo, expected - 0.5 * tol)), gap_at(spec, min(hi, expected + 0.5 * tol))
+        if abs(near[1] - near[0]) >= 1e-13:
+            assert abs(found - expected) <= tol, (spec, found, expected)
+            assert len(calls) <= max(2, math.ceil(math.log2((hi - lo) / tol))), spec
+        else:
+            assert sign_change_near(spec, found, tol, lo, hi), (spec, found)
+
+    def test_every_policy_dependency_mode_and_leaf(self, kernel_calls):
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedRateWarning)
+            for scenario in crossing_scenarios():
+                for path in leaf_paths(scenario):
+                    lo, hi = leaf_range(scenario, path)
+                    self.check(SweepSpec(scenario, path, lo, hi, 7), 1e-9, kernel_calls, outcomes)
+                    # backwards, into the slack past each valid end, where the clamps act
+                    start, stop = min(hi + SLACK, 1.0), max(lo - SLACK, 0.0)
+                    self.check(SweepSpec(scenario, path, start, stop, 12), 1e-12, kernel_calls, outcomes)
+        found = [n for n in outcomes if n is not None]
+        assert len(found) > 1000 and outcomes.count(None) > 1000
+        # the bracket had to shrink, past a clamp, in some searches
+        assert sum(n > 2 for n in found) > 20
+
+    def test_random_edge_scenarios(self, kernel_calls):
+        rng = np.random.default_rng(403)
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedRateWarning)
+            for _ in range(1500):
+                scenario = random_edge_scenario(rng)
+                paths = leaf_paths(scenario)
+                path = paths[rng.integers(len(paths))]
+                bounds = leaf_bounds(scenario, path)
+                spec = SweepSpec(
+                    scenario, path, edge_value(rng, bounds), edge_value(rng, bounds), int(rng.integers(2, 9))
+                )
+                self.check(spec, (1e-9, 1e-12, 1e-6)[rng.integers(3)], kernel_calls, outcomes)
+        assert outcomes.count(None) > 300 and len(outcomes) - outcomes.count(None) > 300
+
+    def test_an_affine_bracket_needs_at_most_two_evaluations(self, kernel_calls):
+        for spec in golden_crossing_specs():
+            series = run_sweep(spec)
+            del kernel_calls[:]
+            find_reference_crossing(spec, series)
+            assert len(kernel_calls) <= 2
+            assert all(isinstance(leaves[spec.parameter_path], float) for leaves in kernel_calls)
 
 
 class TestSensitivity:
