@@ -52,8 +52,18 @@ def _csv_cell(value: float) -> str:
     return repr(_round_floats(float(value)))
 
 
+class _NotJSON(Exception):
+    """The scenario file does not decode and parse as JSON."""
+
+
 def _load_scenario(path: Path) -> Scenario:
-    raw = json.loads(path.read_text())
+    data = path.read_bytes()
+    # bad UTF-8 or JSON, an integer literal past int's digit limit, and nesting
+    # past the recursion limit all exit 1, not with a traceback
+    try:
+        raw = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise _NotJSON(exc) from exc
     return validate_scenario(raw)
 
 
@@ -191,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioValidationError, SweepError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except json.JSONDecodeError as exc:
+    except _NotJSON as exc:
         click.echo(f"error: scenario file is not valid JSON: {exc}", err=True)
         return 1
     except OSError as exc:

@@ -5,14 +5,22 @@ advisor's hit rate, the user's unaided and post-rejection hit rates, the
 reliance policy (how advice is accepted or ignored), and the dependency
 structure between advisor and user correctness.  All types are immutable
 after validation and safe to share across threads.
+
+The frozen dataclasses are the scenario schema.  A scenario has four
+sections; `policy` and `dependency` are tagged by a wire name (`_POLICIES`,
+`_DEPENDENCIES`), and every field of a section's class is a probability
+whose dot-path is ``<section>.<field>``.  Construction, `validate_scenario`,
+`scenario_to_dict`, `leaves_of` and the sweep's dot-paths all read that one
+statement.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Any
 
@@ -80,20 +88,36 @@ class SweepError(ValueError):
     """
 
 
+# Modules whose frames a DegradedRateWarning passes over to name its caller.
+_WARNING_INTERNAL = (__name__, f"{__package__}.sweep")
+
+
 def _caller_stacklevel() -> int:
-    """The `stacklevel` that names the first caller outside this module.
+    """The `stacklevel` that names the first caller outside this package's
+    scenario layers.
 
     Counted from the function that calls this one and warns.  Frames of this
-    module are skipped, and so is the dataclass-generated ``__init__``, which
-    runs in this module's globals: a `UserProfile` built directly is
-    reported where it was built, one loaded by `validate_scenario` where
-    `validate_scenario` was called.
+    module and of ``sweep`` are skipped, and so is the dataclass-generated
+    ``__init__``, which runs in this module's globals: a `UserProfile` built
+    directly is reported where it was built, one loaded by
+    `validate_scenario` where `validate_scenario` was called, and a degraded
+    sweep point where `run_sweep` or `find_reference_crossing` was called.
     """
     level, frame = 1, sys._getframe(1)
-    while frame is not None and frame.f_globals is globals():
+    while frame is not None and frame.f_globals.get("__name__") in _WARNING_INTERNAL:
         level += 1
         frame = frame.f_back
     return level
+
+
+def _warn_degraded_rate() -> None:
+    """Warn that a post-rejection rate exceeds its unaided rate, at the caller's line."""
+    warnings.warn(
+        "p_post_reject_correct exceeds p_unaided_correct; deliberation "
+        "time usually degrades the post-rejection rate",
+        DegradedRateWarning,
+        stacklevel=_caller_stacklevel(),
+    )
 
 
 def as_probability(value: Any, name: str = "probability") -> float:
@@ -102,7 +126,10 @@ def as_probability(value: Any, name: str = "probability") -> float:
         raise ScenarioValidationError(
             [ConstraintViolation(name, value, "[0, 1]", "expected a number")]
         )
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past float range
+        v = -math.inf if value < 0 else math.inf
     if -PROBABILITY_CLAMP <= v < 0.0:
         return 0.0
     if 1.0 < v <= 1.0 + PROBABILITY_CLAMP:
@@ -112,18 +139,20 @@ def as_probability(value: Any, name: str = "probability") -> float:
     return v
 
 
+def _check_probabilities(section) -> None:
+    """`__post_init__` of every section: each field through `as_probability`,
+    named by its dot-path."""
+    for name, path in _FIELDS[type(section)].items():
+        object.__setattr__(section, name, as_probability(getattr(section, name), path))
+
+
 @dataclass(frozen=True)
 class AidProfile:
     """Marginal probability that the advisor's recommendation is correct."""
 
     p_advice_correct: Probability
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "p_advice_correct",
-            as_probability(self.p_advice_correct, "aid.p_advice_correct"),
-        )
+    __post_init__ = _check_probabilities
 
 
 @dataclass(frozen=True)
@@ -139,23 +168,9 @@ class UserProfile:
     p_post_reject_correct: Probability
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "p_unaided_correct",
-            as_probability(self.p_unaided_correct, "user.p_unaided_correct"),
-        )
-        object.__setattr__(
-            self,
-            "p_post_reject_correct",
-            as_probability(self.p_post_reject_correct, "user.p_post_reject_correct"),
-        )
+        _check_probabilities(self)
         if self.p_post_reject_correct > self.p_unaided_correct:
-            warnings.warn(
-                "p_post_reject_correct exceeds p_unaided_correct; deliberation "
-                "time usually degrades the post-rejection rate",
-                DegradedRateWarning,
-                stacklevel=_caller_stacklevel(),
-            )
+            _warn_degraded_rate()
 
 
 @dataclass(frozen=True)
@@ -174,10 +189,7 @@ class Indiscriminate:
 
     p_accept: Probability
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "p_accept", as_probability(self.p_accept, "policy.p_accept")
-        )
+    __post_init__ = _check_probabilities
 
 
 @dataclass(frozen=True)
@@ -187,17 +199,7 @@ class Discriminating:
     p_accept_given_correct: Probability
     p_accept_given_wrong: Probability
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "p_accept_given_correct",
-            as_probability(self.p_accept_given_correct, "policy.p_accept_given_correct"),
-        )
-        object.__setattr__(
-            self,
-            "p_accept_given_wrong",
-            as_probability(self.p_accept_given_wrong, "policy.p_accept_given_wrong"),
-        )
+    __post_init__ = _check_probabilities
 
 
 @dataclass(frozen=True)
@@ -207,19 +209,7 @@ class SelfGated:
     p_ignore_given_user_correct: Probability
     p_use_given_user_wrong: Probability
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "p_ignore_given_user_correct",
-            as_probability(
-                self.p_ignore_given_user_correct, "policy.p_ignore_given_user_correct"
-            ),
-        )
-        object.__setattr__(
-            self,
-            "p_use_given_user_wrong",
-            as_probability(self.p_use_given_user_wrong, "policy.p_use_given_user_wrong"),
-        )
+    __post_init__ = _check_probabilities
 
 
 ReliancePolicy = RoutineAccept | RoutineIgnore | Indiscriminate | Discriminating | SelfGated
@@ -236,12 +226,7 @@ class Joint:
 
     p_both_correct: Probability
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "p_both_correct",
-            as_probability(self.p_both_correct, "dependency.p_both_correct"),
-        )
+    __post_init__ = _check_probabilities
 
 
 @dataclass(frozen=True)
@@ -251,28 +236,42 @@ class Dominant:
 
 DependencyModel = Independent | Joint | Dominant
 
-_POLICY_NAMES: dict[type, str] = {
-    RoutineAccept: "routine_accept",
-    RoutineIgnore: "routine_ignore",
-    Indiscriminate: "indiscriminate",
-    Discriminating: "discriminating",
-    SelfGated: "self_gated",
+# Wire name -> class of the two tagged sections, in the order of the schema.
+_POLICIES: dict[str, type] = {
+    "routine_accept": RoutineAccept,
+    "routine_ignore": RoutineIgnore,
+    "indiscriminate": Indiscriminate,
+    "discriminating": Discriminating,
+    "self_gated": SelfGated,
 }
-_DEPENDENCY_NAMES: dict[type, str] = {
-    Independent: "independent",
-    Joint: "joint",
-    Dominant: "dominant",
+_DEPENDENCIES: dict[str, type] = {"independent": Independent, "joint": Joint, "dominant": Dominant}
+# The scenario's sections in JSON order: a plain section's class, or a tagged
+# section's wire-name table.
+_SECTIONS: dict[str, type | dict[str, type]] = {
+    "aid": AidProfile,
+    "user": UserProfile,
+    "policy": _POLICIES,
+    "dependency": _DEPENDENCIES,
+}
+_WIRE_NAMES: dict[type, str] = {
+    cls: name for table in (_POLICIES, _DEPENDENCIES) for name, cls in table.items()
+}
+# field -> dot-path of every probability of each section class.
+_FIELDS: dict[type, dict[str, str]] = {
+    cls: {f.name: f"{section}.{f.name}" for f in fields(cls)}
+    for section, variants in _SECTIONS.items()
+    for cls in (variants.values() if isinstance(variants, dict) else (variants,))
 }
 
 
 def policy_name(policy: ReliancePolicy) -> str:
     """Wire name of a policy variant, e.g. ``"routine_accept"``."""
-    return _POLICY_NAMES[type(policy)]
+    return _WIRE_NAMES[type(policy)]
 
 
 def dependency_name(dependency: DependencyModel) -> str:
     """Wire name of a dependency variant, e.g. ``"independent"``."""
-    return _DEPENDENCY_NAMES[type(dependency)]
+    return _WIRE_NAMES[type(dependency)]
 
 
 # `a if cond else b`, min and max for floats and numpy arrays alike; numpy is
@@ -360,16 +359,7 @@ class Scenario:
     degradation_mode: str | None = None
 
     def __post_init__(self):
-        violations: list[ConstraintViolation] = []
-        if self.degradation_mode is not None and self.degradation_mode not in DEGRADATION_MODES:
-            violations.append(
-                ConstraintViolation(
-                    "degradation_mode",
-                    self.degradation_mode,
-                    "{" + ", ".join(DEGRADATION_MODES) + "}",
-                )
-            )
-        violations.extend(dependency_violations(self.aid, self.user, self.dependency))
+        violations = _scenario_violations(self.aid, self.user, self.dependency, self.degradation_mode)
         if violations:
             raise ScenarioValidationError(violations)
         object.__setattr__(self, "_leaves", leaves_of(self.aid, self.user, self.dependency, self.policy))
@@ -388,14 +378,25 @@ class Scenario:
 
 def leaves_of(aid, user, dependency, policy=None) -> dict[str, float]:
     """The probabilities of a scenario's sections keyed by their dot-paths."""
-    values = {P_ADVICE: aid.p_advice_correct, P_UNAIDED: user.p_unaided_correct}
-    values[P_POST_REJECT] = user.p_post_reject_correct
-    if policy is not None:
-        for key, value in vars(policy).items():
-            values["policy." + key] = value
-    if isinstance(dependency, Joint):
-        values[P_BOTH] = dependency.p_both_correct
-    return values
+    return {
+        path: getattr(section, name)
+        for section in (aid, user, policy, dependency)
+        if section is not None
+        for name, path in _FIELDS[type(section)].items()
+    }
+
+
+def _scenario_violations(aid, user, dependency, mode) -> list[ConstraintViolation]:
+    """The degradation mode's check, then the dependency's bound checks once
+    aid, user and dependency are all known."""
+    violations = []
+    if mode is not None and mode not in DEGRADATION_MODES:
+        violations.append(
+            ConstraintViolation("degradation_mode", mode, "{" + ", ".join(DEGRADATION_MODES) + "}")
+        )
+    if aid is not None and user is not None and dependency is not None:
+        violations.extend(dependency_violations(aid, user, dependency))
+    return violations
 
 
 def resolve_degradation_mode(mode: str | None, dependency: DependencyModel) -> str:
@@ -520,38 +521,28 @@ class EvalResult:
         )
 
 
-_TOP_KEYS = {"aid", "user", "policy", "dependency", "degradation_mode"}
-_REQUIRED_TOP_KEYS = ("aid", "user", "policy", "dependency")
-_POLICY_FIELDS: dict[str, tuple[str, ...]] = {
-    "routine_accept": (),
-    "routine_ignore": (),
-    "indiscriminate": ("p_accept",),
-    "discriminating": ("p_accept_given_correct", "p_accept_given_wrong"),
-    "self_gated": ("p_ignore_given_user_correct", "p_use_given_user_wrong"),
-}
-_DEPENDENCY_FIELDS: dict[str, tuple[str, ...]] = {
-    "independent": (),
-    "joint": ("p_both_correct",),
-    "dominant": (),
-}
+_TOP_KEYS = {*_SECTIONS, "degradation_mode"}
 
 
-def _check_section(
-    raw: Mapping[str, Any],
-    name: str,
-    fields: tuple[str, ...],
-    violations: list[ConstraintViolation],
-    tagged: str | None = None,
-) -> dict[str, float] | None:
-    """Validate one object section strictly; return its probability fields if clean."""
-    section = raw.get(name)
+def _check_section(raw: Mapping[str, Any], name: str, violations: list[ConstraintViolation]):
+    """Validate one section strictly; return its object if clean, else None."""
+    section = raw[name]
+    variants = _SECTIONS[name]
+    tagged = isinstance(variants, dict)
     if not isinstance(section, Mapping):
-        violations.append(
-            ConstraintViolation(name, section, "JSON object", "section missing or wrong type")
-        )
+        # only a plain section carries this detail, as the pinned texts have it
+        detail = "" if tagged else "section missing or wrong type"
+        violations.append(ConstraintViolation(name, section, "JSON object", detail))
         return None
-    expected = set(fields) | ({"type"} if tagged else set())
-    unknown = set(section) - expected
+    cls = variants
+    if tagged:
+        kind = section.get("type")
+        cls = variants.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            allowed = "{" + ", ".join(sorted(variants)) + "}"
+            violations.append(ConstraintViolation(f"{name}.type", kind, allowed))
+            return None
+    unknown = set(section) - _FIELDS[cls].keys() - ({"type"} if tagged else set())
     for key in sorted(unknown):
         violations.append(
             ConstraintViolation(
@@ -560,19 +551,17 @@ def _check_section(
         )
     values: dict[str, float] = {}
     ok = not unknown
-    for key in fields:
+    for key, path in _FIELDS[cls].items():
         if key not in section:
-            violations.append(
-                ConstraintViolation(f"{name}.{key}", None, "[0, 1]", "required field missing")
-            )
+            violations.append(ConstraintViolation(path, None, "[0, 1]", "required field missing"))
             ok = False
             continue
         try:
-            values[key] = as_probability(section[key], f"{name}.{key}")
+            values[key] = as_probability(section[key], path)
         except ScenarioValidationError as err:
             violations.extend(err.violations)
             ok = False
-    return values if ok else None
+    return cls(**values) if ok else None
 
 
 def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
@@ -591,91 +580,18 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
         violations.append(
             ConstraintViolation(key, raw[key], "(no such field)", "unknown field rejected")
         )
-    for key in _REQUIRED_TOP_KEYS:
+    for key in _SECTIONS:
         if key not in raw:
             violations.append(
                 ConstraintViolation(key, None, "JSON object", "required section missing")
             )
-
-    aid_vals = _check_section(raw, "aid", ("p_advice_correct",), violations) if "aid" in raw else None
-    user_vals = (
-        _check_section(
-            raw, "user", ("p_unaided_correct", "p_post_reject_correct"), violations
-        )
-        if "user" in raw
-        else None
-    )
-
-    policy = None
-    if "policy" in raw:
-        section = raw["policy"]
-        if not isinstance(section, Mapping):
-            violations.append(ConstraintViolation("policy", section, "JSON object"))
-            kind = None
-        else:
-            kind = section.get("type")
-        if kind not in _POLICY_FIELDS:
-            if isinstance(section, Mapping):
-                violations.append(
-                    ConstraintViolation(
-                        "policy.type", kind, "{" + ", ".join(sorted(_POLICY_FIELDS)) + "}"
-                    )
-                )
-        else:
-            vals = _check_section(raw, "policy", _POLICY_FIELDS[kind], violations, tagged=kind)
-            if vals is not None:
-                builders = {
-                    "routine_accept": lambda v: RoutineAccept(),
-                    "routine_ignore": lambda v: RoutineIgnore(),
-                    "indiscriminate": lambda v: Indiscriminate(**v),
-                    "discriminating": lambda v: Discriminating(**v),
-                    "self_gated": lambda v: SelfGated(**v),
-                }
-                policy = builders[kind](vals)
-
-    dependency = None
-    if "dependency" in raw:
-        section = raw["dependency"]
-        if not isinstance(section, Mapping):
-            violations.append(ConstraintViolation("dependency", section, "JSON object"))
-            kind = None
-        else:
-            kind = section.get("type")
-        if kind not in _DEPENDENCY_FIELDS:
-            if isinstance(section, Mapping):
-                violations.append(
-                    ConstraintViolation(
-                        "dependency.type", kind, "{" + ", ".join(sorted(_DEPENDENCY_FIELDS)) + "}"
-                    )
-                )
-        else:
-            vals = _check_section(
-                raw, "dependency", _DEPENDENCY_FIELDS[kind], violations, tagged=kind
-            )
-            if vals is not None:
-                if kind == "independent":
-                    dependency = Independent()
-                elif kind == "dominant":
-                    dependency = Dominant()
-                else:
-                    dependency = Joint(**vals)
-
+    sections = {name: _check_section(raw, name, violations) for name in _SECTIONS if name in raw}
     mode = raw.get("degradation_mode")
-    if mode is not None and mode not in DEGRADATION_MODES:
-        violations.append(
-            ConstraintViolation(
-                "degradation_mode", mode, "{" + ", ".join(DEGRADATION_MODES) + "}"
-            )
-        )
-
-    aid = AidProfile(**aid_vals) if aid_vals is not None else None
-    user = UserProfile(**user_vals) if user_vals is not None else None
-    if aid is not None and user is not None and dependency is not None:
-        violations.extend(dependency_violations(aid, user, dependency))
-
     if violations:
+        aid, user, dependency = (sections.get(name) for name in ("aid", "user", "dependency"))
+        violations.extend(_scenario_violations(aid, user, dependency, mode))
         raise ScenarioValidationError(violations)
-    return Scenario(aid=aid, user=user, policy=policy, dependency=dependency, degradation_mode=mode)
+    return Scenario(**sections, degradation_mode=mode)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
@@ -684,21 +600,11 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     The result round-trips: validate_scenario(scenario_to_dict(s)) canonicalizes
     back to the same dictionary.
     """
-    policy = scenario.policy
-    policy_dict: dict[str, Any] = {"type": policy_name(policy)}
-    for field in _POLICY_FIELDS[policy_name(policy)]:
-        policy_dict[field] = getattr(policy, field)
-    dep = scenario.dependency
-    dep_dict: dict[str, Any] = {"type": dependency_name(dep)}
-    for field in _DEPENDENCY_FIELDS[dependency_name(dep)]:
-        dep_dict[field] = getattr(dep, field)
-    return {
-        "aid": {"p_advice_correct": scenario.aid.p_advice_correct},
-        "user": {
-            "p_unaided_correct": scenario.user.p_unaided_correct,
-            "p_post_reject_correct": scenario.user.p_post_reject_correct,
-        },
-        "policy": policy_dict,
-        "dependency": dep_dict,
-        "degradation_mode": scenario.effective_degradation_mode,
-    }
+    canonical: dict[str, Any] = {}
+    for name, variants in _SECTIONS.items():
+        section = getattr(scenario, name)
+        # a section's __dict__ holds exactly its fields, in declaration order
+        tag = {"type": _WIRE_NAMES[type(section)]} if isinstance(variants, dict) else {}
+        canonical[name] = {**tag, **vars(section)}
+    canonical["degradation_mode"] = scenario.effective_degradation_mode
+    return canonical

@@ -41,6 +41,7 @@ from .model import (
     Scenario,
     ScenarioValidationError,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
+    _warn_degraded_rate,
     _where,
     bound_violated,
     scenario_to_dict,
@@ -119,19 +120,16 @@ class SweepSeries:
         )
 
 
-def _resolve_path(base: Scenario, path: str) -> tuple[str, str]:
-    """Split and check a dot-path against the scenario's canonical JSON form."""
-    parts = path.split(".")
-    canonical = scenario_to_dict(base)
-    if len(parts) != 2 or parts[0] not in ("aid", "user", "policy", "dependency"):
+def _resolve_path(base: Scenario, path: str) -> None:
+    """Check a dot-path against the scenario's probability leaves."""
+    section = path.split(".")[0]
+    if path.count(".") != 1 or section not in ("aid", "user", "policy", "dependency"):
         raise SweepError(f"parameter_path {path!r} not recognized")
-    section, key = parts
-    if key == "type" or key not in canonical[section]:
+    if path not in base.leaves:
+        kind = scenario_to_dict(base)[section].get("type", section)
         raise SweepError(
-            f"parameter_path {path!r} not applicable to this scenario "
-            f"({section} is {canonical[section].get('type', section)!r})"
+            f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})"
         )
-    return section, key
 
 
 def _clamped(values):
@@ -143,10 +141,10 @@ def _clamped(values):
 def _validate_grid(spec: SweepSpec, grid, leaves) -> None:
     """Raise SweepError naming the first grid value validation rejects.
 
-    Only the values the vector screen flags go through validate_scenario,
-    plus the first point whose post-rejection rate exceeds its unaided
-    rate, so that its DegradedRateWarning is issued; a degraded base already
-    warned when it was built, so it is not warned about again.
+    Only the values the vector screen flags go through validate_scenario.
+    A valid grid with a point whose post-rejection rate exceeds its unaided
+    rate issues one DegradedRateWarning; a degraded base already warned when
+    it was built, so it is not warned about again.
     """
     section, key = spec.parameter_path.split(".")
     # a superset of what validation rejects: outside [0, 1] after clamping,
@@ -155,10 +153,6 @@ def _validate_grid(spec: SweepSpec, grid, leaves) -> None:
     check = ~((value >= 0.0) & (value <= 1.0)) | bound_violated(
         spec.base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
     )
-    degraded = np.broadcast_to(leaves[P_POST_REJECT] > leaves[P_UNAIDED], grid.shape)
-    user = spec.base.user
-    if degraded.any() and not user.p_post_reject_correct > user.p_unaided_correct:
-        check[degraded.argmax()] = True
     for value in grid[check].tolist():
         raw = scenario_to_dict(spec.base)
         raw[section][key] = value
@@ -168,6 +162,11 @@ def _validate_grid(spec: SweepSpec, grid, leaves) -> None:
             raise SweepError(
                 f"swept value {value!r} for {spec.parameter_path!r} is invalid: {err}"
             ) from err
+    user = spec.base.user
+    if np.any(leaves[P_POST_REJECT] > leaves[P_UNAIDED]) and not (
+        user.p_post_reject_correct > user.p_unaided_correct
+    ):
+        _warn_degraded_rate()
 
 
 def run_sweep(spec: SweepSpec) -> SweepSeries:
@@ -175,8 +174,9 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
 
     Every swept scenario is validated before any evaluation begins; the
     first invalid grid value aborts the whole sweep, by name.  One
-    DegradedRateWarning is issued if a point's post-rejection rate exceeds
-    its unaided rate while the base scenario's does not.
+    DegradedRateWarning, reported at the caller's line, is issued if a
+    point's post-rejection rate exceeds its unaided rate while the base
+    scenario's does not.
     """
     _resolve_path(spec.base, spec.parameter_path)
     grid = spec._grid()

@@ -146,6 +146,37 @@ class TestEval:
         code, _, _ = run_cli(capsys, "eval", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"aid": {"p_advice_correct": 0.7\xff}}',
+            b'{"aid": {"p_advice_correct": 1' + b"0" * 5000 + b"}}",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not_utf8", "integer_past_digit_limit", "nested_past_recursion_limit"],
+    )
+    def test_unreadable_json_is_an_error_line(self, tmp_path, capsys, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(capsys, "eval", str(path))
+        assert code == 1
+        assert err.startswith("error: scenario file is not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "section,value,constraint",
+        [
+            ("aid", {"p_advice_correct": 10**400}, "aid.p_advice_correct: inf not in [0, 1]"),
+            ("policy", {"type": ["x"]}, "policy.type: ['x'] not in"),
+            ("dependency", {"type": {"x": 1}}, "dependency.type: {'x': 1} not in"),
+        ],
+        ids=["huge_integer", "list_policy_type", "dict_dependency_type"],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, section, value, constraint):
+        path = write_scenario(tmp_path, {**BASE_RAW, section: value})
+        code, _, err = run_cli(capsys, "eval", str(path))
+        assert code == 2
+        assert err.startswith(f"error: invalid scenario:\n  {constraint}")
+
     def test_csv_format(self, tmp_path, capsys):
         path = write_scenario(tmp_path, BASE_RAW)
         code, out, _ = run_cli(capsys, "eval", str(path), "--format", "csv")
@@ -383,6 +414,17 @@ class TestSweep:
             )
         assert code == 0
         assert [w.category for w in record] == [DegradedRateWarning]
+
+    def test_degraded_grid_point_warns_at_the_cli(self, tmp_path, capsys, monkeypatch):
+        scenario = write_scenario(tmp_path, BASE_RAW)
+        monkeypatch.chdir(tmp_path)
+        with pytest.warns(DegradedRateWarning) as record:
+            code, _, _ = run_cli(
+                capsys, "sweep", str(scenario), "--param", "user.p_post_reject_correct",
+                "--from", "0", "--to", "1", "--steps", "5", "--out", "series.csv",
+            )
+        assert code == 0
+        assert [w.filename for w in record] == [reliance.cli.__file__]
 
     def test_csv_contents(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, BASE_RAW)

@@ -1,9 +1,9 @@
-"""Closed forms against the Monte Carlo engine, cell by cell, under dependencies.
+"""Closed forms against the Monte Carlo engine, cell by cell.
 
-Every attending and self-gated policy under a joint dependency (interior and
-both Frechet-Hoeffding ends) and a dominant one, in both degradation modes:
-the headline and each of the eight outcome cells of `evaluate` must lie
-within 5 standard errors of a fixed-seed 10^6-trial estimate.
+Every policy under an independent dependency, a joint one (interior and both
+Frechet-Hoeffding ends) and a dominant one, in both degradation modes: the
+headline and each of the eight outcome cells of `evaluate` must lie within
+5 standard errors of a fixed-seed 10^6-trial estimate.
 """
 
 import itertools
@@ -12,7 +12,17 @@ import math
 import pytest
 
 from reliance.analytic import evaluate
-from reliance.model import OUTCOME_CELLS, Discriminating, Dominant, Indiscriminate, Joint, SelfGated
+from reliance.model import (
+    OUTCOME_CELLS,
+    Discriminating,
+    Dominant,
+    Independent,
+    Indiscriminate,
+    Joint,
+    RoutineAccept,
+    RoutineIgnore,
+    SelfGated,
+)
 from reliance.simulate import estimate_accuracy
 
 from conftest import make_scenario
@@ -24,6 +34,8 @@ POLICIES = {
     "self_gated": SelfGated(0.8, 0.3),
     "discriminating": Discriminating(0.7, 0.3),
     "indiscriminate": Indiscriminate(0.5),
+    "routine_accept": RoutineAccept(),
+    "routine_ignore": RoutineIgnore(),
 }
 # p_advice_correct .7 and p_unaided_correct .6 bound P(both correct) to [.3, .6]
 DEPENDENCIES = {
@@ -31,6 +43,7 @@ DEPENDENCIES = {
     "joint_lower_end": Joint(0.3),
     "joint_upper_end": Joint(0.6),
     "dominant": Dominant(),
+    "independent": Independent(),
 }
 MODES = ("fixed_rate", "conditional_from_joint")
 CASES = list(itertools.product(POLICIES, DEPENDENCIES, MODES))

@@ -346,3 +346,109 @@ class TestRoutinePoliciesAreDistinct:
         reject_all = evaluate(make_scenario(policy=Indiscriminate(0.0)))
         assert ignore.p_correct_aided == 0.6
         assert reject_all.p_correct_aided == pytest.approx(0.4, abs=1e-12)
+
+
+def _malformed(**changes):
+    """BASE_RAW with whole sections replaced or, for `...`, deleted."""
+    raw = copy.deepcopy(BASE_RAW)
+    for key, value in changes.items():
+        if value is ...:
+            del raw[key]
+        else:
+            raw[key] = value
+    return raw
+
+
+# (malformed scenario, str(ScenarioValidationError)), word for word; pinned
+# before the section parser was rewritten.
+GOLDEN_VIOLATIONS = {
+    "missing_section": (
+        _malformed(dependency=...),
+        "dependency: None not in JSON object (required section missing)",
+    ),
+    "aid_not_object": (
+        _malformed(aid=0.7),
+        "aid: 0.7 not in JSON object (section missing or wrong type)",
+    ),
+    "policy_not_object": (
+        _malformed(policy="indiscriminate"),
+        "policy: 'indiscriminate' not in JSON object",
+    ),
+    "dependency_not_object": (
+        _malformed(dependency=["independent"]),
+        "dependency: ['independent'] not in JSON object",
+    ),
+    "unknown_type": (
+        _malformed(policy={"type": "no_such_policy", "p_accept": 0.5}),
+        "policy.type: 'no_such_policy' not in "
+        "{discriminating, indiscriminate, routine_accept, routine_ignore, self_gated}",
+    ),
+    "unknown_field": (
+        _malformed(aid={"p_advice_correct": 0.7, "extra": 1}),
+        "aid.extra: 1 not in (no such field) (unknown field rejected)",
+    ),
+    "missing_field": (
+        _malformed(user={"p_unaided_correct": 0.6}),
+        "user.p_post_reject_correct: None not in [0, 1] (required field missing)",
+    ),
+    "out_of_range": (
+        _malformed(aid={"p_advice_correct": 1.3}),
+        "aid.p_advice_correct: 1.3 not in [0, 1]",
+    ),
+    "bool_value": (
+        _malformed(policy={"type": "indiscriminate", "p_accept": True}),
+        "policy.p_accept: True not in [0, 1] (expected a number)",
+    ),
+    "nan_value": (
+        _malformed(user={"p_unaided_correct": float("nan"), "p_post_reject_correct": 0.4}),
+        "user.p_unaided_correct: nan not in [0, 1]",
+    ),
+    "bad_mode": (
+        _malformed(degradation_mode="sometimes"),
+        "degradation_mode: 'sometimes' not in {fixed_rate, conditional_from_joint}",
+    ),
+    "sections_mode_and_frechet": (
+        _malformed(
+            policy={"type": "indiscriminate", "p_accept": 2.0},
+            dependency={"type": "joint", "p_both_correct": 0.75},
+            degradation_mode="sometimes",
+            mystery=1,
+        ),
+        "mystery: 1 not in (no such field) (unknown field rejected)\n"
+        "  policy.p_accept: 2.0 not in [0, 1]\n"
+        "  degradation_mode: 'sometimes' not in {fixed_rate, conditional_from_joint}\n"
+        "  dependency.p_both_correct: 0.75 not in [0.3, 0.6] "
+        "(Frechet-Hoeffding bounds for the given marginals)",
+    ),
+    "mode_and_dominance": (
+        _malformed(
+            aid={"p_advice_correct": 0.5}, dependency={"type": "dominant"}, degradation_mode="x"
+        ),
+        "degradation_mode: 'x' not in {fixed_rate, conditional_from_joint}\n"
+        "  dependency: 'p_advice_correct=0.5 < p_unaided_correct=0.6' not in "
+        "p_advice_correct >= p_unaided_correct "
+        "(a uniformly dominant advisor must solve everything the user would)",
+    ),
+}
+
+
+class TestViolationText:
+    @pytest.mark.parametrize("name", GOLDEN_VIOLATIONS)
+    def test_word_for_word(self, name):
+        raw, expected = GOLDEN_VIOLATIONS[name]
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(raw)
+        assert str(err.value) == "invalid scenario:\n  " + expected
+
+    @pytest.mark.parametrize("section", ["policy", "dependency"])
+    @pytest.mark.parametrize("kind", [["x"], {"x": 1}], ids=["list", "dict"])
+    def test_unhashable_type_is_a_violation(self, section, kind):
+        raw = _malformed(**{section: {"type": kind}})
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(raw)
+        assert [v.constraint for v in err.value.violations] == [f"{section}.type"]
+
+    def test_huge_integer_probability_is_a_violation(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(_malformed(aid={"p_advice_correct": 10**400}))
+        assert [v.constraint for v in err.value.violations] == ["aid.p_advice_correct"]

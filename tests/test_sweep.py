@@ -655,6 +655,14 @@ class TestSweepWarningsAndErrors:
         with pytest.warns(DegradedRateWarning):
             run_sweep(spec)
 
+    def test_degraded_point_warns_at_the_callers_line(self, base_scenario):
+        spec = SweepSpec(base_scenario, "user.p_post_reject_correct", 0.2, 0.8, 7)
+        with pytest.warns(DegradedRateWarning) as record:
+            series = run_sweep(spec)
+            find_reference_crossing(spec)
+            find_reference_crossing(spec, series)
+        assert [w.filename for w in record] == [__file__] * 3
+
     @pytest.mark.parametrize(
         "path,start,stop",
         [("user.p_post_reject_correct", 0.0, 0.6), ("user.p_unaided_correct", 0.4, 1.0)],
