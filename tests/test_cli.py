@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -544,15 +545,97 @@ class TestBreakeven:
         assert json.loads(out)["result"]["d_star"] == 0.5
 
 
+SWEEP_ARGV = ["sweep", "{scenario}", "--param", "policy.p_accept", "--from", "0", "--to", "1"]
+SWEEP_ARGV += ["--steps", "5", "--out", "{out}"]
+
+
+def sweep_argv(flag, value):
+    """SWEEP_ARGV with `flag`'s value replaced, or the flag dropped if `value` is None."""
+    argv = list(SWEEP_ARGV)
+    at = argv.index(flag)
+    argv[at : at + 2] = [] if value is None else [flag, value]
+    return argv
+
+
+# Flag misuse: (argv, the flag and the offending value stderr must name, in
+# that order). Pinned against the click CLI; the wording around them may change.
+MISUSE_CASES = {
+    "bare": ([], ["COMMAND"]),
+    "unknown_command": (["frobnicate"], ["frobnicate"]),
+    "unknown_option": (["eval", "{scenario}", "--bogus"], ["--bogus"]),
+    "missing_scenario_file": (["eval"], ["SCENARIO_FILE"]),
+    "format_xml": (["eval", "{scenario}", "--format", "xml"], ["--format", "xml"]),
+    "trials_0": (["simulate", "{scenario}", "--trials", "0"], ["--trials", "0"]),
+    "trials_abc": (["simulate", "{scenario}", "--trials", "abc"], ["--trials", "abc"]),
+    "shards_4097": (["simulate", "{scenario}", "--shards", "4097"], ["--shards", "4097"]),
+    "steps_1": (sweep_argv("--steps", "1"), ["--steps", "1"]),
+    "steps_1000001": (sweep_argv("--steps", "1000001"), ["--steps", "1000001"]),
+    "from_abc": (sweep_argv("--from", "abc"), ["--from", "abc"]),
+    "missing_param": (sweep_argv("--param", None), ["--param"]),
+}
+
+# A value that starts with "-" is still its flag's value: (argv, exit code,
+# a stderr line that starts with this).
+DASH_VALUE_CASES = {
+    "from_minus_inf": (sweep_argv("--from", "-inf"), 2, "error: sweep start must be finite, got -inf"),
+    "from_minus_1e-3": (sweep_argv("--from", "-1e-3"), 2, "error: swept value -0.001 for 'policy.p_accept'"),
+    "from_equals_minus_1e-3": (
+        [*sweep_argv("--from", None), "--from=-1e-3"], 2, "error: swept value -0.001 for 'policy.p_accept'"
+    ),
+    "to_minus_0.5": (sweep_argv("--to", "-0.5"), 2, "error: swept value -0.125 for 'policy.p_accept'"),
+    "param_dash": (sweep_argv("--param", "-x"), 2, "error: parameter_path '-x' not recognized"),
+    "seed_minus_3": (["simulate", "{scenario}", "--trials", "10", "--seed", "-3"], 0, ""),
+}
+
+COMMAND_OPTIONS = {
+    "eval": ["--format"],
+    "compare": [],
+    "simulate": ["--trials", "--seed", "--shards"],
+    "sweep": ["--param", "--from", "--to", "--steps", "--out"],
+    "breakeven": [],
+}
+
+
+def fill(argv, tmp_path) -> list[str]:
+    scenario = write_scenario(tmp_path, BASE_RAW)
+    paths = {"{scenario}": str(scenario), "{out}": str(tmp_path / "x.csv")}
+    return [paths.get(token, token) for token in argv]
+
+
 class TestCommandLineContract:
     def test_unknown_subcommand_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 3
 
+    @pytest.mark.parametrize("argv,named", MISUSE_CASES.values(), ids=MISUSE_CASES)
+    def test_misuse_exits_3_naming_flag_and_value(self, tmp_path, capsys, argv, named):
+        code, out, err = run_cli(capsys, *fill(argv, tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+        pattern = r"\b.*".join(re.escape(token) for token in named)
+        assert re.search(rf"(?<![\w-]){pattern}(?!\w)", err), err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv,expected,line", DASH_VALUE_CASES.values(), ids=DASH_VALUE_CASES)
+    def test_value_starting_with_dash_is_the_flags_value(self, tmp_path, capsys, argv, expected, line):
+        code, _, err = run_cli(capsys, *fill(argv, tmp_path))
+        assert code == expected
+        assert err.startswith(line)
+
     def test_help_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "eval" in out
+
+    @pytest.mark.parametrize("command,options", COMMAND_OPTIONS.items(), ids=COMMAND_OPTIONS)
+    def test_command_help_exits_0_naming_its_options(self, capsys, command, options):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert "SCENARIO_FILE" in out
+        assert all(option in out for option in options)
+
+    def test_version(self, capsys):
+        assert run_cli(capsys, "--version") == (0, "reliance, version 0.1.0\n", "")
 
     def test_subprocess_output_bytes_are_reproducible(self, tmp_path):
         path = write_scenario(tmp_path, BASE_RAW)
