@@ -11,12 +11,12 @@ numpy, the simulator and sweeps are imported only by the `simulate` and
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 from typing import Any
-
-import click
 
 from . import __version__
 from .analytic import breakeven_discrimination, compare_policies, evaluate
@@ -77,25 +77,9 @@ def _envelope(scenario: Scenario, result: dict[str, Any], notes=()) -> dict[str,
 
 
 def _emit(payload: dict[str, Any]) -> None:
-    click.echo(json.dumps(_round_floats(payload), indent=2))
+    print(json.dumps(_round_floats(payload), indent=2))
 
 
-@click.group()
-@click.version_option(__version__, prog_name="reliance")
-def cli():
-    """Accuracy of a decision maker who consults a fallible decision aid."""
-
-
-@cli.command("eval")
-@click.argument("scenario_file", type=click.Path(path_type=Path))
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv"]),
-    default="json",
-    show_default=True,
-    help="Output format.",
-)
 def cmd_eval(scenario_file: Path, fmt: str):
     """Closed-form aided accuracy with its full outcome decomposition."""
     scenario = _load_scenario(scenario_file)
@@ -107,13 +91,11 @@ def cmd_eval(scenario_file: Path, fmt: str):
         for advice, accepted, final in OUTCOME_CELLS:
             key = f"outcome[advice={advice},accepted={accepted},final={final}]"
             lines.append(f"{key},{_csv_cell(result.outcome_table[(advice, accepted, final)])}")
-        click.echo("\n".join(lines))
+        print("\n".join(lines))
     else:
         _emit(_envelope(scenario, result.to_dict(), result.notes))
 
 
-@cli.command("compare")
-@click.argument("scenario_file", type=click.Path(path_type=Path))
 def cmd_compare(scenario_file: Path):
     """Configured policy versus routine acceptance and routine ignoring."""
     scenario = _load_scenario(scenario_file)
@@ -121,15 +103,6 @@ def cmd_compare(scenario_file: Path):
     _emit(_envelope(scenario, comparison.to_dict(), comparison.notes))
 
 
-@cli.command("simulate")
-@click.argument("scenario_file", type=click.Path(path_type=Path))
-@click.option(
-    "--trials", type=click.IntRange(min=1, max=MAX_TRIALS), default=100_000, show_default=True
-)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option(
-    "--shards", type=click.IntRange(min=1, max=MAX_SHARDS), default=1, show_default=True
-)
 def cmd_simulate(scenario_file: Path, trials: int, seed: int, shards: int):
     """Monte Carlo estimate of aided accuracy (deterministic per seed and shards)."""
     from .simulate import estimate_accuracy
@@ -139,13 +112,6 @@ def cmd_simulate(scenario_file: Path, trials: int, seed: int, shards: int):
     _emit(_envelope(scenario, estimate.to_dict()))
 
 
-@cli.command("sweep")
-@click.argument("scenario_file", type=click.Path(path_type=Path))
-@click.option("--param", required=True, help="Dot-path of the swept parameter, e.g. policy.p_accept.")
-@click.option("--from", "start", type=float, required=True)
-@click.option("--to", "stop", type=float, required=True)
-@click.option("--steps", type=click.IntRange(min=2, max=MAX_STEPS), required=True)
-@click.option("--out", type=click.Path(path_type=Path), required=True, help="CSV output file.")
 def cmd_sweep(scenario_file: Path, param: str, start: float, stop: float, steps: int, out: Path):
     """Sweep one parameter and write the accuracy series as CSV."""
     from .sweep import SweepSpec, run_sweep
@@ -174,8 +140,6 @@ def cmd_sweep(scenario_file: Path, param: str, start: float, stop: float, steps:
     _emit(_envelope(scenario, summary))
 
 
-@cli.command("breakeven")
-@click.argument("scenario_file", type=click.Path(path_type=Path))
 def cmd_breakeven(scenario_file: Path):
     """Smallest symmetric discrimination that matches the better routine policy."""
     scenario = _load_scenario(scenario_file)
@@ -186,26 +150,96 @@ def cmd_breakeven(scenario_file: Path):
     _emit(_envelope(scenario, result.to_dict(), notes))
 
 
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated flags, `--help` without `-h`, and misuse raised as
+    `argparse.ArgumentError` (exit 3) instead of printed."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _int_range(lo: int, hi: int):
+    def integer(text: str) -> int:  # argparse's message names it: "invalid integer value"
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {lo}<=x<={hi}")
+        return value
+
+    return integer
+
+
+_DEFAULT = "(default: %(default)s)"
+# command -> its function and options (flag -> add_argument keywords); every option takes a value
+_COMMANDS = {
+    "eval": (cmd_eval, {
+        "--format": dict(dest="fmt", choices=("json", "csv"), default="json", help=f"Output format {_DEFAULT}."),
+    }),
+    "compare": (cmd_compare, {}),
+    "simulate": (cmd_simulate, {
+        "--trials": dict(type=_int_range(1, MAX_TRIALS), default=100_000, help=_DEFAULT),
+        "--seed": dict(type=int, default=0, help=_DEFAULT),
+        "--shards": dict(type=_int_range(1, MAX_SHARDS), default=1, help=_DEFAULT),
+    }),
+    "sweep": (cmd_sweep, {
+        "--param": dict(required=True, help="Dot-path of the swept parameter, e.g. policy.p_accept."),
+        "--from": dict(dest="start", type=float, required=True),
+        "--to": dict(dest="stop", type=float, required=True),
+        "--steps": dict(type=_int_range(2, MAX_STEPS), required=True),
+        "--out": dict(type=Path, required=True, help="CSV output file."),
+    }),
+    "breakeven": (cmd_breakeven, {}),
+}
+_VALUED = {flag for _, options in _COMMANDS.values() for flag in options}
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The command line's grammar, built on first use; `parse_args` leaves it
+    unchanged, so every later call reuses it."""
+    parser = _Parser(
+        prog="reliance", description="Accuracy of a decision maker who consults a fallible decision aid."
+    )
+    version = f"reliance, version {__version__}"
+    parser.add_argument("--version", action="version", version=version, help="Show the version and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (run, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        command.add_argument("scenario_file", metavar="SCENARIO_FILE", type=Path)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(run=run)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI with the exit-code contract; returns the code instead of exiting."""
+    # An option's value is the next token, even one argparse would take for a
+    # flag (--from -inf): each is passed on as --from=-inf.
+    joined, tokens = [], iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUED else None
+        joined.append(token if value is None else f"{token}={value}")
     try:
-        cli.main(args=argv, prog_name="reliance", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        args = vars(_parser().parse_args(joined))
+    except SystemExit as exc:  # --help and --version
+        return exc.code
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
-    except click.ClickException as exc:
-        exc.show()
-        return 1
+    try:
+        args.pop("run")(**args)
     except (ScenarioValidationError, SweepError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NotJSON as exc:
-        click.echo(f"error: scenario file is not valid JSON: {exc}", err=True)
+        print(f"error: scenario file is not valid JSON: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

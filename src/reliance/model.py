@@ -561,14 +561,23 @@ def _check_section(raw: Mapping[str, Any], name: str, violations: list[Constrain
         except ScenarioValidationError as err:
             violations.extend(err.violations)
             ok = False
-    return cls(**values) if ok else None
+    if not ok:
+        return None
+    # Set the checked values directly: `cls(**values)` would check each one
+    # again and warn about a degraded user before the scenario is known to be
+    # valid; `validate_scenario` warns once it is.
+    checked = object.__new__(cls)
+    checked.__dict__.update(values)
+    return checked
 
 
 def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     """Build a Scenario from raw (JSON-shaped) data, checking every constraint.
 
     Unknown fields are rejected at every level.  On failure raises
-    ScenarioValidationError carrying the complete list of violations.
+    ScenarioValidationError carrying the complete list of violations.  A
+    valid scenario whose post-rejection rate exceeds its unaided rate issues
+    one DegradedRateWarning at the caller's line; an invalid one issues none.
     """
     if not isinstance(raw, Mapping):
         raise ScenarioValidationError(
@@ -591,7 +600,10 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
         aid, user, dependency = (sections.get(name) for name in ("aid", "user", "dependency"))
         violations.extend(_scenario_violations(aid, user, dependency, mode))
         raise ScenarioValidationError(violations)
-    return Scenario(**sections, degradation_mode=mode)
+    scenario = Scenario(**sections, degradation_mode=mode)
+    if scenario.user.p_post_reject_correct > scenario.user.p_unaided_correct:
+        _warn_degraded_rate()
+    return scenario
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:

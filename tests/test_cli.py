@@ -60,8 +60,9 @@ def run_cli(capsys, *args) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-# Modules the closed-form commands must not import.
-NUMPY_MODULES = ("numpy", "reliance.simulate", "reliance.sweep")
+# Modules the closed-form commands must not import: numpy and the two that load
+# it. No command imports click.
+PROBED_MODULES = ("numpy", "reliance.simulate", "reliance.sweep", "click")
 
 
 def run_python(*args) -> subprocess.CompletedProcess:
@@ -73,7 +74,7 @@ def run_python(*args) -> subprocess.CompletedProcess:
 
 def probe_main(argvs) -> tuple[list[int], list[str]]:
     """Exit codes of `main` on each argv in one fresh interpreter, then which
-    of NUMPY_MODULES it had loaded."""
+    of PROBED_MODULES it had loaded."""
     probe = (
         "import contextlib, io, json, sys\n"
         "from reliance.cli import main\n"
@@ -81,7 +82,7 @@ def probe_main(argvs) -> tuple[list[int], list[str]]:
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))\n"
     )
-    result = run_python("-c", probe, json.dumps(argvs), json.dumps(NUMPY_MODULES))
+    result = run_python("-c", probe, json.dumps(argvs), json.dumps(PROBED_MODULES))
     assert result.returncode == 0, result.stderr
     codes, loaded = json.loads(result.stdout)
     return codes, loaded
@@ -558,7 +559,7 @@ def sweep_argv(flag, value):
 
 
 # Flag misuse: (argv, the flag and the offending value stderr must name, in
-# that order). Pinned against the click CLI; the wording around them may change.
+# that order). Only these tokens are pinned, not the wording around them.
 MISUSE_CASES = {
     "bare": ([], ["COMMAND"]),
     "unknown_command": (["frobnicate"], ["frobnicate"]),
@@ -659,6 +660,7 @@ class TestCommandLineContract:
     def test_closed_form_commands_leave_numpy_unloaded(self, tmp_path):
         path = str(write_scenario(tmp_path, BASE_RAW))
         argvs = [["eval", path], ["compare", path], ["breakeven", path], ["--help"], ["--version"]]
+        argvs += [[command, "--help"] for command in COMMAND_OPTIONS]
         codes, loaded = probe_main(argvs)
         assert codes == [0] * len(argvs)
         assert loaded == []
@@ -670,7 +672,7 @@ class TestCommandLineContract:
         assert result.returncode == 0
         imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
         assert "reliance.cli" in imported
-        assert not imported & set(NUMPY_MODULES)
+        assert not imported & set(PROBED_MODULES)
 
     def test_sweep_and_simulate_load_only_their_own_module(self, tmp_path):
         path = str(write_scenario(tmp_path, BASE_RAW))

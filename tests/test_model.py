@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from reliance import model
 from reliance.model import (
     AidProfile,
     DegradedRateWarning,
@@ -196,6 +197,26 @@ class TestValidateScenario:
             make_scenario(dependency=Joint(0.75))
         with pytest.raises(ScenarioValidationError):
             make_scenario(p_a=0.55, dependency=Dominant())
+
+    def test_each_field_is_checked_once(self, monkeypatch):
+        raw = {
+            "aid": {"p_advice_correct": 1 + 1e-13},
+            "user": {"p_unaided_correct": 0.6, "p_post_reject_correct": 0.4},
+            "policy": {"type": "discriminating", "p_accept_given_correct": 0.8, "p_accept_given_wrong": 0.2},
+            "dependency": {"type": "joint", "p_both_correct": 0.6},
+        }
+        checked = []
+
+        def counted(value, name="probability"):
+            checked.append(name)
+            return as_probability(value, name)
+
+        monkeypatch.setattr(model, "as_probability", counted)
+        scenario = validate_scenario(raw)
+        assert sorted(checked) == sorted(scenario.leaves)
+        # the clamped value is the one kept, as direct construction keeps it
+        assert scenario == make_scenario(1.0, policy=Discriminating(0.8, 0.2), dependency=Joint(0.6))
+        assert scenario_to_dict(scenario)["aid"] == {"p_advice_correct": 1.0}
 
     def test_frechet_slack_admits_then_clamps(self):
         scenario = make_scenario(dependency=Joint(0.6 + 1e-10))

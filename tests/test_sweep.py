@@ -663,6 +663,16 @@ class TestSweepWarningsAndErrors:
             find_reference_crossing(spec, series)
         assert [w.filename for w in record] == [__file__] * 3
 
+    def test_invalid_degraded_point_aborts_without_warning(self):
+        # the first grid value, 0.0, is degraded (0.4 > 0.0) and breaks the
+        # Frechet bounds: the sweep aborts and warns about nothing
+        scenario = make_scenario(dependency=Joint(0.45))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(SweepError, match=r"^swept value 0\.0 for 'user\.p_unaided_correct'"):
+                run_sweep(SweepSpec(scenario, "user.p_unaided_correct", 0.0, 1.0, 11))
+        assert record == []
+
     @pytest.mark.parametrize(
         "path,start,stop",
         [("user.p_post_reject_correct", 0.0, 0.6), ("user.p_unaided_correct", 0.4, 1.0)],
