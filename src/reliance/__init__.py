@@ -21,6 +21,7 @@ from .analytic import (
     indiscriminate_accuracy,
     potential_combined,
     self_gated_accuracy,
+    sensitivity,
 )
 from .model import (
     AidProfile,
@@ -48,10 +49,11 @@ from .model import (
 )
 
 # The Monte Carlo engine and sweeps need numpy; their names load on first
-# use, so importing the closed forms alone (model, analytic) does not.
+# use, so importing the closed forms and sensitivity alone (model,
+# analytic) does not.
 _NUMPY_MODULES = {
     "simulate": ("SimEstimate", "TrialOutcome", "estimate_accuracy", "sample_trial"),
-    "sweep": ("SweepSeries", "SweepSpec", "find_reference_crossing", "run_sweep", "sensitivity"),
+    "sweep": ("SweepSeries", "SweepSpec", "find_reference_crossing", "run_sweep"),
 }
 _LAZY_NAMES = {name: module for module, names in _NUMPY_MODULES.items() for name in names}
 

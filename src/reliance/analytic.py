@@ -7,10 +7,11 @@ would be wrong, and the rate of being right alone.  Weighted by the advice
 cells and read at the dependency's conditional user rates, the rows give
 `evaluate`'s eight-cell outcome table, headline and marginal use rate, the
 policy comparison, break-even's post-rejection rates and the sweep arrays,
-on floats and numpy arrays alike without importing numpy.  The exact
-partials read the same closed form summed over the latent cells, which
-needs no division.  Every result is an EvalResult carrying the full outcome
-decomposition, so the Monte Carlo engine can check it cell by cell.
+on floats and numpy arrays alike without importing numpy.  `sensitivity`
+reads the same model summed over the latent cells, which needs no division,
+for each exact partial and for its finite-difference guard.  Every result is
+an EvalResult carrying the full outcome decomposition, so the Monte Carlo
+engine can check it cell by cell.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ from .model import (
 
 # Two accuracies within this distance are treated as tied.
 TIE_TOLERANCE = 1e-12
+# Central-difference step and required agreement for the sensitivity guard.
+FD_STEP = 1e-6
+FD_TOLERANCE = 1e-6
 
 
 class PolicyMismatchError(TypeError):
@@ -256,12 +260,8 @@ def compare_policies(scenario: Scenario) -> PolicyComparison:
         results[configured] = _result(scenario, scenario.policy, v)
 
     top = max(r.p_correct_aided for r in results.values())
-    precedence = ["routine_ignore", "routine_accept"]
-    if configured not in precedence:
-        precedence.append(configured)
-    best = next(
-        name for name in precedence if results[name].p_correct_aided >= top - TIE_TOLERANCE
-    )
+    # `results` is in tie precedence: the least machinery first
+    best = next(name for name, r in results.items() if r.p_correct_aided >= top - TIE_TOLERANCE)
     tied = [
         name
         for name in results
@@ -361,13 +361,13 @@ def breakeven_discrimination(
     return BreakevenResult(d_star, target, accuracy_at(d_star), mode)
 
 
-# --- raw parameter evaluation -------------------------------------------
+# --- sensitivity ----------------------------------------------------------
 #
-# The sensitivity machinery needs the closed forms as plain multilinear
-# functions of their free parameters, with no range validation: central
-# finite differences step 1e-6 past a boundary, where Probability
-# construction would reject.  Parameters are keyed by the dot-paths used in
-# scenario JSON (e.g. "policy.p_accept").
+# The partials need the closed forms as plain multilinear functions of their
+# free parameters, with no range validation: central finite differences step
+# 1e-6 past a boundary, where Probability construction would reject.
+# Parameters are keyed by the dot-paths used in scenario JSON (e.g.
+# "policy.p_accept").
 
 
 def free_parameters(scenario: Scenario) -> dict[str, float]:
@@ -388,8 +388,8 @@ def accuracy_from_parameters(scenario: Scenario, values: Mapping[str, float]) ->
 
     Summed over the latent cells, whose masses (p11, p_a - p11, p_u - p11)
     stand in for the conditional rates: multilinear and division-free, hence
-    well-defined slightly outside [0, 1].  It gives the exact partials and
-    is the finite-difference side of the sensitivity cross-check.
+    well-defined slightly outside [0, 1].  `sensitivity` reads it for the
+    exact partials and for their finite-difference cross-check.
     """
     policy = scenario.policy
     if isinstance(policy, RoutineAccept):
@@ -414,15 +414,30 @@ def accuracy_from_parameters(scenario: Scenario, values: Mapping[str, float]) ->
     return ac * p_a + p11 * (1.0 - ac) + (p_u - p11) * (1.0 - aw)
 
 
-def accuracy_partials(scenario: Scenario) -> dict[str, float]:
-    """Exact partial derivatives of the active closed form.
+def sensitivity(scenario: Scenario) -> dict[str, float]:
+    """Exact partial derivative of aided accuracy per free probability parameter.
 
-    Every closed form is multilinear in its parameters, so each partial is
-    the difference of the form at that parameter set to 1 and to 0.
+    Keys are the scenario-JSON dot-paths of the parameters the active closed
+    form reads.  The closed form is multilinear, so each partial is its
+    value with the parameter at 1 minus its value at 0.  Each partial is
+    cross-checked in-process against a central finite difference (step
+    1e-6, agreement 1e-6 absolute); a mismatch means an implementation bug
+    and raises ArithmeticError.
     """
     values = free_parameters(scenario)
-    return {
-        name: accuracy_from_parameters(scenario, {**values, name: 1.0})
-        - accuracy_from_parameters(scenario, {**values, name: 0.0})
-        for name in values
-    }
+    partials = {}
+    for name, x in values.items():
+        # one working dict: the parameter is set in place, then restored
+        f = []
+        for point in (1.0, 0.0, x + FD_STEP, x - FD_STEP):
+            values[name] = point
+            f.append(accuracy_from_parameters(scenario, values))
+        values[name] = x
+        exact, estimate = f[0] - f[1], (f[2] - f[3]) / (2.0 * FD_STEP)
+        if abs(estimate - exact) > FD_TOLERANCE:
+            raise ArithmeticError(
+                f"partial for {name} disagrees with finite difference: "
+                f"{exact!r} vs {estimate!r}"
+            )
+        partials[name] = exact
+    return partials

@@ -50,6 +50,28 @@ OUTCOME_CELLS: tuple[tuple[bool, bool, bool], ...] = tuple(
 )
 
 
+def check_cells(table: Mapping[tuple[bool, bool, bool], Any], name: str) -> None:
+    """Raise ValueError unless the table `name` has exactly the eight canonical cells."""
+    if set(table) != set(OUTCOME_CELLS):
+        raise ValueError(f"{name} must cover exactly the 8 canonical cells")
+
+
+def cell_rows(table: Mapping[tuple[bool, bool, bool], Any], key: str) -> list[dict[str, Any]]:
+    """An eight-cell table as JSON rows in canonical order, each value under `key`."""
+    return [
+        {"advice_correct": a, "accepted_or_used": u, "final_correct": f, key: table[(a, u, f)]}
+        for a, u, f in OUTCOME_CELLS
+    ]
+
+
+def rows_table(rows, key: str) -> dict[tuple[bool, bool, bool], Any]:
+    """The eight-cell table of JSON rows as `cell_rows` writes them."""
+    return {
+        (row["advice_correct"], row["accepted_or_used"], row["final_correct"]): row[key]
+        for row in rows
+    }
+
+
 class DegradedRateWarning(UserWarning):
     """Post-rejection accuracy above the unaided rate is suspicious, not fatal."""
 
@@ -269,11 +291,6 @@ def policy_name(policy: ReliancePolicy) -> str:
     return _WIRE_NAMES[type(policy)]
 
 
-def dependency_name(dependency: DependencyModel) -> str:
-    """Wire name of a dependency variant, e.g. ``"independent"``."""
-    return _WIRE_NAMES[type(dependency)]
-
-
 # `a if cond else b`, min and max for floats and numpy arrays alike; numpy is
 # imported only when an array is passed, so it is already loaded.
 def _where(cond, a, b):
@@ -477,8 +494,7 @@ class EvalResult:
     _GUARD = 1e-9
 
     def __post_init__(self):
-        if set(self.outcome_table) != set(OUTCOME_CELLS):
-            raise ValueError("outcome_table must cover exactly the 8 canonical cells")
+        check_cells(self.outcome_table, "outcome_table")
         total = sum(self.outcome_table.values())
         if abs(total - 1.0) > self._GUARD:
             raise ValueError(f"outcome_table sums to {total!r}, expected 1")
@@ -493,29 +509,15 @@ class EvalResult:
         return {
             "p_correct_aided": self.p_correct_aided,
             "p_accept_marginal": self.p_accept_marginal,
-            "outcome_table": [
-                {
-                    "advice_correct": advice,
-                    "accepted_or_used": accepted,
-                    "final_correct": final,
-                    "probability": self.outcome_table[(advice, accepted, final)],
-                }
-                for advice, accepted, final in OUTCOME_CELLS
-            ],
+            "outcome_table": cell_rows(self.outcome_table, "probability"),
             "notes": list(self.notes),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvalResult":
-        table = {
-            (row["advice_correct"], row["accepted_or_used"], row["final_correct"]): row[
-                "probability"
-            ]
-            for row in data["outcome_table"]
-        }
         return cls(
             p_correct_aided=data["p_correct_aided"],
-            outcome_table=table,
+            outcome_table=rows_table(data["outcome_table"], "probability"),
             p_accept_marginal=data["p_accept_marginal"],
             notes=tuple(data.get("notes", ())),
         )

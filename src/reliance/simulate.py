@@ -25,13 +25,15 @@ import numpy as np
 
 from .model import (
     Indiscriminate,
-    OUTCOME_CELLS,
     RoutineAccept,
     RoutineIgnore,
     Scenario,
     SelfGated,
+    cell_rows,
+    check_cells,
     joint_success_probability,
     post_reject_rates,
+    rows_table,
 )
 
 # Uniforms consumed per trial, in fixed order.
@@ -91,8 +93,7 @@ class SimEstimate:
     either_correct_count: int
 
     def __post_init__(self):
-        if set(self.outcome_counts) != set(OUTCOME_CELLS):
-            raise ValueError("outcome_counts must cover exactly the 8 canonical cells")
+        check_cells(self.outcome_counts, "outcome_counts")
         total = sum(self.outcome_counts.values())
         if total != self.n_trials:
             raise ValueError(f"outcome_counts sum to {total}, expected {self.n_trials}")
@@ -108,15 +109,7 @@ class SimEstimate:
             "ci95": list(self.ci95),
             "seed": self.seed,
             "n_shards": self.n_shards,
-            "outcome_counts": [
-                {
-                    "advice_correct": advice,
-                    "accepted_or_used": accepted,
-                    "final_correct": final,
-                    "count": self.outcome_counts[(advice, accepted, final)],
-                }
-                for advice, accepted, final in OUTCOME_CELLS
-            ],
+            "outcome_counts": cell_rows(self.outcome_counts, "count"),
             "advice_correct_count": self.advice_correct_count,
             "user_correct_count": self.user_correct_count,
             "either_correct_count": self.either_correct_count,
@@ -124,12 +117,6 @@ class SimEstimate:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimEstimate":
-        counts = {
-            (row["advice_correct"], row["accepted_or_used"], row["final_correct"]): row[
-                "count"
-            ]
-            for row in data["outcome_counts"]
-        }
         return cls(
             p_hat=data["p_hat"],
             n_trials=data["n_trials"],
@@ -137,7 +124,7 @@ class SimEstimate:
             ci95=(data["ci95"][0], data["ci95"][1]),
             seed=data["seed"],
             n_shards=data["n_shards"],
-            outcome_counts=counts,
+            outcome_counts=rows_table(data["outcome_counts"], "count"),
             advice_correct_count=data["advice_correct_count"],
             user_correct_count=data["user_correct_count"],
             either_correct_count=data["either_correct_count"],

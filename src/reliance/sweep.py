@@ -1,4 +1,4 @@
-"""Parameter sweeps and sensitivity analysis over scenario parameters.
+"""Parameter sweeps and reference crossings over scenario parameters.
 
 A sweep replaces one numeric leaf of the scenario (addressed by the dot-path
 used in scenario JSON, e.g. ``"policy.p_accept"``) with each value of an
@@ -17,9 +17,6 @@ in one numpy pass over the whole grid:
 A reference crossing is the linear root of the grid cell where the accuracy
 crosses the unaided rate, certified by one evaluation tol/2 beside it: the
 closed form is affine in one leaf inside the valid domain.
-
-Sensitivities are exact partials of the multilinear closed forms, guarded
-in-process by central finite differences.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .analytic import _accuracy, accuracy_from_parameters, accuracy_partials, free_parameters
+from .analytic import _accuracy, sensitivity  # sensitivity re-exported; it needs no numpy
 from .model import (
     P_ADVICE,
     P_BOTH,
@@ -41,17 +38,14 @@ from .model import (
     Scenario,
     ScenarioValidationError,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
+    _SECTIONS,
+    _WIRE_NAMES,
     _warn_degraded_rate,
     _where,
     bound_violated,
     scenario_to_dict,
     validate_scenario,
 )
-
-# Central-difference step and required agreement for the sensitivity guard.
-FD_STEP = 1e-6
-FD_TOLERANCE = 1e-6
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -123,10 +117,10 @@ class SweepSeries:
 def _resolve_path(base: Scenario, path: str) -> None:
     """Check a dot-path against the scenario's probability leaves."""
     section = path.split(".")[0]
-    if path.count(".") != 1 or section not in ("aid", "user", "policy", "dependency"):
+    if path.count(".") != 1 or section not in _SECTIONS:
         raise SweepError(f"parameter_path {path!r} not recognized")
     if path not in base.leaves:
-        kind = scenario_to_dict(base)[section].get("type", section)
+        kind = _WIRE_NAMES.get(type(getattr(base, section)), section)
         raise SweepError(
             f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})"
         )
@@ -259,31 +253,3 @@ def find_reference_crossing(
     if gaps and gaps[-1] == 0.0:
         return values[-1]
     return None
-
-
-def sensitivity(scenario: Scenario) -> dict[str, float]:
-    """Exact partial derivative of aided accuracy per free probability parameter.
-
-    Keys are the scenario-JSON dot-paths of the parameters the active closed
-    form reads.  The closed form is multilinear, so each partial is its
-    value with the parameter at 1 minus its value at 0, as in
-    ``accuracy_partials``.  Each partial is cross-checked in-process against
-    a central finite difference (step 1e-6, agreement 1e-6 absolute); a
-    mismatch means an implementation bug and raises ArithmeticError.
-    """
-    partials = accuracy_partials(scenario)
-    values = free_parameters(scenario)
-    for name, exact in partials.items():
-        up = dict(values)
-        down = dict(values)
-        up[name] = values[name] + FD_STEP
-        down[name] = values[name] - FD_STEP
-        estimate = (
-            accuracy_from_parameters(scenario, up) - accuracy_from_parameters(scenario, down)
-        ) / (2.0 * FD_STEP)
-        if abs(estimate - exact) > FD_TOLERANCE:
-            raise ArithmeticError(
-                f"partial for {name} disagrees with finite difference: "
-                f"{exact!r} vs {estimate!r}"
-            )
-    return partials

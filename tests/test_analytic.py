@@ -352,6 +352,11 @@ class TestComparePolicies:
         comparison = compare_policies(base_scenario)
         assert PolicyComparison.from_dict(comparison.to_dict()) == comparison
 
+    def test_best_policy_must_attain_the_top(self, base_scenario):
+        comparison = compare_policies(base_scenario)
+        with pytest.raises(ValueError, match="does not attain the maximum accuracy"):
+            replace(comparison, best_policy="indiscriminate")
+
 
 class TestBreakevenDiscrimination:
     def test_base_scenario_closed_form_confirmed_by_grid(self):
@@ -400,6 +405,10 @@ class TestBreakevenDiscrimination:
                 assert result.attainable
                 assert abs(result.d_star - oracle) <= 1e-3 + 1e-9
 
+    def test_invalid_dependency_rejected(self):
+        with pytest.raises(ScenarioValidationError, match="Frechet-Hoeffding"):
+            breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Joint(0.75))
+
     def test_dict_round_trip_including_unattainable(self):
         reachable = breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Independent())
         assert BreakevenResult.from_dict(reachable.to_dict()) == reachable
@@ -408,13 +417,34 @@ class TestBreakevenDiscrimination:
         assert BreakevenResult.from_dict(unreachable.to_dict()) == unreachable
 
 
-def test_closed_forms_import_without_numpy():
-    # numpy stays behind the Monte Carlo engine and sweeps, so a command that
-    # only needs the closed forms can skip importing it
+def numpy_loaded_after(probe: str) -> bool:
+    """Run `probe` in a fresh interpreter on this source tree; whether numpy got imported."""
     env = os.environ.copy()
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    probe = "import sys, reliance.analytic; print('numpy' in sys.modules)"
+    probe += "\nimport sys; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_closed_forms_import_without_numpy():
+    # numpy stays behind the Monte Carlo engine and sweeps, so a command that
+    # only needs the closed forms can skip importing it
+    assert not numpy_loaded_after("import reliance.analytic")
+
+
+def test_closed_forms_and_sensitivity_run_without_numpy():
+    probe = """
+import reliance
+s = reliance.validate_scenario({
+    "aid": {"p_advice_correct": 0.7},
+    "user": {"p_unaided_correct": 0.6, "p_post_reject_correct": 0.4},
+    "policy": {"type": "discriminating", "p_accept_given_correct": 0.8, "p_accept_given_wrong": 0.3},
+    "dependency": {"type": "joint", "p_both_correct": 0.45},
+})
+reliance.evaluate(s), reliance.compare_policies(s), reliance.sensitivity(s)
+reliance.breakeven_discrimination(s.aid, s.user, s.dependency)
+reliance.potential_combined(s.aid, s.user, s.dependency)
+"""
+    assert not numpy_loaded_after(probe)

@@ -441,6 +441,10 @@ GOLDEN_VIOLATIONS = {
         "  dependency.p_both_correct: 0.75 not in [0.3, 0.6] "
         "(Frechet-Hoeffding bounds for the given marginals)",
     ),
+    "top_level_list": ([], "scenario: [] not in JSON object"),
+    "top_level_string": ("x", "scenario: 'x' not in JSON object"),
+    "top_level_number": (1, "scenario: 1 not in JSON object"),
+    "top_level_null": (None, "scenario: None not in JSON object"),
     "mode_and_dominance": (
         _malformed(
             aid={"p_advice_correct": 0.5}, dependency={"type": "dominant"}, degradation_mode="x"

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from reliance.analytic import (  # noqa: E402
+    FD_STEP,
     TIE_TOLERANCE,
     breakeven_discrimination,
     compare_policies,
@@ -24,7 +25,6 @@ from reliance.model import (  # noqa: E402
     validate_scenario,
 )
 from reliance.sweep import (  # noqa: E402
-    FD_STEP,
     SweepError,
     SweepSpec,
     find_reference_crossing,

@@ -221,10 +221,15 @@ class TestEstimateAccuracy:
 
     def test_inconsistent_construction_rejected(self, base_scenario):
         estimate = estimate_accuracy(base_scenario, 1000, seed=7)
-        data = estimate.to_dict()
-        data["n_trials"] = 999
-        with pytest.raises(ValueError):
-            SimEstimate.from_dict(data)
+        for key, edit, message in [
+            ("n_trials", lambda value: 999, "outcome_counts sum to 1000, expected 999"),
+            ("outcome_counts", lambda rows: rows[:-1], "outcome_counts must cover exactly the 8"),
+            ("std_err", lambda value: value + 1e-6, "std_err inconsistent with p_hat and n_trials"),
+        ]:
+            data = estimate.to_dict()
+            data[key] = edit(data[key])
+            with pytest.raises(ValueError, match=message):
+                SimEstimate.from_dict(data)
 
 
 class TestOracleAgreement:

@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reliance import sweep
+from reliance import analytic, sweep
 from reliance.analytic import (
+    FD_STEP,
     _accuracy,
-    accuracy_partials,
     evaluate,
     free_parameters,
 )
@@ -31,7 +31,6 @@ from reliance.model import (
     validate_scenario,
 )
 from reliance.sweep import (
-    FD_STEP,
     SweepError,
     SweepSeries,
     SweepSpec,
@@ -421,6 +420,12 @@ class TestRunSweep:
     def test_series_round_trip(self, base_scenario):
         series = run_sweep(SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 5))
         assert SweepSeries.from_dict(series.to_dict()) == series
+
+    def test_series_lengths_must_match(self, base_scenario):
+        data = run_sweep(SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 5)).to_dict()
+        data["accuracies"].pop()
+        with pytest.raises(ValueError, match="equal length"):
+            SweepSeries.from_dict(data)
 
 
 GOLDEN_SPECS = dict(golden_sweep_specs())
@@ -992,7 +997,6 @@ class TestSensitivity:
         scenario = make_scenario(p_a=0.7, p_u=0.6, policy=SelfGated(0.8, 0.3), dependency=dependency)
         partials = sensitivity(scenario)
         assert partials == pytest.approx(expected, abs=EXACT)
-        assert accuracy_partials(scenario) == partials
         assert set(free_parameters(scenario)) == set(expected)
 
     def test_routine_policies_have_unit_partials(self):
@@ -1007,6 +1011,24 @@ class TestSensitivity:
         scenario = make_scenario(policy=Discriminating(0.7, 0.3), dependency=Joint(0.42))
         partials = sensitivity(scenario)
         assert partials["dependency.p_both_correct"] == pytest.approx(0.3 - 0.7, abs=EXACT)
+
+    def test_one_function_behind_every_name(self):
+        import reliance
+
+        assert sweep.sensitivity is analytic.sensitivity is reliance.sensitivity
+
+    def test_guard_raises_when_the_form_is_not_multilinear(self, base_scenario, monkeypatch):
+        # clamped at 1, the form is flat at the base point (2 * 0.55 > 1) but
+        # not between p_advice_correct = 0 and 1: 1 - 2 * 0.2 = 0.6
+        form = analytic.accuracy_from_parameters
+        monkeypatch.setattr(
+            analytic, "accuracy_from_parameters", lambda s, v: min(1.0, 2.0 * form(s, v))
+        )
+        with pytest.raises(ArithmeticError) as err:
+            sensitivity(base_scenario)
+        assert str(err.value) == (
+            "partial for aid.p_advice_correct disagrees with finite difference: 0.6 vs 0.0"
+        )
 
     def test_partials_match_finite_differences_through_public_evaluate(self):
         """Independent check: perturb real scenarios and difference evaluate()."""
