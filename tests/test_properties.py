@@ -1,5 +1,6 @@
 """Properties of the closed forms over every policy x dependency x mode, edges included."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -135,6 +136,14 @@ def test_scenario_dict_round_trips(scenario):
     again = validate_scenario(canonical)
     assert repr(scenario_to_dict(again)) == repr(canonical)
     assert again == replace(scenario, degradation_mode=scenario.effective_degradation_mode)
+
+
+@PROPERTY
+@given(scenarios())
+def test_results_round_trip_through_json_text(scenario):
+    sections = (scenario.aid, scenario.user, scenario.dependency, scenario.degradation_mode)
+    for result in evaluate(scenario), compare_policies(scenario), breakeven_discrimination(*sections):
+        assert type(result).from_dict(json.loads(json.dumps(result.to_dict()))) == result
 
 
 @PROPERTY
