@@ -41,6 +41,8 @@ from .model import (
     ScenarioValidationError,
     SelfGated,
     UserProfile,
+    _NOTES,
+    _Wire,
     conditional_rates,
     dependency_violations,
     joint_success_probability,
@@ -201,7 +203,7 @@ def potential_combined(
 
 
 @dataclass(frozen=True)
-class PolicyComparison:
+class PolicyComparison(_Wire):
     """The configured policy against both routine baselines.
 
     Attributes:
@@ -220,32 +222,23 @@ class PolicyComparison:
     margins: dict[str, float]
     notes: tuple[str, ...] = ()
 
+    _WIRE = (
+        (
+            "results",
+            lambda results: {name: result.to_dict() for name, result in results.items()},
+            lambda data: {name: EvalResult.from_dict(result) for name, result in data.items()},
+        ),
+        ("configured_policy", None, None),
+        ("best_policy", None, None),
+        ("margins", dict, dict),
+        _NOTES,
+    )
+
     def __post_init__(self):
         best = self.results[self.best_policy].p_correct_aided
         top = max(r.p_correct_aided for r in self.results.values())
         if best < top - TIE_TOLERANCE:
             raise ValueError("best_policy does not attain the maximum accuracy")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "results": {name: res.to_dict() for name, res in self.results.items()},
-            "configured_policy": self.configured_policy,
-            "best_policy": self.best_policy,
-            "margins": dict(self.margins),
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PolicyComparison":
-        return cls(
-            results={
-                name: EvalResult.from_dict(res) for name, res in data["results"].items()
-            },
-            configured_policy=data["configured_policy"],
-            best_policy=data["best_policy"],
-            margins=dict(data["margins"]),
-            notes=tuple(data.get("notes", ())),
-        )
 
 
 def compare_policies(scenario: Scenario) -> PolicyComparison:
@@ -287,7 +280,7 @@ def compare_policies(scenario: Scenario) -> PolicyComparison:
 
 
 @dataclass(frozen=True)
-class BreakevenResult:
+class BreakevenResult(_Wire):
     """Smallest symmetric discrimination matching the better routine policy.
 
     Discrimination d means accepting correct advice with probability d and
@@ -300,29 +293,20 @@ class BreakevenResult:
     accuracy_at_d_star: float | None
     degradation_mode: str
 
+    _WIRE = (
+        (
+            "d_star",
+            lambda d_star: "unattainable" if d_star is None else d_star,
+            lambda d_star: None if d_star == "unattainable" else d_star,
+        ),
+        ("target", None, None),
+        ("accuracy_at_d_star", None, None),
+        ("degradation_mode", None, None),
+    )
+
     @property
     def attainable(self) -> bool:
         return self.d_star is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "d_star": self.d_star if self.attainable else "unattainable",
-            "target": self.target,
-            "accuracy_at_d_star": self.accuracy_at_d_star,
-            "degradation_mode": self.degradation_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BreakevenResult":
-        d_star = data["d_star"]
-        if d_star == "unattainable":
-            d_star = None
-        return cls(
-            d_star=d_star,
-            target=data["target"],
-            accuracy_at_d_star=data["accuracy_at_d_star"],
-            degradation_mode=data["degradation_mode"],
-        )
 
 
 def breakeven_discrimination(

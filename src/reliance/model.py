@@ -72,6 +72,44 @@ def rows_table(rows, key: str) -> dict[tuple[bool, bool, bool], Any]:
     }
 
 
+class _Wire:
+    """`to_dict` and `from_dict` of a result type, read from its `_WIRE` table.
+
+    `_WIRE` has one (key, encode, decode) per field, in wire order; an encode
+    or decode of None writes or reads the value as it is.  A field with a
+    default, such as `notes`, may be left out of the dict `from_dict` reads;
+    any other missing key raises KeyError naming it.
+    """
+
+    _WIRE: tuple = ()
+
+    def to_dict(self) -> dict[str, Any]:
+        data = {}
+        for key, encode, _ in self._WIRE:
+            value = getattr(self, key)
+            data[key] = value if encode is None else encode(value)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        values = {}
+        for key, _, decode in cls._WIRE:
+            if key in data or not hasattr(cls, key):
+                value = data[key]
+                values[key] = value if decode is None else decode(value)
+        return cls(**values)
+
+
+def _cells(key: str) -> tuple:
+    """Encode and decode of an eight-cell table as JSON rows, each value under `key`."""
+    return lambda table: cell_rows(table, key), lambda rows: rows_table(rows, key)
+
+
+# tuple <-> list; `notes` in every result type that has them
+_SEQUENCE = (list, tuple)
+_NOTES = ("notes", *_SEQUENCE)
+
+
 class DegradedRateWarning(UserWarning):
     """Post-rejection accuracy above the unaided rate is suspicious, not fatal."""
 
@@ -473,7 +511,7 @@ def post_reject_rates(mode: str, dependency: DependencyModel, values: Mapping[st
 
 
 @dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Wire):
     """Aided accuracy together with its full outcome decomposition.
 
     Attributes:
@@ -492,6 +530,13 @@ class EvalResult:
     # Loose construction guard; the test suite asserts the 1e-12 versions on
     # every computed result. The slack covers 12-significant-digit round-trips.
     _GUARD = 1e-9
+    # the wire order is not the field order, which positional callers rely on
+    _WIRE = (
+        ("p_correct_aided", None, None),
+        ("p_accept_marginal", None, None),
+        ("outcome_table", *_cells("probability")),
+        _NOTES,
+    )
 
     def __post_init__(self):
         check_cells(self.outcome_table, "outcome_table")
@@ -504,23 +549,6 @@ class EvalResult:
                 f"p_correct_aided={self.p_correct_aided!r} does not match "
                 f"final-correct cell mass {correct!r}"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "p_correct_aided": self.p_correct_aided,
-            "p_accept_marginal": self.p_accept_marginal,
-            "outcome_table": cell_rows(self.outcome_table, "probability"),
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EvalResult":
-        return cls(
-            p_correct_aided=data["p_correct_aided"],
-            outcome_table=rows_table(data["outcome_table"], "probability"),
-            p_accept_marginal=data["p_accept_marginal"],
-            notes=tuple(data.get("notes", ())),
-        )
 
 
 _TOP_KEYS = {*_SECTIONS, "degradation_mode"}

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -29,11 +27,12 @@ from .model import (
     RoutineIgnore,
     Scenario,
     SelfGated,
-    cell_rows,
+    _SEQUENCE,
+    _Wire,
+    _cells,
     check_cells,
     joint_success_probability,
     post_reject_rates,
-    rows_table,
 )
 
 # Uniforms consumed per trial, in fixed order.
@@ -67,7 +66,7 @@ class TrialOutcome:
 
 
 @dataclass(frozen=True)
-class SimEstimate:
+class SimEstimate(_Wire):
     """Monte Carlo estimate of aided accuracy with its outcome counts.
 
     Attributes:
@@ -92,6 +91,19 @@ class SimEstimate:
     user_correct_count: int
     either_correct_count: int
 
+    _WIRE = (
+        ("p_hat", None, None),
+        ("n_trials", None, None),
+        ("std_err", None, None),
+        ("ci95", *_SEQUENCE),
+        ("seed", None, None),
+        ("n_shards", None, None),
+        ("outcome_counts", *_cells("count")),
+        ("advice_correct_count", None, None),
+        ("user_correct_count", None, None),
+        ("either_correct_count", None, None),
+    )
+
     def __post_init__(self):
         check_cells(self.outcome_counts, "outcome_counts")
         total = sum(self.outcome_counts.values())
@@ -100,35 +112,6 @@ class SimEstimate:
         expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials)
         if abs(self.std_err - expected_se) > 1e-9:
             raise ValueError("std_err inconsistent with p_hat and n_trials")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "p_hat": self.p_hat,
-            "n_trials": self.n_trials,
-            "std_err": self.std_err,
-            "ci95": list(self.ci95),
-            "seed": self.seed,
-            "n_shards": self.n_shards,
-            "outcome_counts": cell_rows(self.outcome_counts, "count"),
-            "advice_correct_count": self.advice_correct_count,
-            "user_correct_count": self.user_correct_count,
-            "either_correct_count": self.either_correct_count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimEstimate":
-        return cls(
-            p_hat=data["p_hat"],
-            n_trials=data["n_trials"],
-            std_err=data["std_err"],
-            ci95=(data["ci95"][0], data["ci95"][1]),
-            seed=data["seed"],
-            n_shards=data["n_shards"],
-            outcome_counts=rows_table(data["outcome_counts"], "count"),
-            advice_correct_count=data["advice_correct_count"],
-            user_correct_count=data["user_correct_count"],
-            either_correct_count=data["either_correct_count"],
-        )
 
 
 def _joint_cell_cuts(scenario: Scenario) -> tuple[float, float, float]:

@@ -22,9 +22,7 @@ closed form is affine in one leaf inside the valid domain.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -39,7 +37,9 @@ from .model import (
     ScenarioValidationError,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
     _SECTIONS,
+    _SEQUENCE,
     _WIRE_NAMES,
+    _Wire,
     _warn_degraded_rate,
     _where,
     bound_violated,
@@ -81,7 +81,7 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepSeries:
+class SweepSeries(_Wire):
     """Accuracies along a sweep grid, with the two routine reference lines."""
 
     parameter_path: str
@@ -90,28 +90,17 @@ class SweepSeries:
     unaided_reference: float
     routine_accept_reference: float
 
+    _WIRE = (
+        ("parameter_path", None, None),
+        ("parameter_values", *_SEQUENCE),
+        ("accuracies", *_SEQUENCE),
+        ("unaided_reference", None, None),
+        ("routine_accept_reference", None, None),
+    )
+
     def __post_init__(self):
         if len(self.parameter_values) != len(self.accuracies):
             raise ValueError("parameter_values and accuracies must have equal length")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "parameter_path": self.parameter_path,
-            "parameter_values": list(self.parameter_values),
-            "accuracies": list(self.accuracies),
-            "unaided_reference": self.unaided_reference,
-            "routine_accept_reference": self.routine_accept_reference,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepSeries":
-        return cls(
-            parameter_path=data["parameter_path"],
-            parameter_values=tuple(data["parameter_values"]),
-            accuracies=tuple(data["accuracies"]),
-            unaided_reference=data["unaided_reference"],
-            routine_accept_reference=data["routine_accept_reference"],
-        )
 
 
 def _resolve_path(base: Scenario, path: str) -> None:

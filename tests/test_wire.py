@@ -5,6 +5,7 @@ prints.  The goldens here pin the shapes no CLI run covers.  `from_dict`
 treats `notes` as optional and names any other missing key in a KeyError.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -114,3 +115,9 @@ def test_a_missing_required_key_is_named_in_a_key_error(cls):
         with pytest.raises(KeyError) as err:
             cls.from_dict(data)
         assert err.value.args == (key,)
+
+
+@pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
+def test_wire_table_names_every_field_once(cls):
+    keys = [key for key, _, _ in cls._WIRE]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(cls))
