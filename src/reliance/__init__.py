@@ -13,14 +13,10 @@ __version__ = "0.1.0"
 from .analytic import (
     BreakevenResult,
     PolicyComparison,
-    PolicyMismatchError,
     breakeven_discrimination,
     compare_policies,
-    discriminating_accuracy,
     evaluate,
-    indiscriminate_accuracy,
     potential_combined,
-    self_gated_accuracy,
     sensitivity,
 )
 from .model import (
@@ -81,7 +77,6 @@ __all__ = [
     "Indiscriminate",
     "Joint",
     "PolicyComparison",
-    "PolicyMismatchError",
     "Probability",
     "ReliancePolicy",
     "RoutineAccept",
@@ -98,16 +93,13 @@ __all__ = [
     "breakeven_discrimination",
     "compare_policies",
     "conditional_user_rates",
-    "discriminating_accuracy",
     "estimate_accuracy",
     "evaluate",
     "find_reference_crossing",
-    "indiscriminate_accuracy",
     "potential_combined",
     "run_sweep",
     "sample_trial",
     "scenario_to_dict",
-    "self_gated_accuracy",
     "sensitivity",
     "validate_scenario",
 ]

@@ -29,7 +29,6 @@ from .model import (
     P_UNAIDED,
     AidProfile,
     DependencyModel,
-    Discriminating,
     Dominant,
     EvalResult,
     Independent,
@@ -59,10 +58,6 @@ FD_STEP = 1e-6
 FD_TOLERANCE = 1e-6
 
 
-class PolicyMismatchError(TypeError):
-    """An operation was handed a scenario with the wrong policy variant."""
-
-
 def _rows(policy: ReliancePolicy, mode: str, dependency: DependencyModel, v: Mapping[str, Any]):
     """The policy's rows for the advice-correct and advice-wrong cells.
 
@@ -90,9 +85,7 @@ def _acceptance(policy: ReliancePolicy, v: Mapping[str, Any]) -> tuple[Any, Any]
     """An attending policy's acceptance rates for correct and for wrong advice."""
     if isinstance(policy, Indiscriminate):
         return v["policy.p_accept"], v["policy.p_accept"]
-    if isinstance(policy, Discriminating):
-        return v["policy.p_accept_given_correct"], v["policy.p_accept_given_wrong"]
-    raise PolicyMismatchError(f"unknown policy variant: {policy!r}")
+    return v["policy.p_accept_given_correct"], v["policy.p_accept_given_wrong"]
 
 
 def _advice_cells(scenario: Scenario, policy: ReliancePolicy, v: Mapping[str, Any]):
@@ -154,41 +147,15 @@ def _result(scenario: Scenario, policy: ReliancePolicy, v: Mapping[str, Any]) ->
 
 
 def evaluate(scenario: Scenario) -> EvalResult:
-    """Closed-form accuracy for whatever policy the scenario configures."""
-    return _result(scenario, scenario.policy, scenario.leaves)
+    """Closed-form accuracy for whatever policy the scenario configures.
 
-
-def _evaluate_as(scenario: Scenario, kind: type, name: str) -> EvalResult:
-    if not isinstance(scenario.policy, kind):
-        raise PolicyMismatchError(
-            f"{name}_accuracy requires a policy of type {name}, got {policy_name(scenario.policy)}"
-        )
-    return evaluate(scenario)
-
-
-def indiscriminate_accuracy(scenario: Scenario) -> EvalResult:
-    """Accuracy when advice is attended but acceptance is blind to its quality.
-
-    With acceptance probability p and post-rejection rate r this is
-    p_advice_correct * p + r * (1 - p) under the fixed-rate mode.
-    """
-    return _evaluate_as(scenario, Indiscriminate, "indiscriminate")
-
-
-def discriminating_accuracy(scenario: Scenario) -> EvalResult:
-    """Accuracy when acceptance depends on whether the advice is actually correct."""
-    return _evaluate_as(scenario, Discriminating, "discriminating")
-
-
-def self_gated_accuracy(scenario: Scenario) -> EvalResult:
-    """Accuracy when the user first predicts their own success and gates on it.
-
-    The gate costs no solving time, so no degradation applies: an ignored
-    advisor leaves the unaided rate intact.  Under any dependency this is
+    For example, indiscriminate acceptance at rate p gives
+    p_advice_correct * p + r * (1 - p) at the fixed post-rejection rate r, and
+    the self-gated user, whose gate costs no solving time, gets
     p11 + p10 * p_use_given_user_wrong + p01 * p_ignore_given_user_correct
     over the latent cells (advice correct?, user would be correct?).
     """
-    return _evaluate_as(scenario, SelfGated, "self_gated")
+    return _result(scenario, scenario.policy, scenario.leaves)
 
 
 def potential_combined(

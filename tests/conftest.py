@@ -124,7 +124,7 @@ def grid_breakeven(aid, user, dependency, mode=None, step=1e-3):
     the first d whose discriminating accuracy reaches the better routine
     policy, evaluating through the public closed form.
     """
-    from reliance.analytic import discriminating_accuracy
+    from reliance.analytic import evaluate
 
     target = max(aid.p_advice_correct, user.p_unaided_correct)
     n = round(0.5 / step)
@@ -138,7 +138,7 @@ def grid_breakeven(aid, user, dependency, mode=None, step=1e-3):
             dependency=dependency,
             mode=mode,
         )
-        if discriminating_accuracy(scenario).p_correct_aided >= target - 1e-12:
+        if evaluate(scenario).p_correct_aided >= target - 1e-12:
             return d
     return None
 

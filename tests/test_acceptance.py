@@ -16,11 +16,8 @@ import pytest
 
 from reliance.analytic import (
     breakeven_discrimination,
-    discriminating_accuracy,
     evaluate,
-    indiscriminate_accuracy,
     potential_combined,
-    self_gated_accuracy,
 )
 from reliance.model import (
     AidProfile,
@@ -52,7 +49,7 @@ def _report(line: str) -> None:
 
 
 def test_01_indiscriminate_golden_value(base_scenario):
-    result = indiscriminate_accuracy(base_scenario)
+    result = evaluate(base_scenario)
     assert result.p_correct_aided == pytest.approx(0.55, abs=EXACT)
     _report(f"indiscriminate base scenario accuracy = {result.p_correct_aided} (0.55 +/- 1e-12)")
 
@@ -65,7 +62,7 @@ def test_02_discriminating_golden_values():
     ]
     for p_a, ac, aw, exact_value, printed in cases:
         scenario = make_scenario(p_a=p_a, policy=Discriminating(ac, aw))
-        got = discriminating_accuracy(scenario).p_correct_aided
+        got = evaluate(scenario).p_correct_aided
         assert got == pytest.approx(exact_value, abs=EXACT)
         assert round(got, 2) == printed
     _report("discriminating accuracies .55 / .658 / .679 (+/- 1e-12; 2 d.p. .55 / .66 / .68)")
@@ -73,20 +70,20 @@ def test_02_discriminating_golden_values():
 
 def test_03_self_gated_golden_value():
     scenario = make_scenario(policy=SelfGated(0.7, 0.7))
-    got = self_gated_accuracy(scenario).p_correct_aided
+    got = evaluate(scenario).p_correct_aided
     assert got == pytest.approx(0.742, abs=EXACT)
     _report(f"self-gated accuracy = {got} (0.742 +/- 1e-12)")
 
 
 def test_04_dominant_dependency_golden_value():
     dependent = make_scenario(policy=Discriminating(0.7, 0.3), dependency=Dominant())
-    got = discriminating_accuracy(dependent).p_correct_aided
+    got = evaluate(dependent).p_correct_aided
     assert got == pytest.approx(0.67, abs=EXACT)
     # direction: under the same conditional mode, independence does better
     independent = make_scenario(
         policy=Discriminating(0.7, 0.3), mode="conditional_from_joint"
     )
-    assert got < discriminating_accuracy(independent).p_correct_aided - EXACT
+    assert got < evaluate(independent).p_correct_aided - EXACT
     _report(f"dominant-dependency accuracy = {got} (0.67 +/- 1e-12, below independent analog)")
 
 
@@ -131,7 +128,7 @@ def test_07_blind_attendance_never_beats_best_routine():
                     continue
                 scenario = make_scenario(float(p_a), float(p_u), float(r))
                 for p in acceptance_levels:
-                    aided = indiscriminate_accuracy(
+                    aided = evaluate(
                         replace(scenario, policy=Indiscriminate(p))
                     ).p_correct_aided
                     assert aided < best_routine
@@ -155,7 +152,7 @@ def test_08_accuracy_nonincreasing_in_joint_success():
                 dependency=Joint(float(p11)),
                 mode="conditional_from_joint",
             )
-            accuracy = discriminating_accuracy(scenario).p_correct_aided
+            accuracy = evaluate(scenario).p_correct_aided
             if previous is not None:
                 assert accuracy <= previous + EXACT
             previous = accuracy
@@ -196,9 +193,9 @@ def test_10_special_case_collapses():
         p_u = rng.uniform(0.02, 0.98)
         perfect = make_scenario(p_a, p_u, 0.3 * p_u, policy=SelfGated(1.0, 1.0))
         ceiling = potential_combined(perfect.aid, perfect.user, Independent())
-        assert self_gated_accuracy(perfect).p_correct_aided == pytest.approx(ceiling, abs=EXACT)
+        assert evaluate(perfect).p_correct_aided == pytest.approx(ceiling, abs=EXACT)
         coin_flip = make_scenario(p_a, p_u, 0.3 * p_u, policy=SelfGated(0.5, 0.5))
-        assert self_gated_accuracy(coin_flip).p_correct_aided == pytest.approx(
+        assert evaluate(coin_flip).p_correct_aided == pytest.approx(
             (p_a + p_u) / 2.0, abs=EXACT
         )
     for _ in range(100):
@@ -207,8 +204,8 @@ def test_10_special_case_collapses():
         from dataclasses import replace
 
         tied = replace(scenario, policy=Discriminating(p, p))
-        assert discriminating_accuracy(tied).p_correct_aided == pytest.approx(
-            indiscriminate_accuracy(scenario).p_correct_aided, abs=EXACT
+        assert evaluate(tied).p_correct_aided == pytest.approx(
+            evaluate(scenario).p_correct_aided, abs=EXACT
         )
     _report("perfect gate = combined ceiling, coin-flip gate = mean rate, tied acceptance rates collapse (100 cases each, +/- 1e-12)")
 

@@ -12,14 +12,10 @@ import pytest
 from reliance.analytic import (
     BreakevenResult,
     PolicyComparison,
-    PolicyMismatchError,
     breakeven_discrimination,
     compare_policies,
-    discriminating_accuracy,
     evaluate,
-    indiscriminate_accuracy,
     potential_combined,
-    self_gated_accuracy,
 )
 from reliance.model import (
     AidProfile,
@@ -43,21 +39,17 @@ EXACT = 1e-12
 
 class TestIndiscriminateAccuracy:
     def test_worked_example(self, base_scenario):
-        result = indiscriminate_accuracy(base_scenario)
+        result = evaluate(base_scenario)
         assert result.p_correct_aided == pytest.approx(0.55, abs=EXACT)
         assert result.p_accept_marginal == pytest.approx(0.5, abs=EXACT)
 
     def test_always_accept_collapses_to_advisor_rate(self):
-        result = indiscriminate_accuracy(make_scenario(policy=Indiscriminate(1.0)))
+        result = evaluate(make_scenario(policy=Indiscriminate(1.0)))
         assert result.p_correct_aided == pytest.approx(0.7, abs=EXACT)
 
     def test_always_reject_collapses_to_degraded_rate(self):
-        result = indiscriminate_accuracy(make_scenario(policy=Indiscriminate(0.0)))
+        result = evaluate(make_scenario(policy=Indiscriminate(0.0)))
         assert result.p_correct_aided == pytest.approx(0.4, abs=EXACT)
-
-    def test_wrong_policy_variant_rejected(self):
-        with pytest.raises(PolicyMismatchError):
-            indiscriminate_accuracy(make_scenario(policy=RoutineAccept()))
 
     def test_affine_in_acceptance_probability(self):
         rng = np.random.default_rng(21)
@@ -68,7 +60,7 @@ class TestIndiscriminateAccuracy:
             p1, p2, lam = rng.uniform(0.0, 1.0, 3)
 
             def acc(p):
-                return indiscriminate_accuracy(
+                return evaluate(
                     make_scenario(p_a, p_u, r, policy=Indiscriminate(p))
                 ).p_correct_aided
 
@@ -77,17 +69,17 @@ class TestIndiscriminateAccuracy:
 
     def test_monotone_in_acceptance_iff_advisor_beats_degraded_rate(self):
         up = [
-            indiscriminate_accuracy(make_scenario(0.7, 0.6, 0.4, policy=Indiscriminate(p))).p_correct_aided
+            evaluate(make_scenario(0.7, 0.6, 0.4, policy=Indiscriminate(p))).p_correct_aided
             for p in (0.2, 0.5, 0.8)
         ]
         assert up[0] < up[1] < up[2]
         down = [
-            indiscriminate_accuracy(make_scenario(0.3, 0.6, 0.5, policy=Indiscriminate(p))).p_correct_aided
+            evaluate(make_scenario(0.3, 0.6, 0.5, policy=Indiscriminate(p))).p_correct_aided
             for p in (0.2, 0.5, 0.8)
         ]
         assert down[0] > down[1] > down[2]
         flat = [
-            indiscriminate_accuracy(make_scenario(0.4, 0.6, 0.4, policy=Indiscriminate(p))).p_correct_aided
+            evaluate(make_scenario(0.4, 0.6, 0.4, policy=Indiscriminate(p))).p_correct_aided
             for p in (0.2, 0.5, 0.8)
         ]
         assert flat[0] == pytest.approx(flat[1], abs=EXACT)
@@ -97,11 +89,11 @@ class TestIndiscriminateAccuracy:
 class TestDiscriminatingAccuracy:
     def test_symmetric_half_matches_indiscriminate_base(self):
         scenario = make_scenario(policy=Discriminating(0.5, 0.5))
-        assert discriminating_accuracy(scenario).p_correct_aided == pytest.approx(0.55, abs=EXACT)
+        assert evaluate(scenario).p_correct_aided == pytest.approx(0.55, abs=EXACT)
 
     def test_moderate_discrimination(self):
         scenario = make_scenario(policy=Discriminating(0.7, 0.3))
-        result = discriminating_accuracy(scenario)
+        result = evaluate(scenario)
         assert result.p_correct_aided == pytest.approx(0.658, abs=EXACT)
         assert round(result.p_correct_aided, 2) == 0.66
         # the discriminating user also accepts more often overall
@@ -109,18 +101,14 @@ class TestDiscriminatingAccuracy:
 
     def test_sharp_discrimination_with_weaker_advisor(self):
         scenario = make_scenario(p_a=0.55, policy=Discriminating(0.9, 0.1))
-        result = discriminating_accuracy(scenario)
+        result = evaluate(scenario)
         assert result.p_correct_aided == pytest.approx(0.679, abs=EXACT)
         assert round(result.p_correct_aided, 2) == 0.68
 
     def test_dominant_dependency_conditional_mode(self):
         scenario = make_scenario(policy=Discriminating(0.7, 0.3), dependency=Dominant())
         assert scenario.effective_degradation_mode == "conditional_from_joint"
-        assert discriminating_accuracy(scenario).p_correct_aided == pytest.approx(0.67, abs=EXACT)
-
-    def test_wrong_policy_variant_rejected(self):
-        with pytest.raises(PolicyMismatchError):
-            discriminating_accuracy(make_scenario(policy=Indiscriminate(0.5)))
+        assert evaluate(scenario).p_correct_aided == pytest.approx(0.67, abs=EXACT)
 
     def test_collapses_to_indiscriminate_when_rates_tie(self):
         rng = np.random.default_rng(5)
@@ -128,11 +116,11 @@ class TestDiscriminatingAccuracy:
             scenario = random_scenario(rng, policy_kind="indiscriminate", explicit_mode=True)
             p = scenario.policy.p_accept
             tied = replace(scenario, policy=Discriminating(p, p))
-            assert discriminating_accuracy(tied).p_correct_aided == pytest.approx(
-                indiscriminate_accuracy(scenario).p_correct_aided, abs=EXACT
+            assert evaluate(tied).p_correct_aided == pytest.approx(
+                evaluate(scenario).p_correct_aided, abs=EXACT
             )
-            assert discriminating_accuracy(tied).p_accept_marginal == pytest.approx(
-                indiscriminate_accuracy(scenario).p_accept_marginal, abs=EXACT
+            assert evaluate(tied).p_accept_marginal == pytest.approx(
+                evaluate(scenario).p_accept_marginal, abs=EXACT
             )
 
     def test_extremes(self):
@@ -141,10 +129,10 @@ class TestDiscriminatingAccuracy:
             scenario = random_scenario(rng, policy_kind="discriminating", mode="fixed_rate")
             accept_all = replace(scenario, policy=Discriminating(1.0, 1.0))
             reject_all = replace(scenario, policy=Discriminating(0.0, 0.0))
-            assert discriminating_accuracy(accept_all).p_correct_aided == pytest.approx(
+            assert evaluate(accept_all).p_correct_aided == pytest.approx(
                 scenario.aid.p_advice_correct, abs=EXACT
             )
-            assert discriminating_accuracy(reject_all).p_correct_aided == pytest.approx(
+            assert evaluate(reject_all).p_correct_aided == pytest.approx(
                 scenario.user.p_post_reject_correct, abs=EXACT
             )
 
@@ -157,7 +145,7 @@ class TestDiscriminatingAccuracy:
                 rng, policy_kind="discriminating", mode="conditional_from_joint"
             )
             reject_all = replace(scenario, policy=Discriminating(0.0, 0.0))
-            assert discriminating_accuracy(reject_all).p_correct_aided == pytest.approx(
+            assert evaluate(reject_all).p_correct_aided == pytest.approx(
                 scenario.user.p_unaided_correct, abs=EXACT
             )
 
@@ -177,7 +165,7 @@ class TestDiscriminatingAccuracy:
                     dependency=Joint(float(p11)),
                     mode="conditional_from_joint",
                 )
-                acc = discriminating_accuracy(scenario).p_correct_aided
+                acc = evaluate(scenario).p_correct_aided
                 if previous is not None:
                     assert acc <= previous + EXACT
                 previous = acc
@@ -194,7 +182,7 @@ class TestDiscriminatingAccuracy:
 
             def acc(ac_, aw_):
                 scenario = make_scenario(p_a, p_u, r, policy=Discriminating(ac_, aw_))
-                return discriminating_accuracy(scenario).p_correct_aided
+                return evaluate(scenario).p_correct_aided
 
             d_ac = (acc(ac + h, aw) - acc(ac - h, aw)) / (2 * h)
             d_aw = (acc(ac, aw + h) - acc(ac, aw - h)) / (2 * h)
@@ -207,24 +195,24 @@ class TestDiscriminatingAccuracy:
 class TestSelfGatedAccuracy:
     def test_worked_example(self):
         scenario = make_scenario(policy=SelfGated(0.7, 0.7))
-        result = self_gated_accuracy(scenario)
+        result = evaluate(scenario)
         assert result.p_correct_aided == pytest.approx(0.742, abs=EXACT)
 
     def test_perfect_self_knowledge_reaches_combined_ceiling(self):
         scenario = make_scenario(policy=SelfGated(1.0, 1.0))
-        result = self_gated_accuracy(scenario)
+        result = evaluate(scenario)
         ceiling = potential_combined(scenario.aid, scenario.user, Independent())
         assert result.p_correct_aided == pytest.approx(0.88, abs=EXACT)
         assert result.p_correct_aided == pytest.approx(ceiling, abs=EXACT)
 
     def test_coin_flip_gate_averages_the_two_rates(self):
         scenario = make_scenario(policy=SelfGated(0.5, 0.5))
-        assert self_gated_accuracy(scenario).p_correct_aided == pytest.approx(0.65, abs=EXACT)
+        assert evaluate(scenario).p_correct_aided == pytest.approx(0.65, abs=EXACT)
 
     def test_joint_dependency_worked_example(self):
         # p11 = .55, p10 = .15, p01 = .05: p11 + p10 * g_w + p01 * g_c
         scenario = make_scenario(policy=SelfGated(0.8, 0.3), dependency=Joint(0.55))
-        result = self_gated_accuracy(scenario)
+        result = evaluate(scenario)
         assert result.p_correct_aided == pytest.approx(0.55 + 0.15 * 0.3 + 0.05 * 0.8, abs=EXACT)
         assert result.p_correct_aided == pytest.approx(0.635, abs=EXACT)
         assert result.outcome_table[(True, False, True)] == pytest.approx(0.55 * 0.8, abs=EXACT)
@@ -235,11 +223,7 @@ class TestSelfGatedAccuracy:
     def test_dominant_dependency_adds_only_the_advisor_surplus(self):
         # p11 = p_u, p10 = p_a - p_u, p01 = 0: p_u + (p_a - p_u) * g_w
         scenario = make_scenario(policy=SelfGated(0.7, 0.7), dependency=Dominant())
-        assert self_gated_accuracy(scenario).p_correct_aided == pytest.approx(0.6 + 0.1 * 0.7, abs=EXACT)
-
-    def test_wrong_policy_variant_rejected(self):
-        with pytest.raises(PolicyMismatchError):
-            self_gated_accuracy(make_scenario())
+        assert evaluate(scenario).p_correct_aided == pytest.approx(0.6 + 0.1 * 0.7, abs=EXACT)
 
 
 class TestPotentialCombined:
@@ -318,7 +302,7 @@ class TestCounterproductivity:
             r = rng.uniform(0.0, min(p_a, p_u) - 1e-6)
             p = rng.uniform(1e-3, 1.0 - 1e-3)
             scenario = make_scenario(p_a, p_u, r, policy=Indiscriminate(p))
-            assert indiscriminate_accuracy(scenario).p_correct_aided < max(p_a, p_u)
+            assert evaluate(scenario).p_correct_aided < max(p_a, p_u)
 
 
 class TestComparePolicies:
