@@ -147,14 +147,7 @@ def _result(scenario: Scenario, policy: ReliancePolicy, v: Mapping[str, Any]) ->
 
 
 def evaluate(scenario: Scenario) -> EvalResult:
-    """Closed-form accuracy for whatever policy the scenario configures.
-
-    For example, indiscriminate acceptance at rate p gives
-    p_advice_correct * p + r * (1 - p) at the fixed post-rejection rate r, and
-    the self-gated user, whose gate costs no solving time, gets
-    p11 + p10 * p_use_given_user_wrong + p01 * p_ignore_given_user_correct
-    over the latent cells (advice correct?, user would be correct?).
-    """
+    """Closed-form accuracy for whatever policy the scenario configures."""
     return _result(scenario, scenario.policy, scenario.leaves)
 
 

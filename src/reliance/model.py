@@ -73,15 +73,11 @@ def rows_table(rows, key: str) -> dict[tuple[bool, bool, bool], Any]:
 
 
 class _Wire:
-    """`to_dict` and `from_dict` of a result type, read from its `_WIRE` table.
-
-    `_WIRE` has one (key, encode, decode) per field, in wire order; an encode
-    or decode of None writes or reads the value as it is.  A field with a
-    default, such as `notes`, may be left out of the dict `from_dict` reads;
-    any other missing key raises KeyError naming it.
+    """`to_dict` and `from_dict` read from the class's `_WIRE` table: one
+    (key, encode, decode) per field in wire order, where None writes or reads
+    the value as it is.  `from_dict` may be given no value for a field with a
+    default, such as `notes`; any other missing key raises KeyError naming it.
     """
-
-    _WIRE: tuple = ()
 
     def to_dict(self) -> dict[str, Any]:
         data = {}
@@ -105,9 +101,7 @@ def _cells(key: str) -> tuple:
     return lambda table: cell_rows(table, key), lambda rows: rows_table(rows, key)
 
 
-# tuple <-> list; `notes` in every result type that has them
-_SEQUENCE = (list, tuple)
-_NOTES = ("notes", *_SEQUENCE)
+_NOTES = ("notes", list, tuple)
 
 
 class DegradedRateWarning(UserWarning):
@@ -316,11 +310,16 @@ _SECTIONS: dict[str, type | dict[str, type]] = {
 _WIRE_NAMES: dict[type, str] = {
     cls: name for table in (_POLICIES, _DEPENDENCIES) for name, cls in table.items()
 }
+# The classes each section admits.
+_CLASSES: dict[str, tuple[type, ...]] = {
+    section: tuple(variants.values()) if isinstance(variants, dict) else (variants,)
+    for section, variants in _SECTIONS.items()
+}
 # field -> dot-path of every probability of each section class.
 _FIELDS: dict[type, dict[str, str]] = {
     cls: {f.name: f"{section}.{f.name}" for f in fields(cls)}
-    for section, variants in _SECTIONS.items()
-    for cls in (variants.values() if isinstance(variants, dict) else (variants,))
+    for section, classes in _CLASSES.items()
+    for cls in classes
 }
 
 
@@ -414,6 +413,11 @@ class Scenario:
     degradation_mode: str | None = None
 
     def __post_init__(self):
+        for name, classes in _CLASSES.items():
+            section = getattr(self, name)
+            if type(section) not in classes:
+                allowed = ", ".join(cls.__name__ for cls in classes)
+                raise TypeError(f"Scenario.{name} must be one of {allowed}; got {section!r}")
         violations = _scenario_violations(self.aid, self.user, self.dependency, self.degradation_mode)
         if violations:
             raise ScenarioValidationError(violations)

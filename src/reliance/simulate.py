@@ -27,7 +27,6 @@ from .model import (
     RoutineIgnore,
     Scenario,
     SelfGated,
-    _SEQUENCE,
     _Wire,
     _cells,
     check_cells,
@@ -95,7 +94,7 @@ class SimEstimate(_Wire):
         ("p_hat", None, None),
         ("n_trials", None, None),
         ("std_err", None, None),
-        ("ci95", *_SEQUENCE),
+        ("ci95", list, tuple),
         ("seed", None, None),
         ("n_shards", None, None),
         ("outcome_counts", *_cells("count")),

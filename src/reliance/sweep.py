@@ -37,7 +37,6 @@ from .model import (
     ScenarioValidationError,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
     _SECTIONS,
-    _SEQUENCE,
     _WIRE_NAMES,
     _Wire,
     _warn_degraded_rate,
@@ -92,8 +91,8 @@ class SweepSeries(_Wire):
 
     _WIRE = (
         ("parameter_path", None, None),
-        ("parameter_values", *_SEQUENCE),
-        ("accuracies", *_SEQUENCE),
+        ("parameter_values", list, tuple),
+        ("accuracies", list, tuple),
         ("unaided_reference", None, None),
         ("routine_accept_reference", None, None),
     )

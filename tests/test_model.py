@@ -16,6 +16,7 @@ from reliance.model import (
     Indiscriminate,
     Joint,
     OUTCOME_CELLS,
+    Scenario,
     ScenarioValidationError,
     SelfGated,
     UserProfile,
@@ -197,6 +198,22 @@ class TestValidateScenario:
             make_scenario(dependency=Joint(0.75))
         with pytest.raises(ScenarioValidationError):
             make_scenario(p_a=0.55, dependency=Dominant())
+
+    @pytest.mark.parametrize(
+        "section,value,allowed",
+        [
+            ("policy", "discriminating", "RoutineAccept, RoutineIgnore, Indiscriminate, Discriminating, SelfGated"),
+            ("dependency", object(), "Independent, Joint, Dominant"),
+            ("aid", UserProfile(0.7, 0.5), "AidProfile"),
+            ("user", None, "UserProfile"),
+        ],
+    )
+    def test_a_section_of_the_wrong_class_is_a_type_error(self, section, value, allowed):
+        sections = dict(aid=AidProfile(0.7), user=UserProfile(0.6, 0.5), policy=Indiscriminate(0.5))
+        sections[section] = value
+        sections.setdefault("dependency", Independent())
+        with pytest.raises(TypeError, match=f"^Scenario.{section} must be one of {allowed}; got "):
+            Scenario(**sections)
 
     def test_each_field_is_checked_once(self, monkeypatch):
         raw = {
