@@ -427,8 +427,10 @@ s = reliance.validate_scenario({
     "policy": {"type": "discriminating", "p_accept_given_correct": 0.8, "p_accept_given_wrong": 0.3},
     "dependency": {"type": "joint", "p_both_correct": 0.45},
 })
-reliance.evaluate(s), reliance.compare_policies(s), reliance.sensitivity(s)
-reliance.breakeven_discrimination(s.aid, s.user, s.dependency)
+results = reliance.evaluate(s), reliance.compare_policies(s), reliance.sensitivity(s)
+breakeven = reliance.breakeven_discrimination(s.aid, s.user, s.dependency)
 reliance.potential_combined(s.aid, s.user, s.dependency)
+for result in results[0], results[1], breakeven:
+    assert type(result).from_dict(result.to_dict()) == result
 """
     assert not numpy_loaded_after(probe)
