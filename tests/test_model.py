@@ -1,13 +1,24 @@
-"""Domain types, scenario validation, and conditional user rates."""
+"""Domain types, scenario validation, conditional user rates, and the
+record semantics of every model and result type."""
 
 import copy
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from reliance import model
+from reliance.analytic import (
+    BreakevenResult,
+    PolicyComparison,
+    breakeven_discrimination,
+    compare_policies,
+    evaluate,
+)
 from reliance.model import (
     AidProfile,
+    ConstraintViolation,
     DegradedRateWarning,
     Discriminating,
     Dominant,
@@ -16,6 +27,8 @@ from reliance.model import (
     Indiscriminate,
     Joint,
     OUTCOME_CELLS,
+    RoutineAccept,
+    RoutineIgnore,
     Scenario,
     ScenarioValidationError,
     SelfGated,
@@ -26,6 +39,8 @@ from reliance.model import (
     scenario_to_dict,
     validate_scenario,
 )
+from reliance.simulate import SimEstimate, TrialOutcome, estimate_accuracy
+from reliance.sweep import SweepSeries, SweepSpec, run_sweep
 
 from conftest import BASE_RAW, make_scenario, random_dependency
 
@@ -494,3 +509,180 @@ class TestViolationText:
         with pytest.raises(ScenarioValidationError) as err:
             validate_scenario(_malformed(aid={"p_advice_correct": 10**400}))
         assert [v.constraint for v in err.value.violations] == ["aid.p_advice_correct"]
+
+
+# --- record semantics of every model and result type -----------------------
+
+# Each record type's fields in positional order.
+RECORD_FIELDS = {
+    ConstraintViolation: ("constraint", "value", "allowed", "detail"),
+    AidProfile: ("p_advice_correct",),
+    UserProfile: ("p_unaided_correct", "p_post_reject_correct"),
+    RoutineAccept: (),
+    RoutineIgnore: (),
+    Indiscriminate: ("p_accept",),
+    Discriminating: ("p_accept_given_correct", "p_accept_given_wrong"),
+    SelfGated: ("p_ignore_given_user_correct", "p_use_given_user_wrong"),
+    Independent: (),
+    Joint: ("p_both_correct",),
+    Dominant: (),
+    Scenario: ("aid", "user", "policy", "dependency", "degradation_mode"),
+    EvalResult: ("p_correct_aided", "outcome_table", "p_accept_marginal", "notes"),
+    PolicyComparison: ("results", "configured_policy", "best_policy", "margins", "notes"),
+    BreakevenResult: ("d_star", "target", "accuracy_at_d_star", "degradation_mode"),
+    TrialOutcome: ("advice_correct", "user_would_be_correct", "attended", "accepted_or_used", "final_correct"),
+    SimEstimate: (
+        "p_hat", "n_trials", "std_err", "ci95", "seed", "n_shards", "outcome_counts",
+        "advice_correct_count", "user_correct_count", "either_correct_count",
+    ),
+    SweepSpec: ("base", "parameter_path", "start", "stop", "steps"),
+    SweepSeries: ("parameter_path", "parameter_values", "accuracies", "unaided_reference", "routine_accept_reference"),
+}
+# The fields that have a default, with it.
+RECORD_DEFAULTS = {
+    ConstraintViolation: {"detail": ""},
+    Scenario: {"degradation_mode": None},
+    EvalResult: {"notes": ()},
+    PolicyComparison: {"notes": ()},
+}
+# The record types whose values include a dict, so that they are not hashable.
+UNHASHABLE = {EvalResult, PolicyComparison, SimEstimate}
+
+
+def one_record(cls):
+    """An instance of the record type `cls` with every field set."""
+    scenario = make_scenario(policy=Discriminating(0.8, 0.3), dependency=Joint(0.45), mode="fixed_rate")
+    spec = SweepSpec(scenario, "policy.p_accept_given_correct", 0.0, 1.0, 5)
+    build = {
+        ConstraintViolation: lambda: ConstraintViolation("aid.p_advice_correct", 1.5, "[0, 1]", "a detail"),
+        AidProfile: lambda: AidProfile(0.5),
+        UserProfile: lambda: UserProfile(0.6, 0.4),
+        RoutineAccept: RoutineAccept,
+        RoutineIgnore: RoutineIgnore,
+        Indiscriminate: lambda: Indiscriminate(0.5),
+        Discriminating: lambda: Discriminating(0.8, 0.3),
+        SelfGated: lambda: SelfGated(0.8, 0.3),
+        Independent: Independent,
+        Joint: lambda: Joint(0.45),
+        Dominant: Dominant,
+        Scenario: lambda: scenario,
+        EvalResult: lambda: evaluate(make_scenario()),
+        PolicyComparison: lambda: compare_policies(make_scenario(p_a=0.5, p_u=0.5, r=0.5)),
+        BreakevenResult: lambda: breakeven_discrimination(scenario.aid, scenario.user, scenario.dependency),
+        TrialOutcome: lambda: TrialOutcome(True, False, True, True, True),
+        SimEstimate: lambda: estimate_accuracy(scenario, 1000, seed=3),
+        SweepSpec: lambda: spec,
+        SweepSeries: lambda: run_sweep(spec),
+    }
+    return build[cls]()
+
+
+def values_of(record) -> tuple:
+    return tuple(getattr(record, name) for name in RECORD_FIELDS[type(record)])
+
+
+records = pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cls.__name__)
+
+
+class TestRecords:
+    def test_every_record_type_is_listed(self):
+        assert len(RECORD_FIELDS) == 19
+        notes = [cls for cls in RECORD_FIELDS if "notes" in RECORD_FIELDS[cls]]
+        assert all("notes" in RECORD_DEFAULTS[cls] for cls in notes)
+
+    @records
+    def test_built_by_position_and_by_keyword(self, cls):
+        record = one_record(cls)
+        values = values_of(record)
+        assert cls(*values) == record
+        assert cls(**dict(zip(RECORD_FIELDS[cls], values))) == record
+
+    @records
+    def test_defaults(self, cls):
+        defaults = RECORD_DEFAULTS.get(cls, {})
+        required = RECORD_FIELDS[cls][: len(RECORD_FIELDS[cls]) - len(defaults)]
+        assert RECORD_FIELDS[cls][len(required):] == tuple(defaults)
+        values = dict(zip(RECORD_FIELDS[cls], values_of(one_record(cls))))
+        built = cls(**{name: values[name] for name in required})
+        for name, default in defaults.items():
+            assert getattr(built, name) == default
+
+    @records
+    def test_a_missing_or_unexpected_argument_is_a_type_error(self, cls):
+        values = values_of(one_record(cls))
+        required = len(values) - len(RECORD_DEFAULTS.get(cls, {}))
+        if required:
+            with pytest.raises(TypeError, match="missing 1 required positional argument"):
+                cls(*values[: required - 1])
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            cls(*values, bogus=1)
+        with pytest.raises(TypeError, match="positional argument"):
+            cls(*values, None)
+
+    def test_equal_only_within_one_class(self):
+        assert AidProfile(0.5) != Indiscriminate(0.5)
+        assert RoutineAccept() != RoutineIgnore()
+        assert Independent() != Dominant()
+        assert AidProfile(0.5) != (0.5,)
+        assert AidProfile(0.5) == AidProfile(0.5) and AidProfile(0.5) != AidProfile(0.6)
+
+    @records
+    def test_equal_values_give_equal_hashes(self, cls):
+        record = one_record(cls)
+        twin = cls(*values_of(record))
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(twin) == hash(record)
+            assert len({record, twin}) == 1
+
+    @records
+    def test_repr_names_every_field(self, cls):
+        record = one_record(cls)
+        shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in RECORD_FIELDS[cls])
+        assert repr(record) == f"{cls.__name__}({shown})"
+
+    def test_repr_text(self):
+        assert repr(AidProfile(0.5)) == "AidProfile(p_advice_correct=0.5)"
+        assert repr(RoutineAccept()) == "RoutineAccept()"
+        assert repr(make_scenario(policy=RoutineIgnore())) == (
+            "Scenario(aid=AidProfile(p_advice_correct=0.7), "
+            "user=UserProfile(p_unaided_correct=0.6, p_post_reject_correct=0.4), "
+            "policy=RoutineIgnore(), dependency=Independent(), degradation_mode=None)"
+        )
+
+    @records
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        record = one_record(cls)
+        for name in (*RECORD_FIELDS[cls], "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.5)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert values_of(record) == values_of(one_record(cls))
+
+    @records
+    def test_copies_and_pickles_are_equal(self, cls):
+        record = one_record(cls)
+        for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(again) is cls
+            assert again == record
+            assert repr(again) == repr(record)
+
+    def test_a_copied_scenario_keeps_its_derived_values(self):
+        scenario = make_scenario(dependency=Joint(0.45))
+        for again in (copy.copy(scenario), copy.deepcopy(scenario), pickle.loads(pickle.dumps(scenario))):
+            assert again.leaves == scenario.leaves
+            assert again.effective_degradation_mode == scenario.effective_degradation_mode
+            assert evaluate(again) == evaluate(scenario)
+
+    def test_copying_a_degraded_user_does_not_warn_again(self):
+        with pytest.warns(DegradedRateWarning):
+            user = UserProfile(0.6, 0.7)
+            scenario = make_scenario(p_u=0.6, r=0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedRateWarning)
+            for record in (user, scenario):
+                for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                    assert again == record
