@@ -17,7 +17,6 @@ engine can check it cell by cell.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Any
 
 from .model import (
@@ -162,7 +161,6 @@ def potential_combined(
     return aid.p_advice_correct + user.p_unaided_correct - p11
 
 
-@dataclass(frozen=True)
 class PolicyComparison(_Wire):
     """The configured policy against both routine baselines.
 
@@ -239,7 +237,6 @@ def compare_policies(scenario: Scenario) -> PolicyComparison:
     )
 
 
-@dataclass(frozen=True)
 class BreakevenResult(_Wire):
     """Smallest symmetric discrimination matching the better routine policy.
 

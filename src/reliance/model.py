@@ -6,7 +6,9 @@ reliance policy (how advice is accepted or ignored), and the dependency
 structure between advisor and user correctness.  All types are immutable
 after validation and safe to share across threads.
 
-The frozen dataclasses are the scenario schema.  A scenario has four
+Every model and result type is a frozen record (`_Record`): the annotated
+names of its class body are its fields, stated once, in positional order.
+The section records are the scenario schema.  A scenario has four
 sections; `policy` and `dependency` are tagged by a wire name (`_POLICIES`,
 `_DEPENDENCIES`), and every field of a section's class is a probability
 whose dot-path is ``<section>.<field>``.  Construction, `validate_scenario`,
@@ -20,7 +22,6 @@ import math
 import sys
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from itertools import product
 from typing import Any
 
@@ -72,7 +73,88 @@ def rows_table(rows, key: str) -> dict[tuple[bool, bool, bool], Any]:
     }
 
 
-class _Wire:
+class _RecordType(type):
+    """Makes each class body's annotated names its fields, in order.
+
+    A field's value in the body is its default.  The fields, plus any names
+    the body lists in `__slots__`, become the class's slots.  The class gets
+    `_fields`, `_defaults` and an `__init__` generated for its fields.
+    """
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaults = {key: namespace.pop(key) for key in fields if key in namespace}
+        namespace["__slots__"] = fields + tuple(namespace.get("__slots__", ()))
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._fields, cls._defaults = fields, defaults
+        cls.__init__ = _record_init(cls)
+        return cls
+
+
+def _record_init(cls):
+    """An `__init__` that sets each field of `cls` in turn, then calls
+    `__post_init__` if the class has one.
+
+    Generated per class: a generic ``*args, **kwargs`` one is slower on every
+    result built.  It runs in this module's globals, so that
+    `_caller_stacklevel` skips its frame.
+    """
+    params = [f"{key}=_defaults[{key!r}]" if key in cls._defaults else key for key in cls._fields]
+    lines = [f"_set(self, {key!r}, {key})" for key in cls._fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    source = f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(lines or ["pass"])
+    namespace = {"__name__": __name__, "_set": object.__setattr__, "_defaults": cls._defaults}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+class _Record(metaclass=_RecordType):
+    """A frozen record: built by position or keyword through `__init__`, then
+    `__post_init__`; equal to a record of the same class with equal fields,
+    hashed by them; shown as ``Name(field=value, ...)``.
+
+    Fields cannot be assigned or deleted.  A copy or an unpickled record gets
+    its slots set as they were, without `__post_init__`, so it neither checks
+    nor warns again.  `__replace__` (`copy.replace` from Python 3.13) builds
+    a new record through `__init__`.
+    """
+
+    def _asdict(self) -> dict[str, Any]:
+        return {key: getattr(self, key) for key in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        shown = ", ".join(f"{key}={value!r}" for key, value in self._asdict().items())
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {key: getattr(self, key) for key in self.__slots__}
+
+    def __setstate__(self, state: Mapping[str, Any]) -> None:
+        for key, value in state.items():
+            object.__setattr__(self, key, value)
+
+    def __replace__(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class _Wire(_Record):
     """`to_dict` and `from_dict` read from the class's `_WIRE` table: one
     (key, encode, decode) per field in wire order, where None writes or reads
     the value as it is.  `from_dict` may be given no value for a field with a
@@ -90,7 +172,7 @@ class _Wire:
     def from_dict(cls, data: Mapping[str, Any]):
         values = {}
         for key, _, decode in cls._WIRE:
-            if key in data or not hasattr(cls, key):
+            if key in data or key not in cls._defaults:
                 value = data[key]
                 values[key] = value if decode is None else decode(value)
         return cls(**values)
@@ -108,8 +190,7 @@ class DegradedRateWarning(UserWarning):
     """Post-rejection accuracy above the unaided rate is suspicious, not fatal."""
 
 
-@dataclass(frozen=True)
-class ConstraintViolation:
+class ConstraintViolation(_Record):
     """One failed validation rule: which constraint, the value, and its allowed range."""
 
     constraint: str
@@ -151,7 +232,7 @@ def _caller_stacklevel() -> int:
     scenario layers.
 
     Counted from the function that calls this one and warns.  Frames of this
-    module and of ``sweep`` are skipped, and so is the dataclass-generated
+    module and of ``sweep`` are skipped, and so is a record's generated
     ``__init__``, which runs in this module's globals: a `UserProfile` built
     directly is reported where it was built, one loaded by
     `validate_scenario` where `validate_scenario` was called, and a degraded
@@ -200,8 +281,7 @@ def _check_probabilities(section) -> None:
         object.__setattr__(section, name, as_probability(getattr(section, name), path))
 
 
-@dataclass(frozen=True)
-class AidProfile:
+class AidProfile(_Record):
     """Marginal probability that the advisor's recommendation is correct."""
 
     p_advice_correct: Probability
@@ -209,8 +289,7 @@ class AidProfile:
     __post_init__ = _check_probabilities
 
 
-@dataclass(frozen=True)
-class UserProfile:
+class UserProfile(_Record):
     """Unaided and post-rejection hit rates of the human decision maker.
 
     `p_post_reject_correct` is the accuracy left after deliberating over and
@@ -227,18 +306,15 @@ class UserProfile:
             _warn_degraded_rate()
 
 
-@dataclass(frozen=True)
-class RoutineAccept:
+class RoutineAccept(_Record):
     """Always adopt the advice, without deliberation."""
 
 
-@dataclass(frozen=True)
-class RoutineIgnore:
+class RoutineIgnore(_Record):
     """Never attend to the advice; accuracy is the unaided rate, no time cost."""
 
 
-@dataclass(frozen=True)
-class Indiscriminate:
+class Indiscriminate(_Record):
     """Attend to the advice, then accept with a rate blind to its quality."""
 
     p_accept: Probability
@@ -246,8 +322,7 @@ class Indiscriminate:
     __post_init__ = _check_probabilities
 
 
-@dataclass(frozen=True)
-class Discriminating:
+class Discriminating(_Record):
     """Attend to the advice; acceptance depends on whether it is actually correct."""
 
     p_accept_given_correct: Probability
@@ -256,8 +331,7 @@ class Discriminating:
     __post_init__ = _check_probabilities
 
 
-@dataclass(frozen=True)
-class SelfGated:
+class SelfGated(_Record):
     """Predict own success first: solve unaided when confident, else adopt the advice outright."""
 
     p_ignore_given_user_correct: Probability
@@ -269,13 +343,11 @@ class SelfGated:
 ReliancePolicy = RoutineAccept | RoutineIgnore | Indiscriminate | Discriminating | SelfGated
 
 
-@dataclass(frozen=True)
-class Independent:
+class Independent(_Record):
     """Advisor correctness and user correctness are independent."""
 
 
-@dataclass(frozen=True)
-class Joint:
+class Joint(_Record):
     """P(advisor correct AND user would be correct) given directly."""
 
     p_both_correct: Probability
@@ -283,8 +355,7 @@ class Joint:
     __post_init__ = _check_probabilities
 
 
-@dataclass(frozen=True)
-class Dominant:
+class Dominant(_Record):
     """Advisor uniformly better: whenever the user would be correct, so is the advisor."""
 
 
@@ -317,7 +388,7 @@ _CLASSES: dict[str, tuple[type, ...]] = {
 }
 # field -> dot-path of every probability of each section class.
 _FIELDS: dict[type, dict[str, str]] = {
-    cls: {f.name: f"{section}.{f.name}" for f in fields(cls)}
+    cls: {key: f"{section}.{key}" for key in cls._fields}
     for section, classes in _CLASSES.items()
     for cls in classes
 }
@@ -394,8 +465,7 @@ def dependency_violations(
     ]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """Validated composite of advisor, user, policy, and dependency.
 
     `degradation_mode` chooses the post-rejection correctness rate used by
@@ -411,6 +481,8 @@ class Scenario:
     policy: ReliancePolicy
     dependency: DependencyModel
     degradation_mode: str | None = None
+
+    __slots__ = ("_leaves", "_mode")
 
     def __post_init__(self):
         for name, classes in _CLASSES.items():
@@ -514,7 +586,6 @@ def post_reject_rates(mode: str, dependency: DependencyModel, values: Mapping[st
     return conditional_rates(dependency, values)
 
 
-@dataclass(frozen=True)
 class EvalResult(_Wire):
     """Aided accuracy together with its full outcome decomposition.
 
@@ -601,7 +672,7 @@ def _check_section(raw: Mapping[str, Any], name: str, violations: list[Constrain
     # again and warn about a degraded user before the scenario is known to be
     # valid; `validate_scenario` warns once it is.
     checked = object.__new__(cls)
-    checked.__dict__.update(values)
+    checked.__setstate__(values)
     return checked
 
 
@@ -649,8 +720,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     canonical: dict[str, Any] = {}
     for name, variants in _SECTIONS.items():
         section = getattr(scenario, name)
-        # a section's __dict__ holds exactly its fields, in declaration order
         tag = {"type": _WIRE_NAMES[type(section)]} if isinstance(variants, dict) else {}
-        canonical[name] = {**tag, **vars(section)}
+        canonical[name] = {**tag, **section._asdict()}
     canonical["degradation_mode"] = scenario.effective_degradation_mode
     return canonical

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .model import (
     RoutineIgnore,
     Scenario,
     SelfGated,
+    _Record,
     _Wire,
     _cells,
     check_cells,
@@ -53,8 +53,7 @@ def shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(shard,)))
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(_Record):
     """One sampled trial of the decision process."""
 
     advice_correct: bool
@@ -64,7 +63,6 @@ class TrialOutcome:
     final_correct: bool
 
 
-@dataclass(frozen=True)
 class SimEstimate(_Wire):
     """Monte Carlo estimate of aided accuracy with its outcome counts.
 

@@ -22,7 +22,6 @@ closed form is affine in one leaf inside the valid domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .model import (
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
     _SECTIONS,
     _WIRE_NAMES,
+    _Record,
     _Wire,
     _warn_degraded_rate,
     _where,
@@ -46,8 +46,7 @@ from .model import (
     validate_scenario,
 )
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """One-dimensional sweep: which parameter to vary, over what grid.
 
     The grid is inclusive of both endpoints and equally spaced; `steps` is
@@ -79,7 +78,6 @@ class SweepSpec:
         return self.start + np.arange(self.steps) * width
 
 
-@dataclass(frozen=True)
 class SweepSeries(_Wire):
     """Accuracies along a sweep grid, with the two routine reference lines."""
 

@@ -143,10 +143,14 @@ def grid_breakeven(aid, user, dependency, mode=None, step=1e-3):
     return None
 
 
+def replace(record, /, **changes):
+    """`record` with the fields `changes` replaced, rebuilt through its
+    `__init__`: `copy.replace`, which needs Python 3.13."""
+    return record.__replace__(**changes)
+
+
 def perturbed_scenario(scenario: Scenario, path: str, delta: float) -> Scenario:
     """Rebuild a scenario with one dot-path parameter nudged by delta."""
-    from dataclasses import replace
-
     section, key = path.split(".")
     if section == "aid":
         return replace(scenario, aid=AidProfile(scenario.aid.p_advice_correct + delta))

@@ -38,6 +38,7 @@ from conftest import (
     make_scenario,
     perturbed_scenario,
     random_scenario,
+    replace,
 )
 
 EXACT = 1e-12
@@ -114,8 +115,6 @@ def test_06_acceptance_sweep_affine_with_known_crossing(base_scenario):
 
 
 def test_07_blind_attendance_never_beats_best_routine():
-    from dataclasses import replace
-
     grid = np.linspace(0.05, 0.95, 20)
     acceptance_levels = [round(0.1 * k, 1) for k in range(1, 10)]
     checked = 0
@@ -201,8 +200,6 @@ def test_10_special_case_collapses():
     for _ in range(100):
         scenario = random_scenario(rng, policy_kind="indiscriminate", explicit_mode=True)
         p = scenario.policy.p_accept
-        from dataclasses import replace
-
         tied = replace(scenario, policy=Discriminating(p, p))
         assert evaluate(tied).p_correct_aided == pytest.approx(
             evaluate(scenario).p_correct_aided, abs=EXACT

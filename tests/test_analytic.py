@@ -1,9 +1,10 @@
 """Closed-form accuracies: worked values, algebraic identities, and bounds."""
 
+import ast
+import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from reliance.model import (
     frechet_bounds,
 )
 
-from conftest import grid_breakeven, make_scenario, random_scenario
+from conftest import BASE_RAW, grid_breakeven, make_scenario, random_scenario, replace
 
 EXACT = 1e-12
 
@@ -401,21 +402,36 @@ class TestBreakevenDiscrimination:
         assert BreakevenResult.from_dict(unreachable.to_dict()) == unreachable
 
 
-def numpy_loaded_after(probe: str) -> bool:
-    """Run `probe` in a fresh interpreter on this source tree; whether numpy got imported."""
+def loaded_after(probe: str, *modules: str) -> list[str]:
+    """Run `probe` in a fresh interpreter on this source tree; which of
+    `modules` it left imported."""
     env = os.environ.copy()
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    probe += "\nimport sys; print('numpy' in sys.modules)"
+    probe += f"\nimport sys; print([name for name in {modules!r} if name in sys.modules])"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip() == "True"
+    return ast.literal_eval(result.stdout.strip())
 
 
 def test_closed_forms_import_without_numpy():
     # numpy stays behind the Monte Carlo engine and sweeps, so a command that
     # only needs the closed forms can skip importing it
-    assert not numpy_loaded_after("import reliance.analytic")
+    assert loaded_after("import reliance.analytic", "numpy") == []
+
+
+def test_cli_eval_runs_without_dataclasses(tmp_path):
+    # the records are built without `dataclasses`, whose import (with
+    # `inspect`) would cost more start-up than the rest of the package
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(BASE_RAW))
+    probe = f"""
+import contextlib, io
+import reliance.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert reliance.cli.main(["eval", {str(path)!r}]) == 0
+"""
+    assert loaded_after(probe, "dataclasses", "inspect") == []
 
 
 def test_closed_forms_and_sensitivity_run_without_numpy():
@@ -433,4 +449,4 @@ reliance.potential_combined(s.aid, s.user, s.dependency)
 for result in results[0], results[1], breakeven:
     assert type(result).from_dict(result.to_dict()) == result
 """
-    assert not numpy_loaded_after(probe)
+    assert loaded_after(probe, "numpy") == []

@@ -686,3 +686,17 @@ class TestRecords:
             for record in (user, scenario):
                 for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
                     assert again == record
+
+    @records
+    def test_replace_rebuilds_through_init(self, cls):
+        record = one_record(cls)
+        assert record.__replace__() == record
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            record.__replace__(bogus=1)
+
+    def test_replace_checks_and_warns_again(self):
+        assert AidProfile(0.5).__replace__(p_advice_correct=0.7) == AidProfile(0.7)
+        with pytest.raises(ScenarioValidationError):
+            AidProfile(0.5).__replace__(p_advice_correct=1.5)
+        with pytest.warns(DegradedRateWarning):
+            UserProfile(0.6, 0.4).__replace__(p_post_reject_correct=0.7)

@@ -2,7 +2,6 @@
 
 import json
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -33,7 +32,7 @@ from reliance.sweep import (  # noqa: E402
     sensitivity,
 )
 
-from conftest import perturbed_scenario  # noqa: E402
+from conftest import perturbed_scenario, replace  # noqa: E402
 
 EXACT = 1e-12
 SLACK = 5e-10  # inside the 1e-9 bound tolerance

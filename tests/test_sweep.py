@@ -3,7 +3,6 @@
 import itertools
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from reliance.sweep import (
     sensitivity,
 )
 
-from conftest import make_scenario, perturbed_scenario, random_scenario
+from conftest import make_scenario, perturbed_scenario, random_scenario, replace
 
 EXACT = 1e-12
 

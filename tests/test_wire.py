@@ -5,7 +5,6 @@ prints.  The goldens here pin the shapes no CLI run covers.  `from_dict`
 treats `notes` as optional and names any other missing key in a KeyError.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -120,4 +119,4 @@ def test_a_missing_required_key_is_named_in_a_key_error(cls):
 @pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
 def test_wire_table_names_every_field_once(cls):
     keys = [key for key, _, _ in cls._WIRE]
-    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(cls))
+    assert sorted(keys) == sorted(cls._fields)
