@@ -41,6 +41,7 @@ from .model import (
     UserProfile,
     _NOTES,
     _Wire,
+    _check_classes,
     conditional_rates,
     dependency_violations,
     joint_success_probability,
@@ -154,6 +155,7 @@ def potential_combined(
     aid: AidProfile, user: UserProfile, dependency: DependencyModel
 ) -> float:
     """P(at least one of advisor and unaided user is correct): the accuracy ceiling."""
+    _check_classes("potential_combined", aid=aid, user=user, dependency=dependency)
     bad = dependency_violations(aid, user, dependency)
     if bad:
         raise ScenarioValidationError(bad)
@@ -278,6 +280,7 @@ def breakeven_discrimination(
     (accuracy >= max of the two routine policies) has a closed-form solution;
     comparisons carry a 1e-12 slack so exact boundary cases resolve cleanly.
     """
+    _check_classes("breakeven_discrimination", aid=aid, user=user, dependency=dependency)
     bad = dependency_violations(aid, user, dependency)
     if bad:
         raise ScenarioValidationError(bad)

@@ -394,6 +394,15 @@ _FIELDS: dict[type, dict[str, str]] = {
 }
 
 
+def _check_classes(owner: str, **sections) -> None:
+    """Raise TypeError naming the first of `sections` whose class its section does not admit."""
+    for name, section in sections.items():
+        classes = _CLASSES[name]
+        if type(section) not in classes:
+            allowed = ", ".join(cls.__name__ for cls in classes)
+            raise TypeError(f"{owner}.{name} must be one of {allowed}; got {section!r}")
+
+
 def policy_name(policy: ReliancePolicy) -> str:
     """Wire name of a policy variant, e.g. ``"routine_accept"``."""
     return _WIRE_NAMES[type(policy)]
@@ -485,11 +494,9 @@ class Scenario(_Record):
     __slots__ = ("_leaves", "_mode")
 
     def __post_init__(self):
-        for name, classes in _CLASSES.items():
-            section = getattr(self, name)
-            if type(section) not in classes:
-                allowed = ", ".join(cls.__name__ for cls in classes)
-                raise TypeError(f"Scenario.{name} must be one of {allowed}; got {section!r}")
+        _check_classes(
+            "Scenario", aid=self.aid, user=self.user, policy=self.policy, dependency=self.dependency
+        )
         violations = _scenario_violations(self.aid, self.user, self.dependency, self.degradation_mode)
         if violations:
             raise ScenarioValidationError(violations)

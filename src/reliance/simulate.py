@@ -109,6 +109,8 @@ class SimEstimate(_Wire):
         expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials)
         if abs(self.std_err - expected_se) > 1e-9:
             raise ValueError("std_err inconsistent with p_hat and n_trials")
+        if len(self.ci95) != 2 or not 0.0 <= self.ci95[0] <= self.p_hat <= self.ci95[1] <= 1.0:
+            raise ValueError(f"ci95 {self.ci95!r} is not an interval in [0, 1] that holds p_hat")
 
 
 def _joint_cell_cuts(scenario: Scenario) -> tuple[float, float, float]:

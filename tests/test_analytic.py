@@ -247,6 +247,13 @@ class TestPotentialCombined:
         with pytest.raises(ScenarioValidationError):
             potential_combined(AidProfile(0.7), UserProfile(0.6, 0.4), Joint(0.75))
 
+    def test_a_section_of_the_wrong_class_is_a_type_error(self):
+        message = "^potential_combined.dependency must be one of Independent, Joint, Dominant; got 'joint'$"
+        with pytest.raises(TypeError, match=message):
+            potential_combined(AidProfile(0.7), UserProfile(0.6, 0.4), "joint")
+        with pytest.raises(TypeError, match="^potential_combined.aid must be one of AidProfile; got "):
+            potential_combined(UserProfile(0.7, 0.5), UserProfile(0.6, 0.4), Independent())
+
     def test_never_below_either_solver(self):
         rng = np.random.default_rng(31)
         for _ in range(300):
@@ -393,6 +400,14 @@ class TestBreakevenDiscrimination:
     def test_invalid_dependency_rejected(self):
         with pytest.raises(ScenarioValidationError, match="Frechet-Hoeffding"):
             breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Joint(0.75))
+
+    def test_a_section_of_the_wrong_class_is_a_type_error(self):
+        message = "^breakeven_discrimination.dependency must be one of Independent, Joint, Dominant; got 'joint'$"
+        with pytest.raises(TypeError, match=message):
+            breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), "joint")
+        message = "^breakeven_discrimination.user must be one of UserProfile; got None$"
+        with pytest.raises(TypeError, match=message):
+            breakeven_discrimination(AidProfile(0.7), None, Independent())
 
     def test_dict_round_trip_including_unattainable(self):
         reachable = breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Independent())

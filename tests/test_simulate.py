@@ -225,6 +225,11 @@ class TestEstimateAccuracy:
             ("n_trials", lambda value: 999, "outcome_counts sum to 1000, expected 999"),
             ("outcome_counts", lambda rows: rows[:-1], "outcome_counts must cover exactly the 8"),
             ("std_err", lambda value: value + 1e-6, "std_err inconsistent with p_hat and n_trials"),
+            ("ci95", lambda value: [0.9, 0.95, 0.99], "ci95 .* is not an interval"),
+            ("ci95", lambda value: [value[0]], "ci95 .* is not an interval"),
+            ("ci95", lambda value: [0.9, 0.95], "ci95 .* is not an interval"),
+            ("ci95", lambda value: [value[1], value[0]], "ci95 .* is not an interval"),
+            ("ci95", lambda value: [-0.1, value[1]], "ci95 .* is not an interval"),
         ]:
             data = estimate.to_dict()
             data[key] = edit(data[key])
