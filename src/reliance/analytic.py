@@ -42,6 +42,7 @@ from .model import (
     _NOTES,
     _Wire,
     _check_classes,
+    _record,
     conditional_rates,
     dependency_violations,
     joint_success_probability,
@@ -163,6 +164,7 @@ def potential_combined(
     return aid.p_advice_correct + user.p_unaided_correct - p11
 
 
+@_record
 class PolicyComparison(_Wire):
     """The configured policy against both routine baselines.
 
@@ -239,6 +241,7 @@ def compare_policies(scenario: Scenario) -> PolicyComparison:
     )
 
 
+@_record
 class BreakevenResult(_Wire):
     """Smallest symmetric discrimination matching the better routine policy.
 

@@ -6,7 +6,7 @@ reliance policy (how advice is accepted or ignored), and the dependency
 structure between advisor and user correctness.  All types are immutable
 after validation and safe to share across threads.
 
-Every model and result type is a frozen record (`_Record`): the annotated
+Every model and result type is a frozen record (`_record`): the annotated
 names of its class body are its fields, stated once, in positional order.
 The section records are the scenario schema.  A scenario has four
 sections; `policy` and `dependency` are tagged by a wire name (`_POLICIES`,
@@ -73,54 +73,19 @@ def rows_table(rows, key: str) -> dict[tuple[bool, bool, bool], Any]:
     }
 
 
-class _RecordType(type):
-    """Makes each class body's annotated names its fields, in order.
+class _Record:
+    """The base of every frozen record, which `_record` builds.
 
-    A field's value in the body is its default.  The fields, plus any names
-    the body lists in `__slots__`, become the class's slots.  The class gets
-    `_fields`, `_defaults` and an `__init__` generated for its fields.
+    A record is built by position or keyword through `__init__`, then
+    `__post_init__`; it equals a record of the same class with equal fields,
+    hashes by them and is shown as ``Name(field=value, ...)``.  Fields cannot
+    be assigned or deleted.  A copy or an unpickled record gets its slots set
+    as they were, without `__post_init__`, so it neither checks nor warns
+    again.  `__replace__` (`copy.replace` from Python 3.13) builds a new
+    record through `__init__`.
     """
 
-    def __new__(mcls, name, bases, namespace):
-        fields = tuple(namespace.get("__annotations__", ()))
-        defaults = {key: namespace.pop(key) for key in fields if key in namespace}
-        namespace["__slots__"] = fields + tuple(namespace.get("__slots__", ()))
-        cls = super().__new__(mcls, name, bases, namespace)
-        cls._fields, cls._defaults = fields, defaults
-        cls.__init__ = _record_init(cls)
-        return cls
-
-
-def _record_init(cls):
-    """An `__init__` that sets each field of `cls` in turn, then calls
-    `__post_init__` if the class has one.
-
-    Generated per class: a generic ``*args, **kwargs`` one is slower on every
-    result built.  It runs in this module's globals, so that
-    `_caller_stacklevel` skips its frame.
-    """
-    params = [f"{key}=_defaults[{key!r}]" if key in cls._defaults else key for key in cls._fields]
-    lines = [f"_set(self, {key!r}, {key})" for key in cls._fields]
-    if hasattr(cls, "__post_init__"):
-        lines.append("self.__post_init__()")
-    source = f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(lines or ["pass"])
-    namespace = {"__name__": __name__, "_set": object.__setattr__, "_defaults": cls._defaults}
-    exec(source, namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
-
-
-class _Record(metaclass=_RecordType):
-    """A frozen record: built by position or keyword through `__init__`, then
-    `__post_init__`; equal to a record of the same class with equal fields,
-    hashed by them; shown as ``Name(field=value, ...)``.
-
-    Fields cannot be assigned or deleted.  A copy or an unpickled record gets
-    its slots set as they were, without `__post_init__`, so it neither checks
-    nor warns again.  `__replace__` (`copy.replace` from Python 3.13) builds
-    a new record through `__init__`.
-    """
+    __slots__ = ()
 
     def _asdict(self) -> dict[str, Any]:
         return {key: getattr(self, key) for key in self._fields}
@@ -154,12 +119,47 @@ class _Record(metaclass=_RecordType):
         return type(self)(**{**self._asdict(), **changes})
 
 
+def _record(cls: type) -> type:
+    """The class `cls` rebuilt as a frozen record on `_Record`.
+
+    The annotated names of its body are its fields, in order, and a value
+    given to one there is its default.  The fields, plus any names the body
+    lists in `__slots__`, become its slots.  Its metaclass stays `type`:
+    under any other, each failing `isinstance` test, of which the closed
+    forms make dozens per scenario, costs several times as much.
+
+    Its `__init__` sets each field in turn, then calls `__post_init__` if
+    the class has one.  It is generated per class, as a generic ``*args,
+    **kwargs`` one is slower on every result built, and it runs in this
+    module's globals, so that `_caller_stacklevel` skips its frame.
+    """
+    namespace = dict(vars(cls))
+    fields = tuple(namespace.get("__annotations__", ()))
+    extra = tuple(namespace.pop("__slots__", ()))
+    for key in (*extra, "__dict__", "__weakref__"):
+        namespace.pop(key, None)
+    defaults = {key: namespace.pop(key) for key in fields if key in namespace}
+    params = [f"{key}=_defaults[{key!r}]" if key in defaults else key for key in fields]
+    lines = [f"_set(self, {key!r}, {key})" for key in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    scope = {"__name__": __name__, "_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(lines or ["pass"]), scope)
+    scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    namespace.update(__slots__=fields + extra, _fields=fields, _defaults=defaults)
+    namespace["__init__"] = scope["__init__"]
+    bases = cls.__bases__ if issubclass(cls, _Record) else (_Record,)
+    return type(cls.__name__, bases, namespace)
+
+
 class _Wire(_Record):
     """`to_dict` and `from_dict` read from the class's `_WIRE` table: one
     (key, encode, decode) per field in wire order, where None writes or reads
     the value as it is.  `from_dict` may be given no value for a field with a
     default, such as `notes`; any other missing key raises KeyError naming it.
     """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict[str, Any]:
         data = {}
@@ -190,7 +190,8 @@ class DegradedRateWarning(UserWarning):
     """Post-rejection accuracy above the unaided rate is suspicious, not fatal."""
 
 
-class ConstraintViolation(_Record):
+@_record
+class ConstraintViolation:
     """One failed validation rule: which constraint, the value, and its allowed range."""
 
     constraint: str
@@ -281,7 +282,8 @@ def _check_probabilities(section) -> None:
         object.__setattr__(section, name, as_probability(getattr(section, name), path))
 
 
-class AidProfile(_Record):
+@_record
+class AidProfile:
     """Marginal probability that the advisor's recommendation is correct."""
 
     p_advice_correct: Probability
@@ -289,7 +291,8 @@ class AidProfile(_Record):
     __post_init__ = _check_probabilities
 
 
-class UserProfile(_Record):
+@_record
+class UserProfile:
     """Unaided and post-rejection hit rates of the human decision maker.
 
     `p_post_reject_correct` is the accuracy left after deliberating over and
@@ -306,15 +309,18 @@ class UserProfile(_Record):
             _warn_degraded_rate()
 
 
-class RoutineAccept(_Record):
+@_record
+class RoutineAccept:
     """Always adopt the advice, without deliberation."""
 
 
-class RoutineIgnore(_Record):
+@_record
+class RoutineIgnore:
     """Never attend to the advice; accuracy is the unaided rate, no time cost."""
 
 
-class Indiscriminate(_Record):
+@_record
+class Indiscriminate:
     """Attend to the advice, then accept with a rate blind to its quality."""
 
     p_accept: Probability
@@ -322,7 +328,8 @@ class Indiscriminate(_Record):
     __post_init__ = _check_probabilities
 
 
-class Discriminating(_Record):
+@_record
+class Discriminating:
     """Attend to the advice; acceptance depends on whether it is actually correct."""
 
     p_accept_given_correct: Probability
@@ -331,7 +338,8 @@ class Discriminating(_Record):
     __post_init__ = _check_probabilities
 
 
-class SelfGated(_Record):
+@_record
+class SelfGated:
     """Predict own success first: solve unaided when confident, else adopt the advice outright."""
 
     p_ignore_given_user_correct: Probability
@@ -343,11 +351,13 @@ class SelfGated(_Record):
 ReliancePolicy = RoutineAccept | RoutineIgnore | Indiscriminate | Discriminating | SelfGated
 
 
-class Independent(_Record):
+@_record
+class Independent:
     """Advisor correctness and user correctness are independent."""
 
 
-class Joint(_Record):
+@_record
+class Joint:
     """P(advisor correct AND user would be correct) given directly."""
 
     p_both_correct: Probability
@@ -355,7 +365,8 @@ class Joint(_Record):
     __post_init__ = _check_probabilities
 
 
-class Dominant(_Record):
+@_record
+class Dominant:
     """Advisor uniformly better: whenever the user would be correct, so is the advisor."""
 
 
@@ -474,7 +485,8 @@ def dependency_violations(
     ]
 
 
-class Scenario(_Record):
+@_record
+class Scenario:
     """Validated composite of advisor, user, policy, and dependency.
 
     `degradation_mode` chooses the post-rejection correctness rate used by
@@ -593,6 +605,7 @@ def post_reject_rates(mode: str, dependency: DependencyModel, values: Mapping[st
     return conditional_rates(dependency, values)
 
 
+@_record
 class EvalResult(_Wire):
     """Aided accuracy together with its full outcome decomposition.
 

@@ -26,9 +26,9 @@ from .model import (
     RoutineIgnore,
     Scenario,
     SelfGated,
-    _Record,
     _Wire,
     _cells,
+    _record,
     check_cells,
     joint_success_probability,
     post_reject_rates,
@@ -53,7 +53,8 @@ def shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(shard,)))
 
 
-class TrialOutcome(_Record):
+@_record
+class TrialOutcome:
     """One sampled trial of the decision process."""
 
     advice_correct: bool
@@ -63,6 +64,7 @@ class TrialOutcome(_Record):
     final_correct: bool
 
 
+@_record
 class SimEstimate(_Wire):
     """Monte Carlo estimate of aided accuracy with its outcome counts.
 

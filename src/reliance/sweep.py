@@ -37,8 +37,8 @@ from .model import (
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
     _SECTIONS,
     _WIRE_NAMES,
-    _Record,
     _Wire,
+    _record,
     _warn_degraded_rate,
     _where,
     bound_violated,
@@ -46,7 +46,8 @@ from .model import (
     validate_scenario,
 )
 
-class SweepSpec(_Record):
+@_record
+class SweepSpec:
     """One-dimensional sweep: which parameter to vary, over what grid.
 
     The grid is inclusive of both endpoints and equally spaced; `steps` is
@@ -78,6 +79,7 @@ class SweepSpec(_Record):
         return self.start + np.arange(self.steps) * width
 
 
+@_record
 class SweepSeries(_Wire):
     """Accuracies along a sweep grid, with the two routine reference lines."""
 

@@ -590,6 +590,10 @@ class TestRecords:
         notes = [cls for cls in RECORD_FIELDS if "notes" in RECORD_FIELDS[cls]]
         assert all("notes" in RECORD_DEFAULTS[cls] for cls in notes)
 
+    def test_record_classes_keep_the_plain_metaclass(self):
+        # a failing isinstance test costs several times as much under any other
+        assert {type(cls) for cls in RECORD_FIELDS} == {type}
+
     @records
     def test_built_by_position_and_by_keyword(self, cls):
         record = one_record(cls)
