@@ -87,9 +87,6 @@ class _Record:
 
     __slots__ = ()
 
-    def _asdict(self) -> dict[str, Any]:
-        return {key: getattr(self, key) for key in self._fields}
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -129,9 +126,10 @@ def _record(cls: type) -> type:
     forms make dozens per scenario, costs several times as much.
 
     Its `__init__` sets each field in turn, then calls `__post_init__` if
-    the class has one.  It is generated per class, as a generic ``*args,
-    **kwargs`` one is slower on every result built, and it runs in this
-    module's globals, so that `_caller_stacklevel` skips its frame.
+    the class has one, and its `_asdict` gives the fields by name.  Both are
+    generated per class, as generic ones that loop over the fields are
+    slower on every result built and every scenario serialised.  They run
+    in this module's globals, so that `_caller_stacklevel` skips `__init__`.
     """
     namespace = dict(vars(cls))
     fields = tuple(namespace.get("__annotations__", ()))
@@ -143,11 +141,14 @@ def _record(cls: type) -> type:
     lines = [f"_set(self, {key!r}, {key})" for key in fields]
     if hasattr(cls, "__post_init__"):
         lines.append("self.__post_init__()")
+    shown = ", ".join(f"{key!r}: self.{key}" for key in fields)
+    source = f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(lines or ["pass"])
     scope = {"__name__": __name__, "_set": object.__setattr__, "_defaults": defaults}
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(lines or ["pass"]), scope)
-    scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    exec(f"{source}\ndef _asdict(self):\n    return {{{shown}}}", scope)
+    for method in ("__init__", "_asdict"):
+        scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        namespace[method] = scope[method]
     namespace.update(__slots__=fields + extra, _fields=fields, _defaults=defaults)
-    namespace["__init__"] = scope["__init__"]
     bases = cls.__bases__ if issubclass(cls, _Record) else (_Record,)
     return type(cls.__name__, bases, namespace)
 
@@ -674,7 +675,10 @@ def _check_section(raw: Mapping[str, Any], name: str, violations: list[Constrain
                 f"{name}.{key}", section[key], "(no such field)", "unknown field rejected"
             )
         )
-    values: dict[str, float] = {}
+    # Set each checked value directly: building through `cls(...)` would check
+    # it again and warn about a degraded user before the scenario is known to
+    # be valid; `validate_scenario` warns once it is.
+    checked = object.__new__(cls)
     ok = not unknown
     for key, path in _FIELDS[cls].items():
         if key not in section:
@@ -682,18 +686,11 @@ def _check_section(raw: Mapping[str, Any], name: str, violations: list[Constrain
             ok = False
             continue
         try:
-            values[key] = as_probability(section[key], path)
+            object.__setattr__(checked, key, as_probability(section[key], path))
         except ScenarioValidationError as err:
             violations.extend(err.violations)
             ok = False
-    if not ok:
-        return None
-    # Set the checked values directly: `cls(**values)` would check each one
-    # again and warn about a degraded user before the scenario is known to be
-    # valid; `validate_scenario` warns once it is.
-    checked = object.__new__(cls)
-    checked.__setstate__(values)
-    return checked
+    return checked if ok else None
 
 
 def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
