@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reliance import model
+from reliance import analytic, model, simulate, sweep
 from reliance.analytic import (
     BreakevenResult,
     PolicyComparison,
@@ -392,9 +392,6 @@ class TestRoutinePoliciesAreDistinct:
     def test_routine_ignore_is_not_indiscriminate_zero(self):
         """Never attending keeps the unaided rate; attending then always
         rejecting pays the deliberation cost and drops to the degraded rate."""
-        from reliance.analytic import evaluate
-        from reliance.model import RoutineIgnore
-
         ignore = evaluate(make_scenario(policy=RoutineIgnore()))
         reject_all = evaluate(make_scenario(policy=Indiscriminate(0.0)))
         assert ignore.p_correct_aided == 0.6
@@ -530,13 +527,17 @@ RECORD_FIELDS = {
     EvalResult: ("p_correct_aided", "outcome_table", "p_accept_marginal", "notes"),
     PolicyComparison: ("results", "configured_policy", "best_policy", "margins", "notes"),
     BreakevenResult: ("d_star", "target", "accuracy_at_d_star", "degradation_mode"),
-    TrialOutcome: ("advice_correct", "user_would_be_correct", "attended", "accepted_or_used", "final_correct"),
+    TrialOutcome: (
+        "advice_correct", "user_would_be_correct", "attended", "accepted_or_used", "final_correct",
+    ),
     SimEstimate: (
         "p_hat", "n_trials", "std_err", "ci95", "seed", "n_shards", "outcome_counts",
         "advice_correct_count", "user_correct_count", "either_correct_count",
     ),
     SweepSpec: ("base", "parameter_path", "start", "stop", "steps"),
-    SweepSeries: ("parameter_path", "parameter_values", "accuracies", "unaided_reference", "routine_accept_reference"),
+    SweepSeries: (
+        "parameter_path", "parameter_values", "accuracies", "unaided_reference", "routine_accept_reference",
+    ),
 }
 # The fields that have a default, with it.
 RECORD_DEFAULTS = {
@@ -587,6 +588,10 @@ records = pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda cls: cl
 class TestRecords:
     def test_every_record_type_is_listed(self):
         assert len(RECORD_FIELDS) == 19
+        modules = (model, analytic, simulate, sweep)
+        found = {obj for module in modules for obj in vars(module).values() if isinstance(obj, type)}
+        record_types = {cls for cls in found if issubclass(cls, model._Record)}
+        assert record_types - {model._Record, model._Wire} == set(RECORD_FIELDS)
         notes = [cls for cls in RECORD_FIELDS if "notes" in RECORD_FIELDS[cls]]
         assert all("notes" in RECORD_DEFAULTS[cls] for cls in notes)
 
