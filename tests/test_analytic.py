@@ -437,7 +437,7 @@ def test_closed_forms_import_without_numpy():
 
 def test_cli_eval_runs_without_dataclasses(tmp_path):
     # the records are built without `dataclasses`, whose import (with
-    # `inspect`) would cost more start-up than the rest of the package
+    # `inspect`) and class decoration took over a third of `import reliance.cli`
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(BASE_RAW))
     probe = f"""

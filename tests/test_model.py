@@ -83,7 +83,7 @@ class TestProfiles:
     def test_user_profile_warns_when_rejection_beats_unaided(self):
         with pytest.warns(DegradedRateWarning) as record:
             UserProfile(p_unaided_correct=0.4, p_post_reject_correct=0.6)
-        # reported at the constructing line, not the dataclass-generated __init__
+        # reported at the constructing line, not the record's generated __init__
         assert record[0].filename == __file__
 
     def test_validate_scenario_warns_at_its_caller(self):
