@@ -39,7 +39,7 @@ from .model import (
     ScenarioValidationError,
     SelfGated,
     UserProfile,
-    _NOTES,
+    _TUPLE,
     _Wire,
     _check_classes,
     _record,
@@ -184,17 +184,14 @@ class PolicyComparison(_Wire):
     margins: dict[str, float]
     notes: tuple[str, ...] = ()
 
-    _WIRE = (
-        (
-            "results",
+    _CODECS = {
+        "results": (
             lambda results: {name: result.to_dict() for name, result in results.items()},
             lambda data: {name: EvalResult.from_dict(result) for name, result in data.items()},
         ),
-        ("configured_policy", None, None),
-        ("best_policy", None, None),
-        ("margins", dict, dict),
-        _NOTES,
-    )
+        "margins": (dict, dict),
+        "notes": _TUPLE,
+    }
 
     def __post_init__(self):
         best = self.results[self.best_policy].p_correct_aided
@@ -255,16 +252,9 @@ class BreakevenResult(_Wire):
     accuracy_at_d_star: float | None
     degradation_mode: str
 
-    _WIRE = (
-        (
-            "d_star",
-            lambda d_star: "unattainable" if d_star is None else d_star,
-            lambda d_star: None if d_star == "unattainable" else d_star,
-        ),
-        ("target", None, None),
-        ("accuracy_at_d_star", None, None),
-        ("degradation_mode", None, None),
-    )
+    _CODECS = {
+        "d_star": (lambda d: "unattainable" if d is None else d, lambda d: None if d == "unattainable" else d)
+    }
 
     @property
     def attainable(self) -> bool:

@@ -130,6 +130,7 @@ def _record(cls: type) -> type:
     generated per class, as generic ones that loop over the fields are
     slower on every result built and every scenario serialised.  They run
     in this module's globals, so that `_caller_stacklevel` skips `__init__`.
+    A result class gets its `_WIRE` table here too, so no codec is looked up per call.
     """
     namespace = dict(vars(cls))
     fields = tuple(namespace.get("__annotations__", ()))
@@ -149,18 +150,24 @@ def _record(cls: type) -> type:
         scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
         namespace[method] = scope[method]
     namespace.update(__slots__=fields + extra, _fields=fields, _defaults=defaults)
+    if issubclass(cls, _Wire):
+        order = namespace.get("_WIRE_ORDER", fields)
+        namespace["_WIRE"] = tuple((key, *cls._CODECS.get(key, (None, None))) for key in order)
     bases = cls.__bases__ if issubclass(cls, _Record) else (_Record,)
     return type(cls.__name__, bases, namespace)
 
 
 class _Wire(_Record):
-    """`to_dict` and `from_dict` read from the class's `_WIRE` table: one
-    (key, encode, decode) per field in wire order, where None writes or reads
-    the value as it is.  `from_dict` may be given no value for a field with a
+    """`to_dict` and `from_dict` read the `_WIRE` table that `_record` derives:
+    (key, encode, decode) per field, in `_WIRE_ORDER` if the class states one,
+    else in field order.  A field's codec is its `_CODECS` entry, and a field
+    without one is written and read as it is; a tuple field is a JSON list
+    (`_TUPLE`).  `from_dict` may be given no value for a field with a
     default, such as `notes`; any other missing key raises KeyError naming it.
     """
 
     __slots__ = ()
+    _CODECS = {}
 
     def to_dict(self) -> dict[str, Any]:
         data = {}
@@ -184,7 +191,7 @@ def _cells(key: str) -> tuple:
     return lambda table: cell_rows(table, key), lambda rows: rows_table(rows, key)
 
 
-_NOTES = ("notes", list, tuple)
+_TUPLE = (list, tuple)
 
 
 class DegradedRateWarning(UserWarning):
@@ -626,13 +633,9 @@ class EvalResult(_Wire):
     # Loose construction guard; the test suite asserts the 1e-12 versions on
     # every computed result. The slack covers 12-significant-digit round-trips.
     _GUARD = 1e-9
+    _CODECS = {"outcome_table": _cells("probability"), "notes": _TUPLE}
     # the wire order is not the field order, which positional callers rely on
-    _WIRE = (
-        ("p_correct_aided", None, None),
-        ("p_accept_marginal", None, None),
-        ("outcome_table", *_cells("probability")),
-        _NOTES,
-    )
+    _WIRE_ORDER = ("p_correct_aided", "p_accept_marginal", "outcome_table", "notes")
 
     def __post_init__(self):
         check_cells(self.outcome_table, "outcome_table")

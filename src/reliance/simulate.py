@@ -26,6 +26,7 @@ from .model import (
     RoutineIgnore,
     Scenario,
     SelfGated,
+    _TUPLE,
     _Wire,
     _cells,
     _record,
@@ -90,18 +91,7 @@ class SimEstimate(_Wire):
     user_correct_count: int
     either_correct_count: int
 
-    _WIRE = (
-        ("p_hat", None, None),
-        ("n_trials", None, None),
-        ("std_err", None, None),
-        ("ci95", list, tuple),
-        ("seed", None, None),
-        ("n_shards", None, None),
-        ("outcome_counts", *_cells("count")),
-        ("advice_correct_count", None, None),
-        ("user_correct_count", None, None),
-        ("either_correct_count", None, None),
-    )
+    _CODECS = {"ci95": _TUPLE, "outcome_counts": _cells("count")}
 
     def __post_init__(self):
         check_cells(self.outcome_counts, "outcome_counts")

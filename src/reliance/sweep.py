@@ -36,6 +36,7 @@ from .model import (
     ScenarioValidationError,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
     _SECTIONS,
+    _TUPLE,
     _WIRE_NAMES,
     _Wire,
     _record,
@@ -89,13 +90,7 @@ class SweepSeries(_Wire):
     unaided_reference: float
     routine_accept_reference: float
 
-    _WIRE = (
-        ("parameter_path", None, None),
-        ("parameter_values", list, tuple),
-        ("accuracies", list, tuple),
-        ("unaided_reference", None, None),
-        ("routine_accept_reference", None, None),
-    )
+    _CODECS = {"parameter_values": _TUPLE, "accuracies": _TUPLE}
 
     def __post_init__(self):
         if len(self.parameter_values) != len(self.accuracies):
