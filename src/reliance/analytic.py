@@ -36,15 +36,13 @@ from .model import (
     RoutineAccept,
     RoutineIgnore,
     Scenario,
-    ScenarioValidationError,
     SelfGated,
     UserProfile,
     _TUPLE,
     _Wire,
-    _check_classes,
+    _check_sections,
     _record,
     conditional_rates,
-    dependency_violations,
     joint_success_probability,
     leaves_of,
     policy_name,
@@ -156,10 +154,7 @@ def potential_combined(
     aid: AidProfile, user: UserProfile, dependency: DependencyModel
 ) -> float:
     """P(at least one of advisor and unaided user is correct): the accuracy ceiling."""
-    _check_classes("potential_combined", aid=aid, user=user, dependency=dependency)
-    bad = dependency_violations(aid, user, dependency)
-    if bad:
-        raise ScenarioValidationError(bad)
+    _check_sections("potential_combined", aid=aid, user=user, dependency=dependency)
     p11 = joint_success_probability(dependency, leaves_of(aid, user, dependency))
     return aid.p_advice_correct + user.p_unaided_correct - p11
 
@@ -273,10 +268,7 @@ def breakeven_discrimination(
     (accuracy >= max of the two routine policies) has a closed-form solution;
     comparisons carry a 1e-12 slack so exact boundary cases resolve cleanly.
     """
-    _check_classes("breakeven_discrimination", aid=aid, user=user, dependency=dependency)
-    bad = dependency_violations(aid, user, dependency)
-    if bad:
-        raise ScenarioValidationError(bad)
+    _check_sections("breakeven_discrimination", mode, aid=aid, user=user, dependency=dependency)
     mode = resolve_degradation_mode(mode, dependency)
     p_a = aid.p_advice_correct
     p_u = user.p_unaided_correct

@@ -413,13 +413,18 @@ _FIELDS: dict[type, dict[str, str]] = {
 }
 
 
-def _check_classes(owner: str, **sections) -> None:
-    """Raise TypeError naming the first of `sections` whose class its section does not admit."""
+def _check_sections(owner: str, degradation_mode: str | None = None, **sections) -> None:
+    """Raise TypeError naming the first of `sections` whose class its section
+    does not admit, then ScenarioValidationError for an unknown degradation
+    mode or a dependency past its bounds."""
     for name, section in sections.items():
         classes = _CLASSES[name]
         if type(section) not in classes:
             allowed = ", ".join(cls.__name__ for cls in classes)
             raise TypeError(f"{owner}.{name} must be one of {allowed}; got {section!r}")
+    violations = _scenario_violations(degradation_mode, **sections)
+    if violations:
+        raise ScenarioValidationError(violations)
 
 
 def policy_name(policy: ReliancePolicy) -> str:
@@ -514,12 +519,7 @@ class Scenario:
     __slots__ = ("_leaves", "_mode")
 
     def __post_init__(self):
-        _check_classes(
-            "Scenario", aid=self.aid, user=self.user, policy=self.policy, dependency=self.dependency
-        )
-        violations = _scenario_violations(self.aid, self.user, self.dependency, self.degradation_mode)
-        if violations:
-            raise ScenarioValidationError(violations)
+        _check_sections("Scenario", **self._asdict())
         object.__setattr__(self, "_leaves", leaves_of(self.aid, self.user, self.dependency, self.policy))
         object.__setattr__(self, "_mode", resolve_degradation_mode(self.degradation_mode, self.dependency))
 
@@ -544,9 +544,9 @@ def leaves_of(aid, user, dependency, policy=None) -> dict[str, float]:
     }
 
 
-def _scenario_violations(aid, user, dependency, mode) -> list[ConstraintViolation]:
+def _scenario_violations(mode, aid=None, user=None, dependency=None, policy=None) -> list[ConstraintViolation]:
     """The degradation mode's check, then the dependency's bound checks once
-    aid, user and dependency are all known."""
+    aid, user and dependency are all known; the policy is not read."""
     violations = []
     if mode is not None and mode not in DEGRADATION_MODES:
         violations.append(
@@ -722,8 +722,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     sections = {name: _check_section(raw, name, violations) for name in _SECTIONS if name in raw}
     mode = raw.get("degradation_mode")
     if violations:
-        aid, user, dependency = (sections.get(name) for name in ("aid", "user", "dependency"))
-        violations.extend(_scenario_violations(aid, user, dependency, mode))
+        violations.extend(_scenario_violations(mode, **sections))
         raise ScenarioValidationError(violations)
     scenario = Scenario(**sections, degradation_mode=mode)
     if scenario.user.p_post_reject_correct > scenario.user.p_unaided_correct:

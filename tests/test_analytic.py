@@ -31,6 +31,7 @@ from reliance.model import (
     SelfGated,
     UserProfile,
     frechet_bounds,
+    validate_scenario,
 )
 
 from conftest import BASE_RAW, grid_breakeven, make_scenario, random_scenario, replace
@@ -400,6 +401,16 @@ class TestBreakevenDiscrimination:
     def test_invalid_dependency_rejected(self):
         with pytest.raises(ScenarioValidationError, match="Frechet-Hoeffding"):
             breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Joint(0.75))
+
+    def test_an_unknown_mode_is_refused_as_the_validator_refuses_it(self):
+        with pytest.raises(ScenarioValidationError) as expected:
+            validate_scenario({**BASE_RAW, "degradation_mode": "bogus"})
+        with pytest.raises(ScenarioValidationError) as err:
+            breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Independent(), mode="bogus")
+        assert err.value.violations == expected.value.violations
+        assert str(err.value) == (
+            "invalid scenario:\n  degradation_mode: 'bogus' not in {fixed_rate, conditional_from_joint}"
+        )
 
     def test_a_section_of_the_wrong_class_is_a_type_error(self):
         message = "^breakeven_discrimination.dependency must be one of Independent, Joint, Dominant; got 'joint'$"
