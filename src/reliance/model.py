@@ -163,7 +163,8 @@ class _Wire(_Record):
     else in field order.  A field's codec is its `_CODECS` entry, and a field
     without one is written and read as it is; a tuple field is a JSON list
     (`_TUPLE`).  `from_dict` may be given no value for a field with a
-    default, such as `notes`; any other missing key raises KeyError naming it.
+    default, such as `notes`; any other missing key raises KeyError naming it,
+    and a key that names no field raises ValueError naming it.
     """
 
     __slots__ = ()
@@ -178,6 +179,9 @@ class _Wire(_Record):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
+        unknown = data.keys() - cls._fields
+        if unknown:
+            raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
         values = {}
         for key, _, decode in cls._WIRE:
             if key in data or key not in cls._defaults:

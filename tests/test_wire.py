@@ -2,7 +2,8 @@
 
 `to_dict()` is the CLI's `result` object; the CLI goldens pin the shapes it
 prints.  The goldens here pin the shapes no CLI run covers.  `from_dict`
-treats `notes` as optional and names any other missing key in a KeyError.
+treats `notes` as optional, names any other missing key in a KeyError and
+any unknown key in a ValueError.
 """
 
 import hashlib
@@ -91,9 +92,14 @@ def one_of_each():
 RESULT_TYPES = [EvalResult, PolicyComparison, BreakevenResult, SimEstimate, SweepSeries]
 
 
+def one_of(cls):
+    (result,) = [r for r in one_of_each() if type(r) is cls]
+    return result
+
+
 @pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
 def test_from_dict_without_notes_gives_no_notes(cls):
-    (result,) = [r for r in one_of_each() if type(r) is cls]
+    result = one_of(cls)
     data = result.to_dict()
     if "notes" not in data:
         assert not hasattr(result, "notes")
@@ -105,7 +111,7 @@ def test_from_dict_without_notes_gives_no_notes(cls):
 
 @pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
 def test_a_missing_required_key_is_named_in_a_key_error(cls):
-    (result,) = [r for r in one_of_each() if type(r) is cls]
+    result = one_of(cls)
     required = [key for key in result.to_dict() if key != "notes"]
     assert required
     for key in required:
@@ -117,6 +123,22 @@ def test_a_missing_required_key_is_named_in_a_key_error(cls):
 
 
 @pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
-def test_wire_table_names_every_field_once(cls):
+def test_an_unknown_key_is_named_in_a_value_error(cls):
+    with pytest.raises(ValueError, match=f"^{cls.__name__} has no field 'bogus', 'extra'$"):
+        cls.from_dict({**one_of(cls).to_dict(), "extra": 1, "bogus": None})
+
+
+def test_an_unknown_key_in_a_compared_result_is_named():
+    data = tied_compare().to_dict()
+    data["results"]["routine_ignore"]["bogus"] = 1
+    with pytest.raises(ValueError, match="^EvalResult has no field 'bogus'$"):
+        PolicyComparison.from_dict(data)
+
+
+@pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
+def test_wire_table_is_derived_from_the_fields_and_codecs(cls):
     keys = [key for key, _, _ in cls._WIRE]
     assert sorted(keys) == sorted(cls._fields)
+    assert set(cls._CODECS) <= set(cls._fields)
+    for key, encode, decode in cls._WIRE:
+        assert (encode, decode) == cls._CODECS.get(key, (None, None))
