@@ -20,6 +20,7 @@ from collections.abc import Mapping
 from typing import Any
 
 from .model import (
+    DEGRADATION_MODES,
     FIXED_RATE,
     OUTCOME_CELLS,
     P_ADVICE,
@@ -189,6 +190,12 @@ class PolicyComparison(_Wire):
     }
 
     def __post_init__(self):
+        if self.configured_policy not in self.results:
+            raise ValueError(f"configured_policy {self.configured_policy!r} has no result")
+        if self.margins.keys() != self.results.keys():
+            raise ValueError("margins must name exactly the compared policies")
+        if not all(margin >= 0.0 for margin in self.margins.values()):
+            raise ValueError("margins must be >= 0")
         best = self.results[self.best_policy].p_correct_aided
         top = max(r.p_correct_aided for r in self.results.values())
         if best < top - TIE_TOLERANCE:
@@ -250,6 +257,15 @@ class BreakevenResult(_Wire):
     _CODECS = {
         "d_star": (lambda d: "unattainable" if d is None else d, lambda d: None if d == "unattainable" else d)
     }
+
+    def __post_init__(self):
+        if self.degradation_mode not in DEGRADATION_MODES:
+            modes = ", ".join(DEGRADATION_MODES)
+            raise ValueError(f"degradation_mode {self.degradation_mode!r} is not one of {modes}")
+        if self.d_star is not None and not 0.5 <= self.d_star <= 1.0:
+            raise ValueError(f"d_star {self.d_star!r} not in [0.5, 1]")
+        if (self.accuracy_at_d_star is None) != (self.d_star is None):
+            raise ValueError("accuracy_at_d_star must be None exactly when d_star is")
 
     @property
     def attainable(self) -> bool:

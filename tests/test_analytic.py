@@ -350,6 +350,23 @@ class TestComparePolicies:
         with pytest.raises(ValueError, match="does not attain the maximum accuracy"):
             replace(comparison, best_policy="indiscriminate")
 
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"margins": {"routine_ignore": -3.0}}, "^margins must name exactly the compared policies$"),
+            (
+                {"margins": {"routine_ignore": -3.0, "routine_accept": 0.0, "indiscriminate": 0.0}},
+                "^margins must be >= 0$",
+            ),
+            ({"configured_policy": "self_gated"}, "^configured_policy 'self_gated' has no result$"),
+        ],
+    )
+    def test_inconsistent_wire_data_rejected(self, base_scenario, changes, message):
+        data = compare_policies(base_scenario).to_dict()
+        assert set(data["results"]) == {"routine_ignore", "routine_accept", "indiscriminate"}
+        with pytest.raises(ValueError, match=message):
+            PolicyComparison.from_dict({**data, **changes})
+
 
 class TestBreakevenDiscrimination:
     def test_base_scenario_closed_form_confirmed_by_grid(self):
@@ -419,6 +436,24 @@ class TestBreakevenDiscrimination:
         message = "^breakeven_discrimination.user must be one of UserProfile; got None$"
         with pytest.raises(TypeError, match=message):
             breakeven_discrimination(AidProfile(0.7), None, Independent())
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            (
+                {"d_star": 7.5, "degradation_mode": "sometimes"},
+                "^degradation_mode 'sometimes' is not one of fixed_rate, conditional_from_joint$",
+            ),
+            ({"d_star": 7.5}, r"^d_star 7.5 not in \[0.5, 1\]$"),
+            ({"d_star": 0.49}, r"^d_star 0.49 not in \[0.5, 1\]$"),
+            ({"d_star": "unattainable"}, "^accuracy_at_d_star must be None exactly when d_star is$"),
+            ({"accuracy_at_d_star": None}, "^accuracy_at_d_star must be None exactly when d_star is$"),
+        ],
+    )
+    def test_inconsistent_wire_data_rejected(self, changes, message):
+        data = breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Independent()).to_dict()
+        with pytest.raises(ValueError, match=message):
+            BreakevenResult.from_dict({**data, **changes})
 
     def test_dict_round_trip_including_unattainable(self):
         reachable = breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Independent())
