@@ -52,7 +52,7 @@ class SweepSpec:
     """One-dimensional sweep: which parameter to vary, over what grid.
 
     The grid is inclusive of both endpoints and equally spaced; `steps` is
-    the number of grid points and must be at least 2.
+    the number of grid points, an integer of at least 2.
     """
 
     base: Scenario
@@ -62,6 +62,8 @@ class SweepSpec:
     steps: int
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise SweepError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise SweepError(f"steps must be >= 2, got {self.steps}")
         for name in ("start", "stop"):

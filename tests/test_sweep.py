@@ -397,6 +397,15 @@ class TestRunSweep:
         with pytest.raises(SweepError, match="steps"):
             SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3", None])
+    def test_steps_that_are_no_integer_rejected(self, base_scenario, steps):
+        with pytest.raises(SweepError, match=f"^steps must be an integer, got {steps!r}$"):
+            SweepSpec(base_scenario, "policy.p_accept", 0.0, 0.5, steps)
+
+    def test_numpy_integer_steps_accepted(self, base_scenario):
+        spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 0.5, np.int64(3))
+        assert spec.grid() == [0.0, 0.25, 0.5]
+
     def test_invalid_swept_value_names_the_offender(self, base_scenario):
         scenario = replace(base_scenario, dependency=Joint(0.42))
         spec = SweepSpec(scenario, "dependency.p_both_correct", 0.0, 0.6, 7)
