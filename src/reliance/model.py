@@ -160,15 +160,15 @@ def _record(cls: type) -> type:
 class _Wire(_Record):
     """`to_dict` and `from_dict` read the `_WIRE` table that `_record` derives:
     (key, encode, decode) per field, in `_WIRE_ORDER` if the class states one,
-    else in field order.  A field's codec is its `_CODECS` entry, and a field
-    without one is written and read as it is; a tuple field is a JSON list
-    (`_TUPLE`).  `from_dict` may be given no value for a field with a
-    default, such as `notes`; any other missing key raises KeyError naming it,
-    and a key that names no field raises ValueError naming it.
+    else in field order.  Each class states `_CODECS`, the (encode, decode)
+    of each field whose JSON form differs from its value, such as a tuple
+    (`_TUPLE`, a list); any other field is written and read as it is.
+    `from_dict` may be given no value for a field with a default, such as
+    `notes`; any other missing key raises KeyError naming it, and a key
+    that names no field raises ValueError naming it.
     """
 
     __slots__ = ()
-    _CODECS = {}
 
     def to_dict(self) -> dict[str, Any]:
         data = {}
@@ -426,7 +426,7 @@ def _check_sections(owner: str, degradation_mode: str | None = None, **sections)
         if type(section) not in classes:
             allowed = ", ".join(cls.__name__ for cls in classes)
             raise TypeError(f"{owner}.{name} must be one of {allowed}; got {section!r}")
-    violations = _scenario_violations(degradation_mode, **sections)
+    violations = _scenario_violations(degradation_mode, sections)
     if violations:
         raise ScenarioValidationError(violations)
 
@@ -548,14 +548,15 @@ def leaves_of(aid, user, dependency, policy=None) -> dict[str, float]:
     }
 
 
-def _scenario_violations(mode, aid=None, user=None, dependency=None, policy=None) -> list[ConstraintViolation]:
+def _scenario_violations(mode, sections: Mapping[str, Any]) -> list[ConstraintViolation]:
     """The degradation mode's check, then the dependency's bound checks once
-    aid, user and dependency are all known; the policy is not read."""
+    the aid, user and dependency `sections` are all known."""
     violations = []
     if mode is not None and mode not in DEGRADATION_MODES:
         violations.append(
             ConstraintViolation("degradation_mode", mode, "{" + ", ".join(DEGRADATION_MODES) + "}")
         )
+    aid, user, dependency = sections.get("aid"), sections.get("user"), sections.get("dependency")
     if aid is not None and user is not None and dependency is not None:
         violations.extend(dependency_violations(aid, user, dependency))
     return violations
@@ -726,7 +727,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     sections = {name: _check_section(raw, name, violations) for name in _SECTIONS if name in raw}
     mode = raw.get("degradation_mode")
     if violations:
-        violations.extend(_scenario_violations(mode, **sections))
+        violations.extend(_scenario_violations(mode, sections))
         raise ScenarioValidationError(violations)
     scenario = Scenario(**sections, degradation_mode=mode)
     if scenario.user.p_post_reject_correct > scenario.user.p_unaided_correct:
