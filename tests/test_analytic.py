@@ -363,7 +363,6 @@ class TestComparePolicies:
     )
     def test_inconsistent_wire_data_rejected(self, base_scenario, changes, message):
         data = compare_policies(base_scenario).to_dict()
-        assert set(data["results"]) == {"routine_ignore", "routine_accept", "indiscriminate"}
         with pytest.raises(ValueError, match=message):
             PolicyComparison.from_dict({**data, **changes})
 
