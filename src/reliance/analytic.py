@@ -1,22 +1,25 @@
 """Closed-form aided accuracy for every reliance policy, plus derived quantities.
 
-One kernel states the model.  Each policy gives a row per advice cell
-(advice correct, advice wrong): the probability the advice is used, the
-probabilities it is not used when solving alone would be right and when it
-would be wrong, and the rate of being right alone.  Weighted by the advice
-cells and read at the dependency's conditional user rates, the rows give
-`evaluate`'s eight-cell outcome table, headline and marginal use rate, the
-policy comparison, break-even's post-rejection rates and the sweep arrays,
-on floats and numpy arrays alike without importing numpy.  `sensitivity`
-reads the same model summed over the latent cells, which needs no division,
-for each exact partial and for its finite-difference guard.  Every result is
-an EvalResult carrying the full outcome decomposition, so the Monte Carlo
-engine can check it cell by cell.
+One kernel states the model, in masses, so that nothing divides.  One
+decision is a draw over the four latent cells (advice right or wrong x
+solving alone right or wrong), and each policy gives a row per advice cell:
+the cell's mass, the mass where the advice is used, the chances it is left
+unused when solving alone would be right and when wrong, and the mass where
+solving alone is right.  The rows give `evaluate`'s eight-cell outcome
+table, headline and use rate, the policy comparison, break-even's intercept
+and slope, the sweep arrays and `sensitivity`, on floats and numpy arrays
+alike without importing numpy.  The one difference between readings:
+`sensitivity` reads P(both correct) unclamped, so that its form stays
+multilinear a step past a bound.  Every result is an EvalResult carrying the
+full outcome decomposition, so the Monte Carlo engine can check it cell by
+cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cache
+from operator import itemgetter
 from typing import Any
 
 from .model import (
@@ -29,25 +32,25 @@ from .model import (
     P_UNAIDED,
     AidProfile,
     DependencyModel,
+    Discriminating,
     Dominant,
     EvalResult,
     Independent,
     Indiscriminate,
-    ReliancePolicy,
+    Joint,
     RoutineAccept,
     RoutineIgnore,
     Scenario,
     SelfGated,
     UserProfile,
+    _JOINT_SUCCESS,
     _TUPLE,
     _Wire,
     _check_sections,
     _record,
-    conditional_rates,
     joint_success_probability,
     leaves_of,
     policy_name,
-    post_reject_rates,
     resolve_degradation_mode,
 )
 
@@ -56,99 +59,110 @@ TIE_TOLERANCE = 1e-12
 # Central-difference step and required agreement for the sensitivity guard.
 FD_STEP = 1e-6
 FD_TOLERANCE = 1e-6
+# A routine policy's headline is this leaf, exactly.
+_ROUTINE = {RoutineAccept: P_ADVICE, RoutineIgnore: P_UNAIDED}
+# An attending policy decides on the advice, then solves at the mode's rate.
+_ATTENDING = (Indiscriminate, Discriminating)
+# A policy's two rates from the leaves: of using correct and wrong advice (a
+# blind policy's one rate twice), or, self-gated, of ignoring the advice when
+# right alone and of using it when wrong alone.
+_RATES = {
+    RoutineAccept: lambda v: (1.0, 1.0),
+    RoutineIgnore: lambda v: (0.0, 0.0),
+    Indiscriminate: itemgetter("policy.p_accept", "policy.p_accept"),
+    Discriminating: itemgetter("policy.p_accept_given_correct", "policy.p_accept_given_wrong"),
+    SelfGated: itemgetter("policy.p_ignore_given_user_correct", "policy.p_use_given_user_wrong"),
+}
+# P(both correct) read raw, unclamped, per dependency class.
+_RAW_JOINT = {
+    Independent: _JOINT_SUCCESS[Independent],
+    Dominant: itemgetter(P_UNAIDED),
+    Joint: itemgetter(P_BOTH),
+}
 
 
-def _rows(policy: ReliancePolicy, mode: str, dependency: DependencyModel, v: Mapping[str, Any]):
-    """The policy's rows for the advice-correct and advice-wrong cells.
+@cache
+def _kernel(kind: type, mode: str, dependency: type, clamp: bool = True):
+    """The rows of policy class `kind` as a function of the leaves, chosen once.
 
-    A row is (use, keep_right, keep_wrong, q): the probability the advice is
-    used, the probabilities it is not used when solving alone would be right
-    and when wrong, and q, the rate of being right alone.  The self-gated
-    user gates on their own correctness, which the dependency ties to the
-    advice; an attending user decides first, then solves at the mode's rate.
+    A row per advice cell, correct then wrong, is (mass, used, keep_right,
+    keep_wrong, right): the cell's mass, the mass of the cell where the
+    advice is used, the chances it is left unused when solving alone would
+    be right and when wrong, and the mass where solving alone is right (p11
+    and p_u - p11, or p_a * r and (1 - p_a) * r for an attending policy under
+    fixed_rate).  Nothing divides, on floats or arrays.  P(both correct) is
+    clamped to its bounds, or read raw (p_a * p_u, p_u or p_both) if not `clamp`.
     """
-    if isinstance(policy, SelfGated):
-        g_c, keep_wrong = v["policy.p_ignore_given_user_correct"], 1.0 - v["policy.p_use_given_user_wrong"]
-        u_c, u_w = conditional_rates(dependency, v)
-        return (_gate_use(v, u_c), g_c, keep_wrong, u_c), (_gate_use(v, u_w), g_c, keep_wrong, u_w)
-    (a_c, a_w), (q_c, q_w) = _acceptance(policy, v), post_reject_rates(mode, dependency, v)
-    keep_c, keep_w = 1.0 - a_c, 1.0 - a_w
-    return (a_c, keep_c, keep_c, q_c), (a_w, keep_w, keep_w, q_w)
+    gated = kind is SelfGated
+    fixed = kind in _ATTENDING and mode == FIXED_RATE
+    rates = _RATES[kind]
+    joint = (_JOINT_SUCCESS if clamp else _RAW_JOINT)[dependency]
+
+    def rows(v: Mapping[str, Any]):
+        p_a = v[P_ADVICE]
+        m_w = 1.0 - p_a
+        if fixed:
+            r = v[P_POST_REJECT]
+            right_c, right_w = p_a * r, m_w * r
+        else:
+            right_c = joint(v)
+            right_w = v[P_UNAIDED] - right_c
+        x_c, x_w = rates(v)
+        if gated:
+            use, keep_wrong = 1.0 - x_c, 1.0 - x_w
+            return (
+                (p_a, use * right_c + x_w * (p_a - right_c), x_c, keep_wrong, right_c),
+                (m_w, use * right_w + x_w * (m_w - right_w), x_c, keep_wrong, right_w),
+            )
+        keep_c, keep_w = 1.0 - x_c, 1.0 - x_w
+        return (p_a, p_a * x_c, keep_c, keep_c, right_c), (m_w, m_w * x_w, keep_w, keep_w, right_w)
+
+    return rows
 
 
-def _gate_use(v: Mapping[str, Any], u: Any) -> Any:
-    """How often the self-gated user uses the advice when they would be right at rate u."""
-    return (1.0 - v["policy.p_ignore_given_user_correct"]) * u + v["policy.p_use_given_user_wrong"] * (1.0 - u)
-
-
-def _acceptance(policy: ReliancePolicy, v: Mapping[str, Any]) -> tuple[Any, Any]:
-    """An attending policy's acceptance rates for correct and for wrong advice."""
-    if isinstance(policy, Indiscriminate):
-        return v["policy.p_accept"], v["policy.p_accept"]
-    return v["policy.p_accept_given_correct"], v["policy.p_accept_given_wrong"]
-
-
-def _advice_cells(scenario: Scenario, policy: ReliancePolicy, v: Mapping[str, Any]):
-    """(mass, row) of the advice-correct and the advice-wrong cell."""
-    p_a = v[P_ADVICE]
-    right, wrong = _rows(policy, scenario.effective_degradation_mode, scenario.dependency, v)
-    return (p_a, right), (1.0 - p_a, wrong)
-
-
-def _correct(cells) -> Any:
+def _correct(rows) -> Any:
     """P(final answer correct): correct advice used, plus right alone, in table order."""
-    (m_c, (use_c, keep_c, _, q_c)), (m_w, (_, keep_w, _, q_w)) = cells
-    return m_c * use_c + m_c * keep_c * q_c + m_w * keep_w * q_w
+    (_, used, keep_c, _, right_c), (_, _, keep_w, _, right_w) = rows
+    return used + keep_c * right_c + keep_w * right_w
+
+
+@cache
+def _form(kind: type, mode: str, dependency: type, clamp: bool = True):
+    """The headline accuracy of policy class `kind` as a function of the
+    leaves; a routine policy's is its leaf, exactly."""
+    if kind in _ROUTINE:
+        return itemgetter(_ROUTINE[kind])
+    rows = _kernel(kind, mode, dependency, clamp)
+    return lambda v: _correct(rows(v))
 
 
 def _accuracy(scenario: Scenario, v: Mapping[str, Any]) -> Any:
-    """Headline accuracy at the leaves `v`; the routine policies keep their rates exactly."""
-    policy = scenario.policy
-    if isinstance(policy, RoutineAccept):
-        return v[P_ADVICE]
-    if isinstance(policy, RoutineIgnore):
-        return v[P_UNAIDED]
-    return _correct(_advice_cells(scenario, policy, v))
+    """The scenario's headline accuracy at the leaves `v`."""
+    return _form(type(scenario.policy), scenario.effective_degradation_mode, type(scenario.dependency))(v)
 
 
-def _result(scenario: Scenario, policy: ReliancePolicy, v: Mapping[str, Any]) -> EvalResult:
-    p_a, p_u = v[P_ADVICE], v[P_UNAIDED]
-    table = dict.fromkeys(OUTCOME_CELLS, 0.0)
-    if isinstance(policy, RoutineAccept):
-        table[(True, True, True)], table[(False, True, False)] = p_a, 1.0 - p_a
-        return EvalResult(p_correct_aided=p_a, outcome_table=table, p_accept_marginal=1.0)
-    if isinstance(policy, RoutineIgnore):
-        # never used: the table is the latent (advice, user) distribution
-        p11 = joint_success_probability(scenario.dependency, v)
-        table[(True, False, True)] = p11
-        table[(True, False, False)] = max(0.0, p_a - p11)
-        table[(False, False, True)] = max(0.0, p_u - p11)
-        table[(False, False, False)] = max(0.0, 1.0 - p_a - p_u + p11)
-        return EvalResult(p_correct_aided=p_u, outcome_table=table, p_accept_marginal=0.0)
-
-    cells = _advice_cells(scenario, policy, v)
-    for advice, (mass, (use, keep_right, keep_wrong, q)) in zip((True, False), cells):
-        table[(advice, True, advice)] = mass * use
-        table[(advice, False, True)] = mass * keep_right * q
-        table[(advice, False, False)] = mass * keep_wrong * (1.0 - q)
-    notes = ()
-    if isinstance(policy, SelfGated):
-        marginal = _gate_use(v, p_u)  # the user is right at rate p_u whatever the dependency
-    else:
-        marginal = table[(True, True, True)] + table[(False, True, False)]
-        if scenario.degradation_mode is None:
-            notes = (f"degradation_mode defaulted to {scenario.effective_degradation_mode}",)
-    return EvalResult(
-        p_correct_aided=_correct(cells),
-        outcome_table=table,
-        p_accept_marginal=marginal,
-        notes=notes,
+def _result(scenario: Scenario, kind: type, v: Mapping[str, Any]) -> EvalResult:
+    """The EvalResult of policy class `kind` in the scenario, at its leaves `v`."""
+    mode = scenario.effective_degradation_mode
+    rows = _kernel(kind, mode, type(scenario.dependency))(v)
+    (m_c, used_c, right_kept_c, wrong_kept_c, right_c), (m_w, used_w, right_kept_w, wrong_kept_w, right_w) = rows
+    masses = (  # in OUTCOME_CELLS order
+        used_c, 0.0, right_kept_c * right_c, wrong_kept_c * (m_c - right_c),
+        0.0, used_w, right_kept_w * right_w, wrong_kept_w * (m_w - right_w),
     )
+    # floored: at a bound the validation slack admits, a mass can read -1 ulp
+    table = {cell: p if p > 0.0 else 0.0 for cell, p in zip(OUTCOME_CELLS, masses)}
+    # p_a + (1 - p_a) rounds to 1, so the routine use rates are 1.0 and 0.0 exactly
+    accuracy = v[_ROUTINE[kind]] if kind in _ROUTINE else _correct(rows)
+    notes = ()
+    if kind in _ATTENDING and scenario.degradation_mode is None:
+        notes = (f"degradation_mode defaulted to {mode}",)
+    return EvalResult(accuracy, table, used_c + used_w, notes)
 
 
 def evaluate(scenario: Scenario) -> EvalResult:
     """Closed-form accuracy for whatever policy the scenario configures."""
-    return _result(scenario, scenario.policy, scenario.leaves)
+    return _result(scenario, type(scenario.policy), scenario.leaves)
 
 
 def potential_combined(
@@ -194,12 +208,15 @@ class PolicyComparison(_Wire):
             raise ValueError(f"configured_policy {self.configured_policy!r} has no result")
         if self.margins.keys() != self.results.keys():
             raise ValueError("margins must name exactly the compared policies")
-        if not all(margin >= 0.0 for margin in self.margins.values()):
-            raise ValueError("margins must be >= 0")
         best = self.results[self.best_policy].p_correct_aided
         top = max(r.p_correct_aided for r in self.results.values())
         if best < top - TIE_TOLERANCE:
             raise ValueError("best_policy does not attain the maximum accuracy")
+        for name, margin in self.margins.items():
+            if not margin >= 0.0:
+                raise ValueError("margins must be >= 0")
+            if abs(margin - (best - self.results[name].p_correct_aided)) > EvalResult._GUARD:
+                raise ValueError(f"margin {margin!r} for {name} is not the best accuracy minus its own")
 
 
 def compare_policies(scenario: Scenario) -> PolicyComparison:
@@ -207,11 +224,11 @@ def compare_policies(scenario: Scenario) -> PolicyComparison:
     configured = policy_name(scenario.policy)
     v = scenario.leaves
     results: dict[str, EvalResult] = {
-        "routine_ignore": _result(scenario, RoutineIgnore(), v),
-        "routine_accept": _result(scenario, RoutineAccept(), v),
+        "routine_ignore": _result(scenario, RoutineIgnore, v),
+        "routine_accept": _result(scenario, RoutineAccept, v),
     }
     if configured not in results:
-        results[configured] = _result(scenario, scenario.policy, v)
+        results[configured] = _result(scenario, type(scenario.policy), v)
 
     top = max(r.p_correct_aided for r in results.values())
     # `results` is in tie precedence: the least machinery first
@@ -264,8 +281,13 @@ class BreakevenResult(_Wire):
             raise ValueError(f"degradation_mode {self.degradation_mode!r} is not one of {modes}")
         if self.d_star is not None and not 0.5 <= self.d_star <= 1.0:
             raise ValueError(f"d_star {self.d_star!r} not in [0.5, 1]")
+        if not 0.0 <= self.target <= 1.0:
+            raise ValueError(f"target {self.target!r} not in [0, 1]")
         if (self.accuracy_at_d_star is None) != (self.d_star is None):
             raise ValueError("accuracy_at_d_star must be None exactly when d_star is")
+        accuracy = self.accuracy_at_d_star
+        if accuracy is not None and not max(0.0, self.target - EvalResult._GUARD) <= accuracy <= 1.0:
+            raise ValueError(f"accuracy_at_d_star {accuracy!r} not in [max(0, target - 1e-9), 1]")
 
     @property
     def attainable(self) -> bool:
@@ -286,13 +308,12 @@ def breakeven_discrimination(
     """
     _check_sections("breakeven_discrimination", mode, aid=aid, user=user, dependency=dependency)
     mode = resolve_degradation_mode(mode, dependency)
-    p_a = aid.p_advice_correct
-    p_u = user.p_unaided_correct
-    u_c, u_w = post_reject_rates(mode, dependency, leaves_of(aid, user, dependency))
-
-    target = max(p_a, p_u)
-    intercept = p_a * u_c
-    slope = p_a * (1.0 - u_c) + u_w * (1.0 - p_a)
+    target = max(aid.p_advice_correct, user.p_unaided_correct)
+    # at discrimination d the rows give d * p_a + (1 - d) * right_c + d * right_w
+    v = leaves_of(aid, user, dependency)
+    v["policy.p_accept_given_correct"], v["policy.p_accept_given_wrong"] = 0.0, 1.0
+    (p_a, _, _, _, right_c), (_, _, _, _, right_w) = _kernel(Discriminating, mode, type(dependency))(v)
+    intercept, slope = right_c, p_a - right_c + right_w
 
     def accuracy_at(d: float) -> float:
         return intercept + slope * d
@@ -318,45 +339,13 @@ def breakeven_discrimination(
 def free_parameters(scenario: Scenario) -> dict[str, float]:
     """The probability parameters the scenario's closed form actually reads."""
     values = scenario.leaves
-    policy = scenario.policy
-    if isinstance(policy, (RoutineAccept, RoutineIgnore)):
-        name = P_ADVICE if isinstance(policy, RoutineAccept) else P_UNAIDED
-        return {name: values[name]}
-    fixed = not isinstance(policy, SelfGated) and scenario.effective_degradation_mode == FIXED_RATE
+    kind = type(scenario.policy)
+    if kind in _ROUTINE:
+        return {_ROUTINE[kind]: values[_ROUTINE[kind]]}
+    fixed = kind in _ATTENDING and scenario.effective_degradation_mode == FIXED_RATE
     for name in (P_UNAIDED, P_BOTH) if fixed else (P_POST_REJECT,):
         values.pop(name, None)
     return values
-
-
-def accuracy_from_parameters(scenario: Scenario, values: Mapping[str, float]) -> float:
-    """Evaluate the scenario's closed form at the free parameters `values`.
-
-    Summed over the latent cells, whose masses (p11, p_a - p11, p_u - p11)
-    stand in for the conditional rates: multilinear and division-free, hence
-    well-defined slightly outside [0, 1].  `sensitivity` reads it for the
-    exact partials and for their finite-difference cross-check.
-    """
-    policy = scenario.policy
-    if isinstance(policy, RoutineAccept):
-        return values[P_ADVICE]
-    if isinstance(policy, RoutineIgnore):
-        return values[P_UNAIDED]
-    p_a = values[P_ADVICE]
-    if not isinstance(policy, SelfGated):
-        ac, aw = _acceptance(policy, values)
-        if scenario.effective_degradation_mode == FIXED_RATE:
-            r = values[P_POST_REJECT]
-            return ac * p_a + r * ((1.0 - ac) * p_a + (1.0 - aw) * (1.0 - p_a))
-    p_u = values[P_UNAIDED]
-    dependency = scenario.dependency
-    if isinstance(dependency, Independent):
-        p11 = p_a * p_u
-    else:
-        p11 = p_u if isinstance(dependency, Dominant) else values[P_BOTH]
-    if isinstance(policy, SelfGated):
-        g_c = values["policy.p_ignore_given_user_correct"]
-        return p11 + (p_a - p11) * values["policy.p_use_given_user_wrong"] + (p_u - p11) * g_c
-    return ac * p_a + p11 * (1.0 - ac) + (p_u - p11) * (1.0 - aw)
 
 
 def sensitivity(scenario: Scenario) -> dict[str, float]:
@@ -370,13 +359,14 @@ def sensitivity(scenario: Scenario) -> dict[str, float]:
     and raises ArithmeticError.
     """
     values = free_parameters(scenario)
+    form = _form(type(scenario.policy), scenario.effective_degradation_mode, type(scenario.dependency), False)
     partials = {}
     for name, x in values.items():
         # one working dict: the parameter is set in place, then restored
         f = []
         for point in (1.0, 0.0, x + FD_STEP, x - FD_STEP):
             values[name] = point
-            f.append(accuracy_from_parameters(scenario, values))
+            f.append(form(values))
         values[name] = x
         exact, estimate = f[0] - f[1], (f[2] - f[3]) / (2.0 * FD_STEP)
         if abs(estimate - exact) > FD_TOLERANCE:

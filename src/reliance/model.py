@@ -179,6 +179,8 @@ class _Wire(_Record):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
+        if not isinstance(data, Mapping):
+            raise TypeError(f"{cls.__name__}.from_dict needs a mapping, got {type(data).__name__}")
         unknown = data.keys() - cls._fields
         if unknown:
             raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
@@ -569,20 +571,27 @@ def resolve_degradation_mode(mode: str | None, dependency: DependencyModel) -> s
     return FIXED_RATE if isinstance(dependency, Independent) else CONDITIONAL_FROM_JOINT
 
 
+def _joint_within_bounds(values: Mapping[str, Any]):
+    lo, hi = frechet_bounds(values[P_ADVICE], values[P_UNAIDED])
+    return _min(_max(values[P_BOTH], lo), hi)
+
+
+# P(advisor correct AND user would be correct) per dependency class, from the
+# leaves; clamped to the exact Frechet-Hoeffding bounds, so values admitted
+# under the validation slack cannot produce negative cell masses.
+_JOINT_SUCCESS = {
+    Independent: lambda values: values[P_ADVICE] * values[P_UNAIDED],
+    Dominant: lambda values: _min(values[P_ADVICE], values[P_UNAIDED]),
+    Joint: _joint_within_bounds,
+}
+
+
 def joint_success_probability(dependency: DependencyModel, values: Mapping[str, Any]):
     """P(advisor correct AND user would be correct) implied by the dependency.
 
     `values` maps dot-paths to floats or numpy arrays (see Scenario.leaves).
-    The result is clamped to the exact Frechet-Hoeffding bounds, so values
-    admitted under the validation slack cannot produce negative cell masses.
     """
-    p_a, p_u = values[P_ADVICE], values[P_UNAIDED]
-    if isinstance(dependency, Independent):
-        return p_a * p_u
-    lo, hi = frechet_bounds(p_a, p_u)
-    if isinstance(dependency, Dominant):
-        return hi
-    return _min(_max(values[P_BOTH], lo), hi)
+    return _JOINT_SUCCESS[type(dependency)](values)
 
 
 def conditional_rates(dependency: DependencyModel, values: Mapping[str, Any]):
@@ -607,15 +616,6 @@ def conditional_rates(dependency: DependencyModel, values: Mapping[str, Any]):
 def conditional_user_rates(scenario: Scenario) -> tuple[float, float]:
     """(P(user would be correct | advice correct), P(user would be correct | advice wrong))."""
     return conditional_rates(scenario.dependency, scenario.leaves)
-
-
-def post_reject_rates(mode: str, dependency: DependencyModel, values: Mapping[str, Any]):
-    """Rates of solving correctly alone after rejecting correct and wrong advice:
-    p_post_reject_correct under fixed_rate, else the conditional user rates."""
-    if mode == FIXED_RATE:
-        r = values[P_POST_REJECT]
-        return r, r
-    return conditional_rates(dependency, values)
 
 
 @_record

@@ -21,6 +21,7 @@ import os
 import numpy as np
 
 from .model import (
+    FIXED_RATE,
     Indiscriminate,
     RoutineAccept,
     RoutineIgnore,
@@ -31,8 +32,8 @@ from .model import (
     _cells,
     _record,
     check_cells,
+    conditional_rates,
     joint_success_probability,
-    post_reject_rates,
 )
 
 # Uniforms consumed per trial, in fixed order.
@@ -118,6 +119,15 @@ def _joint_cell_cuts(scenario: Scenario) -> tuple[float, float, float]:
     return p11, p_a, p_a + p01
 
 
+def _post_reject_rates(scenario: Scenario) -> tuple[float, float]:
+    """Rates of solving correctly alone after rejecting correct and wrong advice:
+    p_post_reject_correct under fixed_rate, else the conditional user rates."""
+    if scenario.effective_degradation_mode == FIXED_RATE:
+        r = scenario.user.p_post_reject_correct
+        return r, r
+    return conditional_rates(scenario.dependency, scenario.leaves)
+
+
 def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
     """Draw one trial, consuming exactly DRAWS_PER_TRIAL uniforms from rng."""
     u1, u2, u3 = rng.random(DRAWS_PER_TRIAL)
@@ -142,9 +152,7 @@ def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
     accepted = bool(u2 < (ac if advice else aw))
     if accepted:
         return TrialOutcome(advice, user, True, True, advice)
-    u_c, u_w = post_reject_rates(
-        scenario.effective_degradation_mode, scenario.dependency, scenario.leaves
-    )
+    u_c, u_w = _post_reject_rates(scenario)
     final = bool(u3 < (u_c if advice else u_w))
     return TrialOutcome(advice, user, True, False, final)
 
@@ -180,9 +188,7 @@ def _simulate_batch(scenario: Scenario, n: int, rng: np.random.Generator) -> np.
         else:
             ac, aw = policy.p_accept_given_correct, policy.p_accept_given_wrong
         accepted = (advice & (u2 < ac)) | (~advice & (u2 < aw))
-        u_c, u_w = post_reject_rates(
-            scenario.effective_degradation_mode, scenario.dependency, scenario.leaves
-        )
+        u_c, u_w = _post_reject_rates(scenario)
         solved_alone = (advice & (u3 < u_c)) | (~advice & (u3 < u_w))
         final = (accepted & advice) | (~accepted & solved_alone)
 

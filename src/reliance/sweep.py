@@ -22,6 +22,7 @@ closed form is affine in one leaf inside the valid domain.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -68,6 +69,8 @@ class SweepSpec:
             raise SweepError(f"steps must be >= 2, got {self.steps}")
         for name in ("start", "stop"):
             bound = getattr(self, name)
+            if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
+                raise SweepError(f"sweep {name} must be a number, got {bound!r}")
             if not math.isfinite(bound):
                 raise SweepError(f"sweep {name} must be finite, got {bound!r}")
         if not math.isfinite(self.stop - self.start):

@@ -1,10 +1,12 @@
 """Closed-form accuracies: worked values, algebraic identities, and bounds."""
 
 import ast
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +304,61 @@ class TestEvaluateDispatch:
             assert final_mass == pytest.approx(result.p_correct_aided, abs=EXACT)
 
 
+def exact_accuracy(scenario) -> Fraction:
+    """P(final answer correct) in exact rationals: the sum over the four latent
+    cells (advice right?, user right alone?) of mass * (use * advice right +
+    (1 - use) * rate of being right alone), with P(both correct) clamped."""
+    p_a, p_u = Fraction(scenario.aid.p_advice_correct), Fraction(scenario.user.p_unaided_correct)
+    dependency, policy = scenario.dependency, scenario.policy
+    if isinstance(dependency, Independent):
+        p11 = p_a * p_u
+    elif isinstance(dependency, Dominant):
+        p11 = min(p_a, p_u)
+    else:
+        p11 = min(max(Fraction(dependency.p_both_correct), p_a + p_u - 1, Fraction(0)), p_a, p_u)
+    masses = {(1, 1): p11, (1, 0): p_a - p11, (0, 1): p_u - p11, (0, 0): 1 - p_a - p_u + p11}
+    total = Fraction(0)
+    for (advice, alone), mass in masses.items():
+        if isinstance(policy, RoutineAccept):
+            use, rate = 1, 0
+        elif isinstance(policy, RoutineIgnore):
+            use, rate = 0, alone
+        elif isinstance(policy, SelfGated):
+            gate = 1 - Fraction(policy.p_ignore_given_user_correct) if alone else policy.p_use_given_user_wrong
+            use, rate = Fraction(gate), alone
+        else:
+            if isinstance(policy, Indiscriminate):
+                accept_right = accept_wrong = policy.p_accept
+            else:
+                accept_right, accept_wrong = policy.p_accept_given_correct, policy.p_accept_given_wrong
+            use = Fraction(accept_right if advice else accept_wrong)
+            fixed = scenario.effective_degradation_mode == "fixed_rate"
+            rate = Fraction(scenario.user.p_post_reject_correct) if fixed else alone
+        total += mass * (use * advice + (1 - use) * rate)
+    return total
+
+
+POLICY_KINDS = ("routine_accept", "routine_ignore", "indiscriminate", "discriminating", "self_gated")
+
+
+def test_headline_matches_the_exact_latent_sum():
+    # every policy x dependency x mode, at random interior points and, for a
+    # joint dependency, at both Frechet ends
+    rng = np.random.default_rng(83)
+    for policy_kind, dependency_kind, mode in itertools.product(
+        POLICY_KINDS, ("independent", "joint", "dominant"), ("fixed_rate", "conditional_from_joint")
+    ):
+        for _ in range(20):
+            scenario = random_scenario(rng, policy_kind, dependency_kind, mode)
+            cases = [scenario]
+            if dependency_kind == "joint":
+                bounds = frechet_bounds(scenario.aid.p_advice_correct, scenario.user.p_unaided_correct)
+                cases += [replace(scenario, dependency=Joint(end)) for end in bounds]
+            for case in cases:
+                error = abs(evaluate(case).p_correct_aided - exact_accuracy(case))
+                assert error <= 1e-15, (case, float(error))
+
+
 class TestCounterproductivity:
     def test_attending_loses_to_the_better_routine_policy(self):
         rng = np.random.default_rng(43)
@@ -359,6 +416,15 @@ class TestComparePolicies:
                 "^margins must be >= 0$",
             ),
             ({"configured_policy": "self_gated"}, "^configured_policy 'self_gated' has no result$"),
+            (
+                # the margins read 0.1, 0.0 and 0.15
+                {"margins": {"routine_ignore": 0.0, "routine_accept": 0.0, "indiscriminate": 0.0}},
+                "^margin 0.0 for routine_ignore is not the best accuracy minus its own$",
+            ),
+            (
+                {"margins": {"routine_ignore": 0.1, "routine_accept": 0.0, "indiscriminate": 0.1}},
+                "^margin 0.1 for indiscriminate is not the best accuracy minus its own$",
+            ),
         ],
     )
     def test_inconsistent_wire_data_rejected(self, base_scenario, changes, message):
@@ -447,6 +513,16 @@ class TestBreakevenDiscrimination:
             ({"d_star": 0.49}, r"^d_star 0.49 not in \[0.5, 1\]$"),
             ({"d_star": "unattainable"}, "^accuracy_at_d_star must be None exactly when d_star is$"),
             ({"accuracy_at_d_star": None}, "^accuracy_at_d_star must be None exactly when d_star is$"),
+            ({"target": 7.0}, r"^target 7.0 not in \[0, 1\]$"),
+            ({"target": -0.1}, r"^target -0.1 not in \[0, 1\]$"),
+            (
+                {"accuracy_at_d_star": 0.6},
+                r"^accuracy_at_d_star 0.6 not in \[max\(0, target - 1e-9\), 1\]$",
+            ),
+            (
+                {"accuracy_at_d_star": 1.5},
+                r"^accuracy_at_d_star 1.5 not in \[max\(0, target - 1e-9\), 1\]$",
+            ),
         ],
     )
     def test_inconsistent_wire_data_rejected(self, changes, message):

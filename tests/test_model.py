@@ -3,6 +3,7 @@ record semantics of every model and result type."""
 
 import copy
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -699,6 +700,12 @@ class TestRecords:
         assert record.__replace__() == record
         with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
             record.__replace__(bogus=1)
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+    def test_copy_replace_calls_replace(self):
+        assert copy.replace(AidProfile(0.5), p_advice_correct=0.7) == AidProfile(0.7)
+        with pytest.raises(ScenarioValidationError):
+            copy.replace(AidProfile(0.5), p_advice_correct=1.5)
 
     def test_replace_checks_and_warns_again(self):
         assert AidProfile(0.5).__replace__(p_advice_correct=0.7) == AidProfile(0.7)

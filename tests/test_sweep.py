@@ -87,8 +87,6 @@ def golden_sweep_specs():
     """(key, SweepSpec) for every golden sweep, in a fixed order."""
     for policy_name, policy in GOLDEN_POLICIES.items():
         for dep_name, dependency in GOLDEN_DEPENDENCIES.items():
-            if policy_name == "self_gated" and dep_name != "independent":
-                continue  # no closed form when pinned; the differential tests cover them
             for mode in ("fixed_rate", "conditional_from_joint"):
                 scenario = make_scenario(policy=policy, dependency=dependency, mode=mode)
                 for path in leaf_paths(scenario):
@@ -210,15 +208,15 @@ GOLDEN_ACCURACIES = {
     "indiscriminate independent fixed_rate user.p_post_reject_correct":
         "0.35 0.39999999999999997 0.45 0.49999999999999994 0.55 0.5999999999999999 0.6499999999999999",
     "indiscriminate independent fixed_rate policy.p_accept":
-        "0.4 0.45000000000000007 0.5 0.55 0.6 0.6499999999999999 0.7",
+        "0.4 0.45 0.5 0.55 0.6 0.6499999999999999 0.7",
     "indiscriminate independent conditional_from_joint aid.p_advice_correct":
         "0.3 0.3833333333333333 0.4666666666666667 0.55 0.6333333333333333 0.7166666666666667 0.8",
     "indiscriminate independent conditional_from_joint user.p_unaided_correct":
-        "0.55 0.5999999999999999 0.6499999999999999 0.7 0.7499999999999999 0.7999999999999999 0.85",
+        "0.55 0.5999999999999999 0.6499999999999999 0.7 0.75 0.7999999999999999 0.85",
     "indiscriminate independent conditional_from_joint user.p_post_reject_correct":
         "0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999",
     "indiscriminate independent conditional_from_joint policy.p_accept":
-        "0.6 0.6166666666666667 0.6333333333333333 0.6499999999999999 0.6666666666666666 0.6833333333333333 0.7",
+        "0.6 0.6166666666666666 0.6333333333333333 0.6499999999999999 0.6666666666666667 0.6833333333333333 0.7",
     "indiscriminate joint fixed_rate aid.p_advice_correct":
         "0.42500000000000004 0.45833333333333337 0.4916666666666667 0.525 0.5583333333333333 0.5916666666666667 0.6250000000000001",
     "indiscriminate joint fixed_rate user.p_unaided_correct":
@@ -226,7 +224,7 @@ GOLDEN_ACCURACIES = {
     "indiscriminate joint fixed_rate user.p_post_reject_correct":
         "0.35 0.39999999999999997 0.45 0.49999999999999994 0.55 0.5999999999999999 0.6499999999999999",
     "indiscriminate joint fixed_rate policy.p_accept":
-        "0.4 0.45000000000000007 0.5 0.55 0.6 0.6499999999999999 0.7",
+        "0.4 0.45 0.5 0.55 0.6 0.6499999999999999 0.7",
     "indiscriminate joint fixed_rate dependency.p_both_correct":
         "0.55 0.55 0.55 0.55 0.55 0.55 0.55",
     "indiscriminate joint conditional_from_joint aid.p_advice_correct":
@@ -236,7 +234,7 @@ GOLDEN_ACCURACIES = {
     "indiscriminate joint conditional_from_joint user.p_post_reject_correct":
         "0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999",
     "indiscriminate joint conditional_from_joint policy.p_accept":
-        "0.6 0.6166666666666667 0.6333333333333333 0.6499999999999999 0.6666666666666667 0.6833333333333333 0.7",
+        "0.6 0.6166666666666666 0.6333333333333333 0.6499999999999999 0.6666666666666667 0.6833333333333333 0.7",
     "indiscriminate joint conditional_from_joint dependency.p_both_correct":
         "0.65 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.65 0.6499999999999999",
     "indiscriminate dominant fixed_rate aid.p_advice_correct":
@@ -246,7 +244,7 @@ GOLDEN_ACCURACIES = {
     "indiscriminate dominant fixed_rate user.p_post_reject_correct":
         "0.35 0.39999999999999997 0.45 0.49999999999999994 0.55 0.5999999999999999 0.6499999999999999",
     "indiscriminate dominant fixed_rate policy.p_accept":
-        "0.4 0.45000000000000007 0.5 0.55 0.6 0.6499999999999999 0.7",
+        "0.4 0.45 0.5 0.55 0.6 0.6499999999999999 0.7",
     "indiscriminate dominant conditional_from_joint aid.p_advice_correct":
         "0.6 0.6333333333333333 0.6666666666666666 0.7 0.7333333333333334 0.7666666666666666 0.8",
     "indiscriminate dominant conditional_from_joint user.p_unaided_correct":
@@ -254,37 +252,37 @@ GOLDEN_ACCURACIES = {
     "indiscriminate dominant conditional_from_joint user.p_post_reject_correct":
         "0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999 0.6499999999999999",
     "indiscriminate dominant conditional_from_joint policy.p_accept":
-        "0.6 0.6166666666666668 0.6333333333333333 0.6499999999999999 0.6666666666666666 0.6833333333333333 0.7",
+        "0.6 0.6166666666666667 0.6333333333333333 0.6499999999999999 0.6666666666666666 0.6833333333333333 0.7",
     "discriminating independent fixed_rate aid.p_advice_correct":
-        "0.27999999999999997 0.37 0.45999999999999996 0.5499999999999999 0.64 0.73 0.82",
+        "0.27999999999999997 0.37 0.46 0.5499999999999999 0.64 0.7299999999999999 0.82",
     "discriminating independent fixed_rate user.p_unaided_correct":
         "0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999",
     "discriminating independent fixed_rate user.p_post_reject_correct":
         "0.48999999999999994 0.5319999999999999 0.574 0.6159999999999999 0.6579999999999999 0.7 0.7419999999999999",
     "discriminating independent fixed_rate policy.p_accept_given_correct":
-        "0.364 0.43400000000000005 0.504 0.5740000000000001 0.6439999999999999 0.714 0.784",
+        "0.364 0.434 0.504 0.574 0.6439999999999999 0.7139999999999999 0.7839999999999999",
     "discriminating independent fixed_rate policy.p_accept_given_wrong":
-        "0.694 0.6739999999999999 0.6539999999999999 0.634 0.614 0.594 0.574",
+        "0.694 0.6739999999999999 0.654 0.634 0.614 0.594 0.574",
     "discriminating independent conditional_from_joint aid.p_advice_correct":
-        "0.42 0.4966666666666667 0.5733333333333333 0.65 0.7266666666666667 0.8033333333333333 0.88",
+        "0.42 0.49666666666666665 0.5733333333333333 0.65 0.7266666666666667 0.8033333333333333 0.88",
     "discriminating independent conditional_from_joint user.p_unaided_correct":
-        "0.6579999999999999 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
+        "0.658 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
     "discriminating independent conditional_from_joint user.p_post_reject_correct":
         "0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999",
     "discriminating independent conditional_from_joint policy.p_accept_given_correct":
-        "0.546 0.5926666666666667 0.6393333333333333 0.6859999999999999 0.7326666666666666 0.7793333333333333 0.826",
+        "0.546 0.5926666666666667 0.6393333333333333 0.6859999999999999 0.7326666666666667 0.7793333333333333 0.826",
     "discriminating independent conditional_from_joint policy.p_accept_given_wrong":
-        "0.7959999999999999 0.7659999999999999 0.7359999999999999 0.7059999999999998 0.6759999999999999 0.6459999999999999 0.6159999999999999",
+        "0.7959999999999998 0.7659999999999999 0.7359999999999999 0.7059999999999998 0.6759999999999999 0.6459999999999999 0.6159999999999999",
     "discriminating joint fixed_rate aid.p_advice_correct":
-        "0.523 0.5589999999999999 0.595 0.6309999999999999 0.6669999999999999 0.7030000000000001 0.739",
+        "0.523 0.559 0.595 0.6309999999999999 0.6669999999999999 0.703 0.739",
     "discriminating joint fixed_rate user.p_unaided_correct":
         "0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999",
     "discriminating joint fixed_rate user.p_post_reject_correct":
         "0.48999999999999994 0.5319999999999999 0.574 0.6159999999999999 0.6579999999999999 0.7 0.7419999999999999",
     "discriminating joint fixed_rate policy.p_accept_given_correct":
-        "0.364 0.43400000000000005 0.504 0.5740000000000001 0.6439999999999999 0.714 0.784",
+        "0.364 0.434 0.504 0.574 0.6439999999999999 0.7139999999999999 0.7839999999999999",
     "discriminating joint fixed_rate policy.p_accept_given_wrong":
-        "0.694 0.6739999999999999 0.6539999999999999 0.634 0.614 0.594 0.574",
+        "0.694 0.6739999999999999 0.654 0.634 0.614 0.594 0.574",
     "discriminating joint fixed_rate dependency.p_both_correct":
         "0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999",
     "discriminating joint conditional_from_joint aid.p_advice_correct":
@@ -294,51 +292,95 @@ GOLDEN_ACCURACIES = {
     "discriminating joint conditional_from_joint user.p_post_reject_correct":
         "0.73 0.73 0.73 0.73 0.73 0.73 0.73",
     "discriminating joint conditional_from_joint policy.p_accept_given_correct":
-        "0.5549999999999999 0.5966666666666667 0.6383333333333333 0.6799999999999999 0.7216666666666667 0.7633333333333333 0.8049999999999999",
+        "0.5549999999999999 0.5966666666666666 0.6383333333333333 0.6799999999999999 0.7216666666666667 0.7633333333333333 0.8049999999999999",
     "discriminating joint conditional_from_joint policy.p_accept_given_wrong":
         "0.7749999999999999 0.75 0.725 0.7 0.675 0.65 0.625",
     "discriminating joint conditional_from_joint dependency.p_both_correct":
         "0.7899999999999999 0.77 0.75 0.73 0.7099999999999999 0.69 0.6699999999999999",
     "discriminating dominant fixed_rate aid.p_advice_correct":
-        "0.604 0.64 0.6759999999999999 0.7119999999999999 0.7480000000000001 0.7839999999999999 0.82",
+        "0.604 0.64 0.6759999999999999 0.7119999999999999 0.748 0.7839999999999999 0.82",
     "discriminating dominant fixed_rate user.p_unaided_correct":
         "0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999 0.6579999999999999",
     "discriminating dominant fixed_rate user.p_post_reject_correct":
         "0.48999999999999994 0.5319999999999999 0.574 0.6159999999999999 0.6579999999999999 0.7 0.7419999999999999",
     "discriminating dominant fixed_rate policy.p_accept_given_correct":
-        "0.364 0.43400000000000005 0.504 0.5740000000000001 0.6439999999999999 0.714 0.784",
+        "0.364 0.434 0.504 0.574 0.6439999999999999 0.7139999999999999 0.7839999999999999",
     "discriminating dominant fixed_rate policy.p_accept_given_wrong":
-        "0.694 0.6739999999999999 0.6539999999999999 0.634 0.614 0.594 0.574",
+        "0.694 0.6739999999999999 0.654 0.634 0.614 0.594 0.574",
     "discriminating dominant conditional_from_joint aid.p_advice_correct":
-        "0.6 0.6466666666666666 0.6933333333333334 0.74 0.7866666666666667 0.8333333333333333 0.88",
+        "0.6 0.6466666666666666 0.6933333333333334 0.74 0.7866666666666667 0.8333333333333334 0.88",
     "discriminating dominant conditional_from_joint user.p_unaided_correct":
         "0.61 0.625 0.6399999999999999 0.655 0.6699999999999999 0.6849999999999999 0.7",
     "discriminating dominant conditional_from_joint user.p_post_reject_correct":
         "0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999",
     "discriminating dominant conditional_from_joint policy.p_accept_given_correct":
-        "0.6 0.6166666666666668 0.6333333333333333 0.6499999999999999 0.6666666666666666 0.6833333333333333 0.7",
+        "0.6 0.6166666666666667 0.6333333333333333 0.6499999999999999 0.6666666666666666 0.6833333333333333 0.7",
     "discriminating dominant conditional_from_joint policy.p_accept_given_wrong":
         "0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999",
     "self_gated independent fixed_rate aid.p_advice_correct":
-        "0.42 0.4966666666666667 0.5733333333333333 0.6499999999999999 0.7266666666666667 0.8033333333333332 0.8799999999999999",
+        "0.42 0.49666666666666665 0.5733333333333333 0.6499999999999999 0.7266666666666667 0.8033333333333332 0.8799999999999999",
     "self_gated independent fixed_rate user.p_unaided_correct":
-        "0.6579999999999999 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
+        "0.658 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
     "self_gated independent fixed_rate user.p_post_reject_correct":
         "0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999",
     "self_gated independent fixed_rate policy.p_ignore_given_user_correct":
-        "0.6159999999999999 0.6459999999999999 0.6759999999999999 0.706 0.7359999999999999 0.7659999999999999 0.796",
+        "0.616 0.6459999999999999 0.6759999999999999 0.706 0.7359999999999999 0.766 0.796",
     "self_gated independent fixed_rate policy.p_use_given_user_wrong":
-        "0.5459999999999999 0.5926666666666667 0.6393333333333332 0.6859999999999998 0.7326666666666666 0.7793333333333332 0.826",
+        "0.546 0.5926666666666667 0.6393333333333333 0.686 0.7326666666666667 0.7793333333333333 0.826",
     "self_gated independent conditional_from_joint aid.p_advice_correct":
-        "0.42 0.4966666666666667 0.5733333333333333 0.6499999999999999 0.7266666666666667 0.8033333333333332 0.8799999999999999",
+        "0.42 0.49666666666666665 0.5733333333333333 0.6499999999999999 0.7266666666666667 0.8033333333333332 0.8799999999999999",
     "self_gated independent conditional_from_joint user.p_unaided_correct":
-        "0.6579999999999999 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
+        "0.658 0.7 0.7419999999999999 0.7839999999999999 0.826 0.8679999999999999 0.9099999999999999",
     "self_gated independent conditional_from_joint user.p_post_reject_correct":
         "0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999 0.7419999999999999",
     "self_gated independent conditional_from_joint policy.p_ignore_given_user_correct":
-        "0.6159999999999999 0.6459999999999999 0.6759999999999999 0.706 0.7359999999999999 0.7659999999999999 0.796",
+        "0.616 0.6459999999999999 0.6759999999999999 0.706 0.7359999999999999 0.766 0.796",
     "self_gated independent conditional_from_joint policy.p_use_given_user_wrong":
-        "0.5459999999999999 0.5926666666666667 0.6393333333333332 0.6859999999999998 0.7326666666666666 0.7793333333333332 0.826",
+        "0.546 0.5926666666666667 0.6393333333333333 0.686 0.7326666666666667 0.7793333333333333 0.826",
+    "self_gated joint fixed_rate aid.p_advice_correct":
+        "0.555 0.6016666666666667 0.6483333333333334 0.6950000000000001 0.7416666666666667 0.7883333333333333 0.835",
+    "self_gated joint fixed_rate user.p_unaided_correct":
+        "0.625 0.66 0.6950000000000001 0.73 0.765 0.7999999999999999 0.835",
+    "self_gated joint fixed_rate user.p_post_reject_correct":
+        "0.73 0.73 0.73 0.73 0.73 0.73 0.73",
+    "self_gated joint fixed_rate policy.p_ignore_given_user_correct":
+        "0.625 0.6499999999999999 0.675 0.7 0.725 0.75 0.7749999999999999",
+    "self_gated joint fixed_rate policy.p_use_given_user_wrong":
+        "0.555 0.5966666666666667 0.6383333333333333 0.6799999999999999 0.7216666666666667 0.7633333333333332 0.8049999999999999",
+    "self_gated joint fixed_rate dependency.p_both_correct":
+        "0.7899999999999999 0.77 0.75 0.73 0.7099999999999999 0.6900000000000001 0.6699999999999999",
+    "self_gated joint conditional_from_joint aid.p_advice_correct":
+        "0.555 0.6016666666666667 0.6483333333333334 0.6950000000000001 0.7416666666666667 0.7883333333333333 0.835",
+    "self_gated joint conditional_from_joint user.p_unaided_correct":
+        "0.625 0.66 0.6950000000000001 0.73 0.765 0.7999999999999999 0.835",
+    "self_gated joint conditional_from_joint user.p_post_reject_correct":
+        "0.73 0.73 0.73 0.73 0.73 0.73 0.73",
+    "self_gated joint conditional_from_joint policy.p_ignore_given_user_correct":
+        "0.625 0.6499999999999999 0.675 0.7 0.725 0.75 0.7749999999999999",
+    "self_gated joint conditional_from_joint policy.p_use_given_user_wrong":
+        "0.555 0.5966666666666667 0.6383333333333333 0.6799999999999999 0.7216666666666667 0.7633333333333332 0.8049999999999999",
+    "self_gated joint conditional_from_joint dependency.p_both_correct":
+        "0.7899999999999999 0.77 0.75 0.73 0.7099999999999999 0.6900000000000001 0.6699999999999999",
+    "self_gated dominant fixed_rate aid.p_advice_correct":
+        "0.6 0.6466666666666667 0.6933333333333334 0.74 0.7866666666666666 0.8333333333333333 0.8799999999999999",
+    "self_gated dominant fixed_rate user.p_unaided_correct":
+        "0.6099999999999999 0.625 0.6399999999999999 0.655 0.6699999999999999 0.6849999999999999 0.7",
+    "self_gated dominant fixed_rate user.p_post_reject_correct":
+        "0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999",
+    "self_gated dominant fixed_rate policy.p_ignore_given_user_correct":
+        "0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999",
+    "self_gated dominant fixed_rate policy.p_use_given_user_wrong":
+        "0.6 0.6166666666666667 0.6333333333333333 0.65 0.6666666666666666 0.6833333333333333 0.7",
+    "self_gated dominant conditional_from_joint aid.p_advice_correct":
+        "0.6 0.6466666666666667 0.6933333333333334 0.74 0.7866666666666666 0.8333333333333333 0.8799999999999999",
+    "self_gated dominant conditional_from_joint user.p_unaided_correct":
+        "0.6099999999999999 0.625 0.6399999999999999 0.655 0.6699999999999999 0.6849999999999999 0.7",
+    "self_gated dominant conditional_from_joint user.p_post_reject_correct":
+        "0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999",
+    "self_gated dominant conditional_from_joint policy.p_ignore_given_user_correct":
+        "0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999 0.6699999999999999",
+    "self_gated dominant conditional_from_joint policy.p_use_given_user_wrong":
+        "0.6 0.6166666666666667 0.6333333333333333 0.65 0.6666666666666666 0.6833333333333333 0.7",
 }
 
 GOLDEN_CROSSINGS = [
@@ -714,6 +756,13 @@ class TestSweepWarningsAndErrors:
         with pytest.raises(SweepError, match=f"sweep {field} must be finite"):
             SweepSpec(base_scenario, "policy.p_accept", steps=5, **bounds)
 
+    @pytest.mark.parametrize("bound", ["0.5", None, True])
+    @pytest.mark.parametrize("field", ["start", "stop"])
+    def test_non_numeric_bounds_rejected(self, base_scenario, field, bound):
+        bounds = {"start": 0.0, "stop": 1.0, field: bound}
+        with pytest.raises(SweepError, match=f"^sweep {field} must be a number, got {bound!r}$"):
+            SweepSpec(base_scenario, "policy.p_accept", steps=5, **bounds)
+
     def test_overflowing_width_rejected(self, base_scenario):
         with pytest.raises(SweepError, match="overflows"):
             SweepSpec(base_scenario, "policy.p_accept", -1e308, 1e308, 5)
@@ -1028,9 +1077,9 @@ class TestSensitivity:
     def test_guard_raises_when_the_form_is_not_multilinear(self, base_scenario, monkeypatch):
         # clamped at 1, the form is flat at the base point (2 * 0.55 > 1) but
         # not between p_advice_correct = 0 and 1: 1 - 2 * 0.2 = 0.6
-        form = analytic.accuracy_from_parameters
+        form = analytic._form
         monkeypatch.setattr(
-            analytic, "accuracy_from_parameters", lambda s, v: min(1.0, 2.0 * form(s, v))
+            analytic, "_form", lambda *key: lambda v: min(1.0, 2.0 * form(*key)(v))
         )
         with pytest.raises(ArithmeticError) as err:
             sensitivity(base_scenario)

@@ -60,7 +60,7 @@ def sweep_series():
 GOLDEN_WIRE = [
     (unattainable_breakeven, "fbdeedf8f210cf3559687be3a92d8a0f30aee70be119c46f47337358c838bdec"),
     (tied_compare, "d4db1aa1af76c6bab833838073ee86c6cfffbe1e059b3c9ae5eba8d10d619eaa"),
-    (self_gated_compare, "855f6b3182fcf971d05c8c2142e3b4e9220f1dd04c31f3eb0d70f48eb6725e02"),
+    (self_gated_compare, "2870e2b9705da3b27f9f3e9c82465618b96043977104f5c7333e67423199fc63"),
     (sweep_series, "8230239ed107bbcdb7c78ea878ba3a0be90913f302dcd52d13dc88f7e3e53cb0"),
 ]
 
@@ -126,6 +126,19 @@ def test_a_missing_required_key_is_named_in_a_key_error(cls):
 def test_an_unknown_key_is_named_in_a_value_error(cls):
     with pytest.raises(ValueError, match=f"^{cls.__name__} has no field 'bogus', 'extra'$"):
         cls.from_dict({**one_of(cls).to_dict(), "extra": 1, "bogus": None})
+
+
+@pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
+def test_a_non_mapping_is_a_type_error_naming_the_type(cls):
+    with pytest.raises(TypeError, match=f"^{cls.__name__}.from_dict needs a mapping, got list$"):
+        cls.from_dict([])
+
+
+def test_a_non_mapping_compared_result_is_named():
+    data = tied_compare().to_dict()
+    data["results"]["routine_ignore"] = "0.6"
+    with pytest.raises(TypeError, match="^EvalResult.from_dict needs a mapping, got str$"):
+        PolicyComparison.from_dict(data)
 
 
 def test_an_unknown_key_in_a_compared_result_is_named():
