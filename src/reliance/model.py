@@ -57,22 +57,6 @@ def check_cells(table: Mapping[tuple[bool, bool, bool], Any], name: str) -> None
         raise ValueError(f"{name} must cover exactly the 8 canonical cells")
 
 
-def cell_rows(table: Mapping[tuple[bool, bool, bool], Any], key: str) -> list[dict[str, Any]]:
-    """An eight-cell table as JSON rows in canonical order, each value under `key`."""
-    return [
-        {"advice_correct": a, "accepted_or_used": u, "final_correct": f, key: table[(a, u, f)]}
-        for a, u, f in OUTCOME_CELLS
-    ]
-
-
-def rows_table(rows, key: str) -> dict[tuple[bool, bool, bool], Any]:
-    """The eight-cell table of JSON rows as `cell_rows` writes them."""
-    return {
-        (row["advice_correct"], row["accepted_or_used"], row["final_correct"]): row[key]
-        for row in rows
-    }
-
-
 class _Record:
     """The base of every frozen record, which `_record` builds.
 
@@ -193,8 +177,13 @@ class _Wire(_Record):
 
 
 def _cells(key: str) -> tuple:
-    """Encode and decode of an eight-cell table as JSON rows, each value under `key`."""
-    return lambda table: cell_rows(table, key), lambda rows: rows_table(rows, key)
+    """Encode and decode of an eight-cell table as JSON rows in canonical
+    order, each value under `key`."""
+    a, u, f = "advice_correct", "accepted_or_used", "final_correct"
+    return (
+        lambda table: [{a: c[0], u: c[1], f: c[2], key: table[c]} for c in OUTCOME_CELLS],
+        lambda rows: {(row[a], row[u], row[f]): row[key] for row in rows},
+    )
 
 
 _TUPLE = (list, tuple)
@@ -287,6 +276,14 @@ def as_probability(value: Any, name: str = "probability") -> float:
     if not 0.0 <= v <= 1.0:
         raise ScenarioValidationError([ConstraintViolation(name, v, "[0, 1]")])
     return v
+
+
+def _clamped(values):
+    """`as_probability`'s clamp of overshoot within 1e-12 of [0, 1], on floats
+    or arrays, without the range check.  `as_probability` states the same rule
+    on one float without `_where`, at about half the cost."""
+    values = _where((values >= -PROBABILITY_CLAMP) & (values < 0.0), 0.0, values)
+    return _where((values > 1.0) & (values <= 1.0 + PROBABILITY_CLAMP), 1.0, values)
 
 
 def _check_probabilities(section) -> None:
@@ -597,19 +594,15 @@ def joint_success_probability(dependency: DependencyModel, values: Mapping[str, 
 def conditional_rates(dependency: DependencyModel, values: Mapping[str, Any]):
     """(P(user would be correct | advice correct), P(... | advice wrong)).
 
-    Floats or arrays, as `joint_success_probability`.  Degenerate
-    conditionals are pinned to zero (p_advice_correct = 1 leaves no wrong
-    advice, and 0 no correct advice); their denominator is replaced first.
+    On floats.  Degenerate conditionals are pinned to zero
+    (p_advice_correct = 1 leaves no wrong advice, and 0 no correct advice).
     """
     p_a, p_u = values[P_ADVICE], values[P_UNAIDED]
     if isinstance(dependency, Independent):
         return p_u, p_u
     p11 = joint_success_probability(dependency, values)
-    never, sure = p_a == 0.0, p_a == 1.0
-    given_correct = _where(never, 0.0, _min(1.0, p11 / _where(never, 1.0, p_a)))
-    given_wrong = _where(
-        sure, 0.0, _min(1.0, _max(0.0, (p_u - p11) / _where(sure, 1.0, 1.0 - p_a)))
-    )
+    given_correct = min(1.0, p11 / p_a) if p_a != 0.0 else 0.0
+    given_wrong = min(1.0, max(0.0, (p_u - p11) / (1.0 - p_a))) if p_a != 1.0 else 0.0
     return given_correct, given_wrong
 
 
@@ -644,15 +637,22 @@ class EvalResult(_Wire):
 
     def __post_init__(self):
         check_cells(self.outcome_table, "outcome_table")
-        total = sum(self.outcome_table.values())
-        if abs(total - 1.0) > self._GUARD:
+        guard, headline = self._GUARD, self.p_correct_aided
+        total = accepted = correct = 0.0
+        for cell, p in self.outcome_table.items():
+            if not -guard <= p <= 1.0 + guard:
+                raise ValueError(f"outcome_table cell {cell} holds {p!r}, not in [0, 1]")
+            total += p
+            if cell[1]:
+                accepted += p
+            if cell[2]:
+                correct += p
+        if abs(total - 1.0) > guard:
             raise ValueError(f"outcome_table sums to {total!r}, expected 1")
-        correct = sum(p for (_, _, final), p in self.outcome_table.items() if final)
-        if abs(correct - self.p_correct_aided) > self._GUARD:
-            raise ValueError(
-                f"p_correct_aided={self.p_correct_aided!r} does not match "
-                f"final-correct cell mass {correct!r}"
-            )
+        if not (-guard <= headline <= 1.0 + guard and abs(correct - headline) <= guard):
+            raise ValueError(f"p_correct_aided={headline!r} is not the final-correct mass {correct!r}")
+        if not abs(accepted - self.p_accept_marginal) <= guard:
+            raise ValueError(f"p_accept_marginal={self.p_accept_marginal!r} is not the accepted mass {accepted!r}")
 
 
 _TOP_KEYS = {*_SECTIONS, "degradation_mode"}
@@ -748,3 +748,47 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         canonical[name] = {**tag, **section._asdict()}
     canonical["degradation_mode"] = scenario.effective_degradation_mode
     return canonical
+
+
+def _check_path(scenario: Scenario, path: str) -> None:
+    """Raise SweepError unless `path` is the dot-path of a scenario's probability leaf."""
+    section = path.split(".")[0]
+    if path.count(".") != 1 or section not in _SECTIONS:
+        raise SweepError(f"parameter_path {path!r} not recognized")
+    if path not in scenario._leaves:
+        kind = _WIRE_NAMES.get(type(getattr(scenario, section)), section)
+        raise SweepError(
+            f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})"
+        )
+
+
+def _grid_leaves(base: Scenario, path: str, grid) -> dict[str, Any]:
+    """The base's leaves with the leaf at `path` set to the numpy array `grid`,
+    clamped, once every value passes `validate_scenario`: the first that does
+    not raises SweepError with the validator's text.  Then one
+    DegradedRateWarning if a point's post-rejection rate exceeds its unaided
+    rate, unless the base's does (it warned when it was built)."""
+    import numpy  # loaded already: `grid` is an array
+
+    _check_path(base, path)
+    leaves = base.leaves
+    value = leaves[path] = _clamped(grid)
+    # exactly what validation rejects: a clamped value outside [0, 1], or the
+    # dependency past its bound
+    rejected = ~((value >= 0.0) & (value <= 1.0)) | bound_violated(
+        base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
+    )
+    section, key = path.split(".")
+    for bad in grid[rejected].tolist():
+        raw = scenario_to_dict(base)
+        raw[section][key] = bad
+        try:
+            validate_scenario(raw)
+        except ScenarioValidationError as err:
+            raise SweepError(f"swept value {bad!r} for {path!r} is invalid: {err}") from err
+    user = base.user
+    if numpy.any(leaves[P_POST_REJECT] > leaves[P_UNAIDED]) and not (
+        user.p_post_reject_correct > user.p_unaided_correct
+    ):
+        _warn_degraded_rate()
+    return leaves

@@ -96,14 +96,29 @@ class SimEstimate(_Wire):
 
     def __post_init__(self):
         check_cells(self.outcome_counts, "outcome_counts")
-        total = sum(self.outcome_counts.values())
-        if total != self.n_trials:
-            raise ValueError(f"outcome_counts sum to {total}, expected {self.n_trials}")
+        n = self.n_trials
+        total = advice = correct = 0
+        for (advice_correct, _, final), count in self.outcome_counts.items():
+            total += count
+            advice += count if advice_correct else 0
+            correct += count if final else 0
+        if total != n:
+            raise ValueError(f"outcome_counts sum to {total}, expected {n}")
+        if not abs(self.p_hat - correct / n) <= 1e-9:
+            raise ValueError(f"p_hat {self.p_hat!r} is not the final-correct count {correct} / {n}")
         expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials)
         if abs(self.std_err - expected_se) > 1e-9:
             raise ValueError("std_err inconsistent with p_hat and n_trials")
         if len(self.ci95) != 2 or not 0.0 <= self.ci95[0] <= self.p_hat <= self.ci95[1] <= 1.0:
             raise ValueError(f"ci95 {self.ci95!r} is not an interval in [0, 1] that holds p_hat")
+        user, either = self.user_correct_count, self.either_correct_count
+        if self.advice_correct_count != advice:
+            raise ValueError(f"advice_correct_count {self.advice_correct_count} is not its cells' {advice}")
+        if not 0 <= user <= n:
+            raise ValueError(f"user_correct_count {user} not in [0, {n}]")
+        lo, hi = max(advice, user), min(n, advice + user)
+        if not lo <= either <= hi:
+            raise ValueError(f"either_correct_count {either} not in [{lo}, {hi}]")
 
 
 def _joint_cell_cuts(scenario: Scenario) -> tuple[float, float, float]:

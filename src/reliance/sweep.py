@@ -5,12 +5,10 @@ used in scenario JSON, e.g. ``"policy.p_accept"``) with each value of an
 inclusive, equally spaced grid and evaluates the closed form at every point
 in one numpy pass over the whole grid:
 
-- The swept leaf is clamped as ``as_probability`` clamps it, and the grid is
-  screened in the same pass for every value validation could reject (NaN,
-  outside [0, 1], Frechet bounds or dominance past their slack).  Flagged
-  values are re-validated by ``validate_scenario`` in grid order, so the
-  first invalid value aborts the sweep with the validator's own message
-  before anything is evaluated.
+- ``model`` decides the grid's validity, as it decides a scenario's: the
+  swept leaf is clamped as ``as_probability`` clamps it, and the first
+  value ``validate_scenario`` would reject aborts the sweep with the
+  validator's own message before anything is evaluated.
 - The closed form is ``analytic``'s kernel itself, run on the arrays, so
   every accuracy is bit-identical to ``evaluate`` on that point's scenario.
 
@@ -28,24 +26,14 @@ import numpy as np
 
 from .analytic import _accuracy, sensitivity  # sensitivity re-exported; it needs no numpy
 from .model import (
-    P_ADVICE,
-    P_BOTH,
-    P_POST_REJECT,
-    P_UNAIDED,
-    PROBABILITY_CLAMP,
     Scenario,
-    ScenarioValidationError,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
-    _SECTIONS,
     _TUPLE,
-    _WIRE_NAMES,
     _Wire,
+    _check_path,
+    _clamped,
+    _grid_leaves,
     _record,
-    _warn_degraded_rate,
-    _where,
-    bound_violated,
-    scenario_to_dict,
-    validate_scenario,
 )
 
 @_record
@@ -102,55 +90,6 @@ class SweepSeries(_Wire):
             raise ValueError("parameter_values and accuracies must have equal length")
 
 
-def _resolve_path(base: Scenario, path: str) -> None:
-    """Check a dot-path against the scenario's probability leaves."""
-    section = path.split(".")[0]
-    if path.count(".") != 1 or section not in _SECTIONS:
-        raise SweepError(f"parameter_path {path!r} not recognized")
-    if path not in base.leaves:
-        kind = _WIRE_NAMES.get(type(getattr(base, section)), section)
-        raise SweepError(
-            f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})"
-        )
-
-
-def _clamped(values):
-    """as_probability's clamp of overshoot within 1e-12 of [0, 1], on floats or arrays."""
-    values = _where((values >= -PROBABILITY_CLAMP) & (values < 0.0), 0.0, values)
-    return _where((values > 1.0) & (values <= 1.0 + PROBABILITY_CLAMP), 1.0, values)
-
-
-def _validate_grid(spec: SweepSpec, grid, leaves) -> None:
-    """Raise SweepError naming the first grid value validation rejects.
-
-    Only the values the vector screen flags go through validate_scenario.
-    A valid grid with a point whose post-rejection rate exceeds its unaided
-    rate issues one DegradedRateWarning; a degraded base already warned when
-    it was built, so it is not warned about again.
-    """
-    section, key = spec.parameter_path.split(".")
-    # a superset of what validation rejects: outside [0, 1] after clamping,
-    # or the dependency past its bound
-    value = leaves[spec.parameter_path]
-    check = ~((value >= 0.0) & (value <= 1.0)) | bound_violated(
-        spec.base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
-    )
-    for value in grid[check].tolist():
-        raw = scenario_to_dict(spec.base)
-        raw[section][key] = value
-        try:
-            validate_scenario(raw)
-        except ScenarioValidationError as err:
-            raise SweepError(
-                f"swept value {value!r} for {spec.parameter_path!r} is invalid: {err}"
-            ) from err
-    user = spec.base.user
-    if np.any(leaves[P_POST_REJECT] > leaves[P_UNAIDED]) and not (
-        user.p_post_reject_correct > user.p_unaided_correct
-    ):
-        _warn_degraded_rate()
-
-
 def run_sweep(spec: SweepSpec) -> SweepSeries:
     """Evaluate the closed form at each grid point of the sweep.
 
@@ -160,11 +99,8 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     point's post-rejection rate exceeds its unaided rate while the base
     scenario's does not.
     """
-    _resolve_path(spec.base, spec.parameter_path)
     grid = spec._grid()
-    leaves = spec.base.leaves
-    leaves[spec.parameter_path] = _clamped(grid)
-    _validate_grid(spec, grid, leaves)
+    leaves = _grid_leaves(spec.base, spec.parameter_path, grid)
     accuracies = np.broadcast_to(_accuracy(spec.base, leaves), grid.shape)
     return SweepSeries(
         parameter_path=spec.parameter_path,
@@ -187,17 +123,23 @@ def find_reference_crossing(
     shrinks past both probes and the next x is the root of the line through
     them, or the bracket's midpoint if that root falls outside.  Only the
     ends of a bracket from a caller's series are validated: the valid range
-    of one leaf is an interval.  Returns None when the series never crosses
-    the reference line.
+    of one leaf is an interval; a caller's series over another path, or
+    with a reference other than the base's unaided rate, raises SweepError.
+    Returns None when the series never crosses the reference line.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise SweepError(f"tol must be finite and > 0, got {tol!r}")
     foreign = series is not None
+    reference = spec.base.user.p_unaided_correct
     if foreign:
-        _resolve_path(spec.base, spec.parameter_path)
+        _check_path(spec.base, spec.parameter_path)
+        if (series.parameter_path, series.unaided_reference) != (spec.parameter_path, reference):
+            raise SweepError(
+                f"series over {series.parameter_path!r} against {series.unaided_reference!r} is not "
+                f"the spec's, over {spec.parameter_path!r} against {reference!r}"
+            )
     else:
         series = run_sweep(spec)  # validates every grid value, bracket ends included
-    reference = series.unaided_reference
     leaves = spec.base.leaves
 
     def gap(value: float) -> float:
@@ -211,9 +153,7 @@ def find_reference_crossing(
             return values[i]
         if g_next != 0.0 and (g < 0.0) != (g_next < 0.0):  # no product to underflow
             if foreign:
-                bracket = np.array(values[i : i + 2])
-                leaves[spec.parameter_path] = _clamped(bracket)
-                _validate_grid(spec, bracket, leaves)
+                _grid_leaves(spec.base, spec.parameter_path, np.array(values[i : i + 2]))
             (lo, g_lo), (hi, g_hi) = sorted(zip(values[i : i + 2], gaps[i : i + 2]))
             x, mid = lo + (hi - lo) * (g_lo / (g_lo - g_hi)), 0.5 * (lo + hi)
             while hi - lo > tol and lo < mid < hi:

@@ -453,6 +453,13 @@ class TestBreakevenDiscrimination:
         assert result.d_star == 0.5
         assert result.accuracy_at_d_star == pytest.approx(0.7, abs=1e-9)
 
+    def test_a_tie_just_below_target_at_half_is_half(self):
+        # fixed rate: accuracy(0.5) = (p_a + r) / 2 = 0.6, which the target
+        # p_u exceeds by 5e-13, inside the 1e-12 tie tolerance
+        result = breakeven_discrimination(AidProfile(0.6), UserProfile(0.6 + 5e-13, 0.6), Independent())
+        assert 0.0 < result.target - result.accuracy_at_d_star <= 1e-12
+        assert result.d_star == 0.5
+
     def test_unattainable_when_user_far_ahead(self):
         result = breakeven_discrimination(AidProfile(0.5), UserProfile(0.9, 0.1), Independent())
         assert not result.attainable

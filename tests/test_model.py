@@ -2,6 +2,7 @@
 record semantics of every model and result type."""
 
 import copy
+import math
 import pickle
 import sys
 import warnings
@@ -18,6 +19,7 @@ from reliance.analytic import (
     evaluate,
 )
 from reliance.model import (
+    BOUND_TOLERANCE,
     AidProfile,
     ConstraintViolation,
     DegradedRateWarning,
@@ -36,6 +38,7 @@ from reliance.model import (
     UserProfile,
     as_probability,
     conditional_user_rates,
+    frechet_bounds,
     joint_success_probability,
     scenario_to_dict,
     validate_scenario,
@@ -256,6 +259,35 @@ class TestValidateScenario:
         p11 = joint_success_probability(scenario.dependency, scenario.leaves)
         assert p11 == 0.6
 
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_the_frechet_slack_is_inclusive(self, end):
+        # the bound plus its slack, as the bound check computes it, validates;
+        # the next float past it does not
+        lo, hi = frechet_bounds(0.7, 0.6)
+        edge, away = (lo - BOUND_TOLERANCE, -math.inf) if end == "lower" else (hi + BOUND_TOLERANCE, math.inf)
+        raw = {**BASE_RAW, "dependency": {"type": "joint", "p_both_correct": edge}}
+        assert validate_scenario(raw).dependency == Joint(edge)
+        raw["dependency"] = {"type": "joint", "p_both_correct": math.nextafter(edge, away)}
+        with pytest.raises(ScenarioValidationError, match="Frechet-Hoeffding"):
+            validate_scenario(raw)
+
+    def test_the_dominance_slack_is_inclusive(self):
+        edge = 0.6 - BOUND_TOLERANCE
+        raw = {**BASE_RAW, "aid": {"p_advice_correct": edge}, "dependency": {"type": "dominant"}}
+        assert validate_scenario(raw).aid == AidProfile(edge)
+        raw["aid"] = {"p_advice_correct": math.nextafter(edge, -math.inf)}
+        with pytest.raises(ScenarioValidationError, match="uniformly dominant"):
+            validate_scenario(raw)
+
+
+class TestMinMax:
+    @pytest.mark.parametrize("pick", [model._min, model._max], ids=["min", "max"])
+    @pytest.mark.parametrize("a,b", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_a_tie_keeps_the_first_argument(self, pick, a, b):
+        # 0.0 and -0.0 tie; the first argument's sign survives, on floats and arrays
+        assert math.copysign(1.0, pick(a, b)) == math.copysign(1.0, a)
+        assert np.signbit(pick(np.array([a, a]), np.array([b, b]))).tolist() == [np.signbit(a)] * 2
+
 
 class TestDegradationModeDefaults:
     def test_independent_defaults_to_fixed_rate(self):
@@ -379,6 +411,28 @@ class TestEvalResult:
         del table[(False, False, False)]
         with pytest.raises(ValueError):
             EvalResult(0.55, table, 0.5)
+
+    def test_cells_must_lie_in_unit_interval(self):
+        table = dict.fromkeys(OUTCOME_CELLS, 0.0)
+        table[(True, True, True)], table[(False, False, False)] = 1.5, -0.5
+        with pytest.raises(ValueError, match=r"^outcome_table cell \(True, True, True\) holds 1\.5, not in \[0, 1\]$"):
+            EvalResult(1.5, table, 0.5)
+
+    def test_headline_must_lie_in_unit_interval(self):
+        # every cell within 1e-9 of [0, 1], and each headline within 1e-9 of
+        # the final-correct mass; the second is more than 1e-9 past 1
+        table = dict.fromkeys(OUTCOME_CELLS, 0.0)
+        table[(True, True, True)], table[(False, False, False)] = 1.0 + 0.9e-9, -0.9e-9
+        EvalResult(1.0 + 0.9e-9, table, 1.0)
+        with pytest.raises(ValueError, match="^p_correct_aided=1.0000000015 is not the final-correct mass"):
+            EvalResult(1.0 + 1.5e-9, table, 1.0)
+
+    def test_accept_marginal_must_match_accepted_mass(self):
+        EvalResult(0.55, self._table(), 0.5 + 0.9e-9)
+        data = evaluate(make_scenario()).to_dict()
+        data["p_accept_marginal"] = 7.0
+        with pytest.raises(ValueError, match=r"^p_accept_marginal=7\.0 is not the accepted mass 0\.5$"):
+            EvalResult.from_dict(data)
 
     def test_dict_round_trip(self):
         result = EvalResult(0.55, self._table(), 0.5, notes=("a note",))

@@ -236,6 +236,23 @@ class TestEstimateAccuracy:
             with pytest.raises(ValueError, match=message):
                 SimEstimate.from_dict(data)
 
+    def test_p_hat_and_latent_counts_must_fit_the_cells(self, base_scenario):
+        estimate = estimate_accuracy(base_scenario, 1000, seed=7)
+        advice, user = estimate.advice_correct_count, estimate.user_correct_count
+        p = 0.9  # with its own std_err and ci95, so only the count disagrees
+        for changes, message in [
+            ({"p_hat": p, "std_err": math.sqrt(p * (1 - p) / 1000), "ci95": [0.88, 0.92]},
+             r"^p_hat 0\.9 is not the final-correct count 546 / 1000$"),
+            ({"advice_correct_count": 5}, rf"^advice_correct_count 5 is not its cells' {advice}$"),
+            ({"user_correct_count": 999_999}, r"^user_correct_count 999999 not in \[0, 1000\]$"),
+            ({"user_correct_count": -1}, r"^user_correct_count -1 not in \[0, 1000\]$"),
+            ({"either_correct_count": 3}, rf"^either_correct_count 3 not in \[{max(advice, user)}, 1000\]$"),
+            ({"either_correct_count": 1001}, "^either_correct_count 1001 not in"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SimEstimate.from_dict({**estimate.to_dict(), **changes})
+        assert (advice, user, estimate.p_hat) == (668, 595, 0.546)
+
 
 class TestOracleAgreement:
     N = 200_000

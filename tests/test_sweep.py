@@ -25,6 +25,7 @@ from reliance.model import (
     RoutineIgnore,
     ScenarioValidationError,
     SelfGated,
+    _clamped,
     frechet_bounds,
     scenario_to_dict,
     validate_scenario,
@@ -33,7 +34,6 @@ from reliance.sweep import (
     SweepError,
     SweepSeries,
     SweepSpec,
-    _clamped,
     find_reference_crossing,
     run_sweep,
     sensitivity,
@@ -718,6 +718,17 @@ class TestSweepWarningsAndErrors:
             find_reference_crossing(spec, series)
         assert [w.filename for w in record] == [__file__] * 3
 
+    def test_a_base_at_its_unaided_rate_warns_once_past_it(self):
+        # the base's post-rejection rate equals its unaided rate: it did not
+        # warn when built, so the sweep's degraded points warn, once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedRateWarning)
+            scenario = make_scenario(r=0.6)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run_sweep(SweepSpec(scenario, "user.p_post_reject_correct", 0.4, 0.8, 5))
+        assert [w.category for w in record] == [DegradedRateWarning]
+
     def test_invalid_degraded_point_aborts_without_warning(self):
         # the first grid value, 0.0, is degraded (0.4 > 0.0) and breaks the
         # Frechet bounds: the sweep aborts and warns about nothing
@@ -776,6 +787,17 @@ class TestReferenceCrossing:
         foreign = SweepSeries("dependency.p_both_correct", (0.0, 0.6), (0.5, 0.7), 0.6, 0.7)
         with pytest.raises(SweepError, match="swept value 0.0 for 'dependency.p_both_correct'"):
             find_reference_crossing(spec, foreign)
+
+    def test_a_series_of_another_spec_is_refused(self, base_scenario):
+        # the spec's root is 2/3; these series would answer other questions
+        spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
+        other_path = run_sweep(SweepSpec(base_scenario, "aid.p_advice_correct", 0.6, 0.8, 11))
+        series = run_sweep(spec)
+        other_reference = replace(series, unaided_reference=0.45)
+        for foreign in (other_path, other_reference):
+            with pytest.raises(SweepError, match=r"^series over .* is not the spec's, over 'policy\.p_accept' against 0\.6$"):
+                find_reference_crossing(spec, foreign)
+        assert find_reference_crossing(spec, series) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_crossing_at_known_parameter(self, base_scenario):
         spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
