@@ -320,7 +320,7 @@ def breakeven_discrimination(
 
     if accuracy_at(0.5) >= target - TIE_TOLERANCE:
         d_star = 0.5
-    elif accuracy_at(1.0) < target - TIE_TOLERANCE:  # so also when slope <= 0
+    elif accuracy_at(1.0) < target - TIE_TOLERANCE:  # every slope <= 0 too, so the division below is safe
         return BreakevenResult(None, target, None, mode)
     else:
         d_star = min(1.0, max(0.5, (target - intercept) / slope))
