@@ -47,6 +47,7 @@ from .model import (
     _TUPLE,
     _Wire,
     _check_sections,
+    _mapping,
     _record,
     joint_success_probability,
     leaves_of,
@@ -197,15 +198,19 @@ class PolicyComparison(_Wire):
     _CODECS = {
         "results": (
             lambda results: {name: result.to_dict() for name, result in results.items()},
-            lambda data: {name: EvalResult.from_dict(result) for name, result in data.items()},
+            lambda data: {
+                name: EvalResult.from_dict(result)
+                for name, result in _mapping(data, "PolicyComparison results").items()
+            },
         ),
         "margins": (dict, dict),
         "notes": _TUPLE,
     }
 
     def __post_init__(self):
-        if self.configured_policy not in self.results:
-            raise ValueError(f"configured_policy {self.configured_policy!r} has no result")
+        for role in ("configured_policy", "best_policy"):
+            if getattr(self, role) not in self.results:
+                raise ValueError(f"{role} {getattr(self, role)!r} has no result")
         if self.margins.keys() != self.results.keys():
             raise ValueError("margins must name exactly the compared policies")
         best = self.results[self.best_policy].p_correct_aided

@@ -163,9 +163,7 @@ class _Wire(_Record):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
-        if not isinstance(data, Mapping):
-            raise TypeError(f"{cls.__name__}.from_dict needs a mapping, got {type(data).__name__}")
-        unknown = data.keys() - cls._fields
+        unknown = _mapping(data, f"{cls.__name__}.from_dict").keys() - cls._fields
         if unknown:
             raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
         values = {}
@@ -174,6 +172,13 @@ class _Wire(_Record):
                 value = data[key]
                 values[key] = value if decode is None else decode(value)
         return cls(**values)
+
+
+def _mapping(data: Any, what: str) -> Mapping:
+    """`data`, unless it is no mapping: then TypeError naming `what`."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} needs a mapping, got {type(data).__name__}")
+    return data
 
 
 def _cells(key: str) -> tuple:
@@ -750,27 +755,21 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     return canonical
 
 
-def _check_path(scenario: Scenario, path: str) -> None:
-    """Raise SweepError unless `path` is the dot-path of a scenario's probability leaf."""
-    section = path.split(".")[0]
-    if path.count(".") != 1 or section not in _SECTIONS:
-        raise SweepError(f"parameter_path {path!r} not recognized")
-    if path not in scenario._leaves:
-        kind = _WIRE_NAMES.get(type(getattr(scenario, section)), section)
-        raise SweepError(
-            f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})"
-        )
-
-
 def _grid_leaves(base: Scenario, path: str, grid) -> dict[str, Any]:
     """The base's leaves with the leaf at `path` set to the numpy array `grid`,
-    clamped, once every value passes `validate_scenario`: the first that does
-    not raises SweepError with the validator's text.  Then one
-    DegradedRateWarning if a point's post-rejection rate exceeds its unaided
-    rate, unless the base's does (it warned when it was built)."""
+    clamped, once `path` names a probability leaf of the base and every value
+    passes `validate_scenario`; otherwise SweepError, with the validator's
+    text for the first invalid value.  Then one DegradedRateWarning if a
+    point's post-rejection rate exceeds its unaided rate, unless the base's
+    does (it warned when it was built)."""
     import numpy  # loaded already: `grid` is an array
 
-    _check_path(base, path)
+    if path.count(".") != 1 or path.split(".")[0] not in _SECTIONS:
+        raise SweepError(f"parameter_path {path!r} not recognized")
+    section, key = path.split(".")
+    if path not in base._leaves:
+        kind = _WIRE_NAMES.get(type(getattr(base, section)), section)
+        raise SweepError(f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})")
     leaves = base.leaves
     value = leaves[path] = _clamped(grid)
     # exactly what validation rejects: a clamped value outside [0, 1], or the
@@ -778,7 +777,6 @@ def _grid_leaves(base: Scenario, path: str, grid) -> dict[str, Any]:
     rejected = ~((value >= 0.0) & (value <= 1.0)) | bound_violated(
         base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
     )
-    section, key = path.split(".")
     for bad in grid[rejected].tolist():
         raw = scenario_to_dict(base)
         raw[section][key] = bad

@@ -104,6 +104,8 @@ class SimEstimate(_Wire):
             correct += count if final else 0
         if total != n:
             raise ValueError(f"outcome_counts sum to {total}, expected {n}")
+        if n < 1:
+            raise ValueError(f"n_trials must be >= 1, got {n!r}")
         if not abs(self.p_hat - correct / n) <= 1e-9:
             raise ValueError(f"p_hat {self.p_hat!r} is not the final-correct count {correct} / {n}")
         expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials)

@@ -12,9 +12,10 @@ in one numpy pass over the whole grid:
 - The closed form is ``analytic``'s kernel itself, run on the arrays, so
   every accuracy is bit-identical to ``evaluate`` on that point's scenario.
 
-A reference crossing is the linear root of the grid cell where the accuracy
-crosses the unaided rate, certified by one evaluation tol/2 beside it: the
-closed form is affine in one leaf inside the valid domain.
+A reference crossing is the linear root of the gaps to the unaided rate at
+the grid's two ends, certified by one evaluation tol/2 beside it: the closed
+form is affine in one leaf inside the valid domain, and that domain is an
+interval, so the ends decide the grid's validity and whether it crosses.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .model import (
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
     _TUPLE,
     _Wire,
-    _check_path,
     _clamped,
     _grid_leaves,
     _record,
@@ -111,73 +111,63 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     )
 
 
-def find_reference_crossing(
-    spec: SweepSpec, series: SweepSeries | None = None, tol: float = 1e-9
-) -> float | None:
+def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
     """Parameter value where the swept accuracy crosses the unaided reference.
 
-    Scans the series for a sign change between adjacent grid points, then
-    probes the bracket's linear root x and the point tol/2 from it towards
-    the sign change: a zero or a sign change there puts a root within tol/2
-    of x, which is returned.  Where a clamp bends the line, the bracket
-    shrinks past both probes and the next x is the root of the line through
-    them, or the bracket's midpoint if that root falls outside.  Only the
-    ends of a bracket from a caller's series are validated: the valid range
-    of one leaf is an interval; a caller's series over another path, or
-    with a reference other than the base's unaided rate, raises SweepError.
-    Returns None when the series never crosses the reference line.
+    Only the grid's two ends are validated and evaluated: the valid values of
+    one leaf form an interval, and the closed form is affine in the leaf
+    inside it.  An invalid end aborts as `run_sweep` would, naming the grid's
+    first invalid value; a degraded end issues the one DegradedRateWarning.
+    The first end whose gap to the base's unaided rate is zero is returned,
+    and None when both end gaps have the same sign.  Otherwise the ends'
+    linear root x is probed, and so is the point tol/2 from it towards the
+    sign change: a zero or a sign change there puts a root within tol/2 of
+    x, which is returned.  Where a clamp bends the line within the
+    validation slack, the rest of the bracket is bisected to tol.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise SweepError(f"tol must be finite and > 0, got {tol!r}")
-    foreign = series is not None
-    reference = spec.base.user.p_unaided_correct
-    if foreign:
-        _check_path(spec.base, spec.parameter_path)
-        if (series.parameter_path, series.unaided_reference) != (spec.parameter_path, reference):
-            raise SweepError(
-                f"series over {series.parameter_path!r} against {series.unaided_reference!r} is not "
-                f"the spec's, over {spec.parameter_path!r} against {reference!r}"
-            )
-    else:
-        series = run_sweep(spec)  # validates every grid value, bracket ends included
-    leaves = spec.base.leaves
+    base, path, grid = spec.base, spec.parameter_path, spec._grid()
+    ends = grid[[0, -1]]
+    try:
+        leaves = _grid_leaves(base, path, ends)
+    except SweepError:
+        _grid_leaves(base, path, grid)  # names the grid's first invalid value
+        raise
+    reference = base.user.p_unaided_correct
 
     def gap(value: float) -> float:
-        leaves[spec.parameter_path] = _clamped(value)
-        return float(_accuracy(spec.base, leaves)) - reference
+        leaves[path] = _clamped(value)
+        return float(_accuracy(base, leaves)) - reference
 
-    values = series.parameter_values
-    gaps = [acc - reference for acc in series.accuracies]
-    for i, (g, g_next) in enumerate(zip(gaps, gaps[1:])):
+    gaps = [(value, gap(value)) for value in ends.tolist()]
+    for value, g in gaps:
         if g == 0.0:
-            return values[i]
-        if g_next != 0.0 and (g < 0.0) != (g_next < 0.0):  # no product to underflow
-            if foreign:
-                _grid_leaves(spec.base, spec.parameter_path, np.array(values[i : i + 2]))
-            (lo, g_lo), (hi, g_hi) = sorted(zip(values[i : i + 2], gaps[i : i + 2]))
-            x, mid = lo + (hi - lo) * (g_lo / (g_lo - g_hi)), 0.5 * (lo + hi)
-            while hi - lo > tol and lo < mid < hi:
-                if not lo < x < hi:
-                    x = mid
-                g_x = gap(x)
-                if g_x == 0.0:
-                    return x
-                # tol/2 from x towards the sign change; past an end, the end is that near
-                right = (g_x < 0.0) == (g_lo < 0.0)
-                side = x + 0.5 * tol if right else x - 0.5 * tol
-                if not lo < side < hi:
-                    return x
-                g_side = gap(side)
-                if g_side == 0.0 or (g_side < 0.0) != (g_x < 0.0):
-                    return x
-                if right:
-                    lo, g_lo = side, g_side
-                else:
-                    hi, g_hi = side, g_side
-                # the root of the line through the last two gaps, else the midpoint
-                mid = 0.5 * (lo + hi)
-                x = side - g_side * ((side - x) / (g_side - g_x)) if g_side != g_x else mid
+            return value
+    (lo, g_lo), (hi, g_hi) = sorted(gaps)
+    if (g_lo < 0.0) == (g_hi < 0.0):
+        return None
+    x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+    g_x = gap(x)
+    if g_x == 0.0:
+        return x
+    # tol/2 from x towards the sign change; past an end, the end is that near
+    right = (g_x < 0.0) == (g_lo < 0.0)
+    side = x + 0.5 * tol if right else x - 0.5 * tol
+    if not lo < side < hi:
+        return x
+    g_side = gap(side)
+    if g_side == 0.0 or (g_side < 0.0) != (g_x < 0.0):
+        return x
+    lo, hi = (side, hi) if right else (lo, side)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
+        g_mid = gap(mid)
+        if g_mid == 0.0:
             return mid
-    if gaps and gaps[-1] == 0.0:
-        return values[-1]
-    return None
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,40 @@ def random_scenario(
     if explicit_mode and mode is None:
         mode = str(rng.choice(["fixed_rate", "conditional_from_joint"]))
     return make_scenario(p_a, p_u, r, policy=policy, dependency=dependency, mode=mode)
+
+
+def exact_accuracy(scenario) -> Fraction:
+    """P(final answer correct) in exact rationals: the sum over the four latent
+    cells (advice right?, user right alone?) of mass * (use * advice right +
+    (1 - use) * rate of being right alone), with P(both correct) clamped."""
+    p_a, p_u = Fraction(scenario.aid.p_advice_correct), Fraction(scenario.user.p_unaided_correct)
+    dependency, policy = scenario.dependency, scenario.policy
+    if isinstance(dependency, Independent):
+        p11 = p_a * p_u
+    elif isinstance(dependency, Dominant):
+        p11 = min(p_a, p_u)
+    else:
+        p11 = min(max(Fraction(dependency.p_both_correct), p_a + p_u - 1, Fraction(0)), p_a, p_u)
+    masses = {(1, 1): p11, (1, 0): p_a - p11, (0, 1): p_u - p11, (0, 0): 1 - p_a - p_u + p11}
+    total = Fraction(0)
+    for (advice, alone), mass in masses.items():
+        if isinstance(policy, RoutineAccept):
+            use, rate = 1, 0
+        elif isinstance(policy, RoutineIgnore):
+            use, rate = 0, alone
+        elif isinstance(policy, SelfGated):
+            gate = 1 - Fraction(policy.p_ignore_given_user_correct) if alone else policy.p_use_given_user_wrong
+            use, rate = Fraction(gate), alone
+        else:
+            if isinstance(policy, Indiscriminate):
+                accept_right = accept_wrong = policy.p_accept
+            else:
+                accept_right, accept_wrong = policy.p_accept_given_correct, policy.p_accept_given_wrong
+            use = Fraction(accept_right if advice else accept_wrong)
+            fixed = scenario.effective_degradation_mode == "fixed_rate"
+            rate = Fraction(scenario.user.p_post_reject_correct) if fixed else alone
+        total += mass * (use * advice + (1 - use) * rate)
+    return total
 
 
 @pytest.fixture

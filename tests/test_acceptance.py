@@ -105,7 +105,7 @@ def test_06_acceptance_sweep_affine_with_known_crossing(base_scenario):
         for i, acc in enumerate(series.accuracies)
     ]
     assert max(deviations) < EXACT
-    crossing = find_reference_crossing(spec, series, tol=CROSSING_TOL)
+    crossing = find_reference_crossing(spec, tol=CROSSING_TOL)
     expected = (0.6 - 0.4) / (0.7 - 0.4)
     assert crossing == pytest.approx(expected, abs=CROSSING_TOL)
     _report(

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from reliance.model import (
     validate_scenario,
 )
 
-from conftest import BASE_RAW, grid_breakeven, make_scenario, random_scenario, replace
+from conftest import BASE_RAW, exact_accuracy, grid_breakeven, make_scenario, random_scenario, replace
 
 EXACT = 1e-12
 
@@ -302,40 +301,6 @@ class TestEvaluateDispatch:
             assert sum(result.outcome_table.values()) == pytest.approx(1.0, abs=EXACT)
             final_mass = sum(p for (_, _, f), p in result.outcome_table.items() if f)
             assert final_mass == pytest.approx(result.p_correct_aided, abs=EXACT)
-
-
-def exact_accuracy(scenario) -> Fraction:
-    """P(final answer correct) in exact rationals: the sum over the four latent
-    cells (advice right?, user right alone?) of mass * (use * advice right +
-    (1 - use) * rate of being right alone), with P(both correct) clamped."""
-    p_a, p_u = Fraction(scenario.aid.p_advice_correct), Fraction(scenario.user.p_unaided_correct)
-    dependency, policy = scenario.dependency, scenario.policy
-    if isinstance(dependency, Independent):
-        p11 = p_a * p_u
-    elif isinstance(dependency, Dominant):
-        p11 = min(p_a, p_u)
-    else:
-        p11 = min(max(Fraction(dependency.p_both_correct), p_a + p_u - 1, Fraction(0)), p_a, p_u)
-    masses = {(1, 1): p11, (1, 0): p_a - p11, (0, 1): p_u - p11, (0, 0): 1 - p_a - p_u + p11}
-    total = Fraction(0)
-    for (advice, alone), mass in masses.items():
-        if isinstance(policy, RoutineAccept):
-            use, rate = 1, 0
-        elif isinstance(policy, RoutineIgnore):
-            use, rate = 0, alone
-        elif isinstance(policy, SelfGated):
-            gate = 1 - Fraction(policy.p_ignore_given_user_correct) if alone else policy.p_use_given_user_wrong
-            use, rate = Fraction(gate), alone
-        else:
-            if isinstance(policy, Indiscriminate):
-                accept_right = accept_wrong = policy.p_accept
-            else:
-                accept_right, accept_wrong = policy.p_accept_given_correct, policy.p_accept_given_wrong
-            use = Fraction(accept_right if advice else accept_wrong)
-            fixed = scenario.effective_degradation_mode == "fixed_rate"
-            rate = Fraction(scenario.user.p_post_reject_correct) if fixed else alone
-        total += mass * (use * advice + (1 - use) * rate)
-    return total
 
 
 POLICY_KINDS = ("routine_accept", "routine_ignore", "indiscriminate", "discriminating", "self_gated")

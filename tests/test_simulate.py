@@ -236,6 +236,15 @@ class TestEstimateAccuracy:
             with pytest.raises(ValueError, match=message):
                 SimEstimate.from_dict(data)
 
+    def test_zero_trials_is_a_value_error_naming_n_trials(self, base_scenario):
+        data = estimate_accuracy(base_scenario, 1000, seed=7).to_dict()
+        data.update(n_trials=0, p_hat=0.0, std_err=0.0, ci95=[0.0, 0.0], advice_correct_count=0,
+                    user_correct_count=0, either_correct_count=0)
+        for row in data["outcome_counts"]:
+            row["count"] = 0
+        with pytest.raises(ValueError, match=r"^n_trials must be >= 1, got 0$"):
+            SimEstimate.from_dict(data)
+
     def test_p_hat_and_latent_counts_must_fit_the_cells(self, base_scenario):
         estimate = estimate_accuracy(base_scenario, 1000, seed=7)
         advice, user = estimate.advice_correct_count, estimate.user_correct_count

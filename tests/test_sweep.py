@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from reliance.sweep import (
     sensitivity,
 )
 
-from conftest import make_scenario, perturbed_scenario, random_scenario, replace
+from conftest import exact_accuracy, make_scenario, perturbed_scenario, random_scenario, replace
 
 EXACT = 1e-12
 
@@ -385,11 +386,11 @@ GOLDEN_ACCURACIES = {
 
 GOLDEN_CROSSINGS = [
     "0.6666666666666666",
-    "0.5",
-    "0.18",
+    "0.5000000000000002",
+    "0.18000000000000016",
     "0.39130434782608703",
-    "0.2619047619047619",
-    "0.6500000000000002",
+    "0.2619047619047621",
+    "0.6500000000000001",
 ]
 
 
@@ -713,10 +714,9 @@ class TestSweepWarningsAndErrors:
     def test_degraded_point_warns_at_the_callers_line(self, base_scenario):
         spec = SweepSpec(base_scenario, "user.p_post_reject_correct", 0.2, 0.8, 7)
         with pytest.warns(DegradedRateWarning) as record:
-            series = run_sweep(spec)
+            run_sweep(spec)
             find_reference_crossing(spec)
-            find_reference_crossing(spec, series)
-        assert [w.filename for w in record] == [__file__] * 3
+        assert [w.filename for w in record] == [__file__] * 2
 
     def test_a_base_at_its_unaided_rate_warns_once_past_it(self):
         # the base's post-rejection rate equals its unaided rate: it did not
@@ -780,25 +780,6 @@ class TestSweepWarningsAndErrors:
 
 
 class TestReferenceCrossing:
-    def test_bracket_from_a_foreign_series_is_validated(self, base_scenario):
-        # a series over another grid would bisect outside the valid range
-        scenario = replace(base_scenario, dependency=Joint(0.42))
-        spec = SweepSpec(scenario, "dependency.p_both_correct", 0.3, 0.6, 7)
-        foreign = SweepSeries("dependency.p_both_correct", (0.0, 0.6), (0.5, 0.7), 0.6, 0.7)
-        with pytest.raises(SweepError, match="swept value 0.0 for 'dependency.p_both_correct'"):
-            find_reference_crossing(spec, foreign)
-
-    def test_a_series_of_another_spec_is_refused(self, base_scenario):
-        # the spec's root is 2/3; these series would answer other questions
-        spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
-        other_path = run_sweep(SweepSpec(base_scenario, "aid.p_advice_correct", 0.6, 0.8, 11))
-        series = run_sweep(spec)
-        other_reference = replace(series, unaided_reference=0.45)
-        for foreign in (other_path, other_reference):
-            with pytest.raises(SweepError, match=r"^series over .* is not the spec's, over 'policy\.p_accept' against 0\.6$"):
-                find_reference_crossing(spec, foreign)
-        assert find_reference_crossing(spec, series) == pytest.approx(2.0 / 3.0, abs=1e-9)
-
     def test_crossing_at_known_parameter(self, base_scenario):
         spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
         crossing = find_reference_crossing(spec)
@@ -845,18 +826,16 @@ class TestReferenceCrossing:
         # the root sits on the kink of min(p_a, p_u), with the slack zone below it
         scenario = make_scenario(policy=Discriminating(*accept), dependency=Dominant())
         spec = SweepSpec(scenario, "aid.p_advice_correct", 0.6 - SLACK, 0.6 + 1e-6, 2)
-        series = run_sweep(spec)
-        del kernel_calls[:]
-        crossing = find_reference_crossing(spec, series, tol)
+        crossing = find_reference_crossing(spec, tol)
         assert abs(crossing - 0.6) <= 0.5 * tol + 2e-16
-        assert 2 < len(kernel_calls) <= math.ceil(math.log2((1e-6 + SLACK) / tol))
+        assert 4 < len(kernel_calls) <= call_bound(spec.start, spec.stop, tol)
 
     def test_tol_below_float_resolution_ends(self, base_scenario):
         spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
         assert find_reference_crossing(spec, tol=1e-300) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
-# --- the certified linear root against the bisection it replaced ------------
+# --- the ends' linear root against bisection and the exact gap ---------------
 
 
 def gap_at(spec, value):
@@ -864,6 +843,14 @@ def gap_at(spec, value):
     leaves = spec.base.leaves
     leaves[spec.parameter_path] = _clamped(value)
     return _accuracy(spec.base, leaves) - spec.base.user.p_unaided_correct
+
+
+def exact_gap(spec, value):
+    """The gap at the float `value` in exact rationals, through `validate_scenario`."""
+    section, key = spec.parameter_path.split(".")
+    raw = scenario_to_dict(spec.base)
+    raw[section][key] = value
+    return exact_accuracy(validate_scenario(raw)) - Fraction(spec.base.user.p_unaided_correct)
 
 
 def bisected_crossing(spec, tol=1e-9):
@@ -906,7 +893,8 @@ def bisected_crossing(spec, tol=1e-9):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts the closed-form evaluations find_reference_crossing makes."""
+    """Counts the closed-form evaluations find_reference_crossing makes, the
+    grid's two ends included."""
     calls = []
 
     def counted(scenario, leaves):
@@ -917,13 +905,9 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def bracket_of(series):
-    """The first grid cell whose gaps to the unaided line change sign."""
-    gaps = [acc - series.unaided_reference for acc in series.accuracies]
-    for i in range(len(gaps) - 1):
-        if min(gaps[i : i + 2]) < 0.0 < max(gaps[i : i + 2]):
-            return series.parameter_values[i : i + 2], gaps[i : i + 2]
-    return None
+def call_bound(lo, hi, tol):
+    """The ends, the two probes, then bisection's step count over the grid's range."""
+    return 4 + math.ceil(math.log2(max(hi - lo, tol) / tol))
 
 
 CROSSING_POLICIES = (*GOLDEN_POLICIES.values(), Discriminating(0.95, 0.6), SelfGated(0.2, 0.9))
@@ -959,46 +943,77 @@ def leaf_range(scenario, path):
     return max(lo, 0.0), min(hi, 1.0)
 
 
-def sign_change_near(spec, x, tol, lo, hi):
+def near_gaps(spec, x, tol, lo, hi, gap=gap_at):
+    """The gap tol/2 below x, at x and tol/2 above it, kept inside [lo, hi]."""
+    return [gap(spec, value) for value in (max(lo, x - 0.5 * tol), x, min(hi, x + 0.5 * tol))]
+
+
+def sign_change_near(spec, x, tol, lo, hi, gap=gap_at):
     """Whether the gap is zero at x or changes sign within tol/2 of it, inside [lo, hi]."""
-    gaps = [gap_at(spec, value) for value in (max(lo, x - 0.5 * tol), x, min(hi, x + 0.5 * tol))]
-    return gaps[1] == 0.0 or any(min(a, b) <= 0.0 <= max(a, b) for a, b in zip(gaps, gaps[1:]))
+    gaps = near_gaps(spec, x, tol, lo, hi, gap)
+    return gaps[1] == 0 or any(min(a, b) <= 0 <= max(a, b) for a, b in zip(gaps, gaps[1:]))
+
+
+def moves(spec, x, tol, lo, hi):
+    """How far a tol/2 step either side of x moves the rounded gap."""
+    below, _, above = near_gaps(spec, x, tol, lo, hi)
+    return abs(above - below)
 
 
 class TestLinearRootAgainstBisection:
     def check(self, spec, tol, calls, outcomes):
-        """The linear root agrees with bisection within tol and costs no more.
+        """The ends' linear root against the exact gap and against bisection.
 
-        Bisection's cost is its step count on the bracketing grid cell,
-        ceil(log2(width / tol)); it stops sooner only when a midpoint happens
-        to hit a zero gap.  Where a step of tol/2 around the root moves the
-        rounded gap by less than 1e-13, the rounded gaps do not fix the root
-        to tol, and any point with a sign change within tol/2 is as good:
-        there the linear root must only be certified.
+        The search validates and warns as `run_sweep` does on the whole grid.
+        It returns None exactly when both end gaps are non-zero with one
+        sign, and costs at most `call_bound` kernel calls.  Where a tol/2
+        step moves the rounded gap by at least 1e-13, the exact gap changes
+        sign within tol/2 of the result, and bisection, where it finds a
+        root there, lies within tol of it.  Elsewhere the rounded gaps do not
+        fix the root to tol, and a sign change of the rounded gap within
+        tol/2 is as good.  An end whose rounded gap is zero is returned as it
+        is; its exact gap is within 1e-15 of zero, as `evaluate` is of the
+        exact accuracy.  Where bisection crosses and the ends do not, it
+        crossed at a rounded gap of zero: the exact gap keeps the ends' sign
+        at every grid point.
         """
-        try:
-            series = run_sweep(spec)
-        except SweepError:
-            return
-        expected, _ = bisected_crossing(spec, tol)
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always", DegradedRateWarning)
+            try:
+                series = run_sweep(spec)
+            except SweepError as err:
+                with pytest.raises(SweepError) as info:
+                    find_reference_crossing(spec, tol)
+                assert str(info.value) == str(err)
+                return
         del calls[:]
-        found = find_reference_crossing(spec, series, tol)
-        if expected is None:
-            assert found is None, spec
+        with warnings.catch_warnings(record=True) as crossed:
+            warnings.simplefilter("always", DegradedRateWarning)
+            found = find_reference_crossing(spec, tol)
+        assert len(crossed) == len(swept), spec
+        evaluations = len(calls)
+        expected, _ = bisected_crossing(spec, tol)
+        values = series.parameter_values
+        lo, hi = sorted(values[:: len(values) - 1])
+        first, last = (series.accuracies[i] - series.unaided_reference for i in (0, -1))
+        assert (found is None) == (first != 0.0 and last != 0.0 and (first < 0.0) == (last < 0.0)), spec
+        assert evaluations <= call_bound(lo, hi, tol), spec
+        if found is None:
             outcomes.append(None)
+            if expected is not None:
+                exact = [exact_gap(spec, value) for value in values]
+                assert all((g < 0) == (first < 0.0) and g != 0 for g in exact), (spec, expected)
             return
-        outcomes.append(len(calls))
-        bracket = bracket_of(series)
-        if bracket is None or not calls:  # a grid point with a zero gap
-            assert found == expected, spec
-            return
-        lo, hi = sorted(bracket[0])
-        near = gap_at(spec, max(lo, expected - 0.5 * tol)), gap_at(spec, min(hi, expected + 0.5 * tol))
-        if abs(near[1] - near[0]) >= 1e-13:
-            assert abs(found - expected) <= tol, (spec, found, expected)
-            assert len(calls) <= max(2, math.ceil(math.log2((hi - lo) / tol))), spec
+        outcomes.append(evaluations)
+        if found in (lo, hi) and gap_at(spec, found) == 0.0:
+            # the rounding put an end on the line: exact to the kernel's 1e-15
+            assert abs(exact_gap(spec, found)) <= 1e-15, (spec, found)
+        elif moves(spec, found, tol, lo, hi) >= 1e-13:
+            assert sign_change_near(spec, found, tol, lo, hi, exact_gap), (spec, found)
         else:
             assert sign_change_near(spec, found, tol, lo, hi), (spec, found)
+        if moves(spec, expected, tol, lo, hi) >= 1e-13:
+            assert abs(found - expected) <= tol, (spec, found, expected)
 
     def test_every_policy_dependency_mode_and_leaf(self, kernel_calls):
         outcomes = []
@@ -1013,8 +1028,8 @@ class TestLinearRootAgainstBisection:
                     self.check(SweepSpec(scenario, path, start, stop, 12), 1e-12, kernel_calls, outcomes)
         found = [n for n in outcomes if n is not None]
         assert len(found) > 1000 and outcomes.count(None) > 1000
-        # the bracket had to shrink, past a clamp, in some searches
-        assert sum(n > 2 for n in found) > 20
+        # the probes failed, past a clamp, and bisection ran in some searches
+        assert sum(n > 4 for n in found) > 20
 
     def test_random_edge_scenarios(self, kernel_calls):
         rng = np.random.default_rng(403)
@@ -1032,13 +1047,36 @@ class TestLinearRootAgainstBisection:
                 self.check(spec, (1e-9, 1e-12, 1e-6)[rng.integers(3)], kernel_calls, outcomes)
         assert outcomes.count(None) > 300 and len(outcomes) - outcomes.count(None) > 300
 
-    def test_an_affine_bracket_needs_at_most_two_evaluations(self, kernel_calls):
+    def test_a_golden_crossing_needs_at_most_four_evaluations(self, kernel_calls):
+        # the two ends, then the linear root and its tol/2 probe, all on floats
         for spec in golden_crossing_specs():
-            series = run_sweep(spec)
             del kernel_calls[:]
-            find_reference_crossing(spec, series)
-            assert len(kernel_calls) <= 2
+            find_reference_crossing(spec)
+            assert len(kernel_calls) <= 4
             assert all(isinstance(leaves[spec.parameter_path], float) for leaves in kernel_calls)
+
+    def test_a_flat_gap_costs_fewer_calls_than_the_secant_search(self, kernel_calls):
+        # the gap moves about 5e-10 over the grid, so a tol/2 step cannot move
+        # its rounding; the search this one replaced spent 37 calls here
+        p_a = 0.6 - SLACK
+        joint = Joint(frechet_bounds(p_a, 0.6)[1] - SLACK)
+        scenario = make_scenario(p_a, 0.6, 0.3, policy=SelfGated(0.7, 0.7), dependency=joint, mode="fixed_rate")
+        spec = SweepSpec(scenario, "policy.p_use_given_user_wrong", 1.0, 0.0, 12)
+        found = find_reference_crossing(spec, 1e-12)
+        assert sign_change_near(spec, found, 1e-12, 0.0, 1.0)
+        assert len(kernel_calls) < 37
+
+    def test_a_gap_that_rounds_to_zero_inside_the_grid_is_no_crossing(self):
+        # the exact gap is -(1 - p_a) * 2**-53, below -5.8e-17 on the whole
+        # grid, and rounds to 0.0 at its second point, where the scan of
+        # the grid crossed
+        scenario = make_scenario(
+            p_u=1.0, r=1.0 - 2.0**-53, policy=Discriminating(1.0, 0.0), mode="fixed_rate"
+        )
+        spec = SweepSpec(scenario, "aid.p_advice_correct", -0.0, 0.4703683994145884, 5)
+        assert all(exact_gap(spec, value) < Fraction(-5.8e-17) for value in spec.grid())
+        assert bisected_crossing(spec)[0] == 0.1175920998536471
+        assert find_reference_crossing(spec) is None
 
 
 class TestSensitivity:

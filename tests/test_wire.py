@@ -141,6 +141,22 @@ def test_a_non_mapping_compared_result_is_named():
         PolicyComparison.from_dict(data)
 
 
+def test_non_mapping_compared_results_are_named():
+    data = tied_compare().to_dict()
+    data["results"] = None
+    with pytest.raises(TypeError, match="^PolicyComparison results needs a mapping, got NoneType$"):
+        PolicyComparison.from_dict(data)
+
+
+@pytest.mark.parametrize("cls", [EvalResult, PolicyComparison, BreakevenResult], ids=lambda cls: cls.__name__)
+def test_a_null_field_is_a_value_or_type_error(cls):
+    # JSON null in place of each field; the three types need no numpy
+    data = one_of(cls).to_dict()
+    for key in data:
+        with pytest.raises((ValueError, TypeError)):
+            cls.from_dict({**data, key: None})
+
+
 def test_an_unknown_key_in_a_compared_result_is_named():
     data = tied_compare().to_dict()
     data["results"]["routine_ignore"]["bogus"] = 1
