@@ -279,6 +279,7 @@ class BreakevenResult(_Wire):
     _CODECS = {
         "d_star": (lambda d: "unattainable" if d is None else d, lambda d: None if d == "unattainable" else d)
     }
+    _NULLABLE = ("accuracy_at_d_star",)
 
     def __post_init__(self):
         if self.degradation_mode not in DEGRADATION_MODES:

@@ -147,12 +147,13 @@ class _Wire(_Record):
     else in field order.  Each class states `_CODECS`, the (encode, decode)
     of each field whose JSON form differs from its value, such as a tuple
     (`_TUPLE`, a list); any other field is written and read as it is.
-    `from_dict` may be given no value for a field with a default, such as
-    `notes`; any other missing key raises KeyError naming it, and a key
-    that names no field raises ValueError naming it.
+    `from_dict` may omit a field with a default, such as `notes`.  It names
+    any other missing key in a KeyError, an unknown key in a ValueError, and
+    a null read as it is, unless `_NULLABLE` lists it, in a TypeError.
     """
 
     __slots__ = ()
+    _NULLABLE = ()
 
     def to_dict(self) -> dict[str, Any]:
         data = {}
@@ -170,6 +171,8 @@ class _Wire(_Record):
         for key, _, decode in cls._WIRE:
             if key in data or key not in cls._defaults:
                 value = data[key]
+                if value is None and decode is None and key not in cls._NULLABLE:
+                    raise TypeError(f"{cls.__name__} {key} must not be null")
                 values[key] = value if decode is None else decode(value)
         return cls(**values)
 
@@ -440,14 +443,18 @@ def policy_name(policy: ReliancePolicy) -> str:
     return _WIRE_NAMES[type(policy)]
 
 
-# `a if cond else b`, min and max for floats and numpy arrays alike; numpy is
-# imported only when an array is passed, so it is already loaded.
+# `a if cond else b`, any, min and max for floats and numpy arrays alike; numpy
+# is imported only when an array is passed, so it is already loaded.
 def _where(cond, a, b):
     if isinstance(cond, bool):
         return a if cond else b
     import numpy
 
     return numpy.where(cond, a, b)
+
+
+def _any(cond):
+    return cond if isinstance(cond, bool) else cond.any()
 
 
 # min(a, b) and max(a, b) keep a unless b is strictly smaller or larger, which
@@ -755,14 +762,14 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     return canonical
 
 
-def _grid_leaves(base: Scenario, path: str, grid) -> dict[str, Any]:
-    """The base's leaves with the leaf at `path` set to the numpy array `grid`,
-    clamped, once `path` names a probability leaf of the base and every value
-    passes `validate_scenario`; otherwise SweepError, with the validator's
-    text for the first invalid value.  Then one DegradedRateWarning if a
-    point's post-rejection rate exceeds its unaided rate, unless the base's
-    does (it warned when it was built)."""
-    import numpy  # loaded already: `grid` is an array
+def _grid_leaves(base: Scenario, path: str, *grids) -> dict[str, Any]:
+    """The base's leaves with the leaf at `path` set to each grid in turn, a
+    numpy array or a float (screened without numpy), clamped, once `path`
+    names a probability leaf of the base and every value passes
+    `validate_scenario`; otherwise SweepError, with the validator's text for
+    the first invalid value.  Then one DegradedRateWarning if a point's
+    post-rejection rate exceeds its unaided rate and the base's does not."""
+    import numpy  # loaded already: `sweep` passes the grids
 
     if path.count(".") != 1 or path.split(".")[0] not in _SECTIONS:
         raise SweepError(f"parameter_path {path!r} not recognized")
@@ -770,23 +777,22 @@ def _grid_leaves(base: Scenario, path: str, grid) -> dict[str, Any]:
     if path not in base._leaves:
         kind = _WIRE_NAMES.get(type(getattr(base, section)), section)
         raise SweepError(f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})")
-    leaves = base.leaves
-    value = leaves[path] = _clamped(grid)
-    # exactly what validation rejects: a clamped value outside [0, 1], or the
-    # dependency past its bound
-    rejected = ~((value >= 0.0) & (value <= 1.0)) | bound_violated(
-        base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
-    )
-    for bad in grid[rejected].tolist():
-        raw = scenario_to_dict(base)
-        raw[section][key] = bad
-        try:
-            validate_scenario(raw)
-        except ScenarioValidationError as err:
-            raise SweepError(f"swept value {bad!r} for {path!r} is invalid: {err}") from err
-    user = base.user
-    if numpy.any(leaves[P_POST_REJECT] > leaves[P_UNAIDED]) and not (
-        user.p_post_reject_correct > user.p_unaided_correct
-    ):
+    leaves, degraded = base.leaves, False
+    for grid in grids:
+        value = leaves[path] = _clamped(grid)
+        # exactly what validation rejects: a clamped value outside [0, 1], or the
+        # dependency past its bound; `~` would turn a float's bool into an int
+        rejected = (value < 0.0) | (value > 1.0) | bound_violated(
+            base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
+        )
+        for bad in numpy.extract(rejected, grid).tolist() if _any(rejected) else ():
+            raw = scenario_to_dict(base)
+            raw[section][key] = bad
+            try:
+                validate_scenario(raw)
+            except ScenarioValidationError as err:
+                raise SweepError(f"swept value {bad!r} for {path!r} is invalid: {err}") from err
+        degraded = degraded or _any(leaves[P_POST_REJECT] > leaves[P_UNAIDED])
+    if degraded and not base.user.p_post_reject_correct > base.user.p_unaided_correct:
         _warn_degraded_rate()
     return leaves

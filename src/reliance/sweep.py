@@ -13,9 +13,10 @@ in one numpy pass over the whole grid:
   every accuracy is bit-identical to ``evaluate`` on that point's scenario.
 
 A reference crossing is the linear root of the gaps to the unaided rate at
-the grid's two ends, certified by one evaluation tol/2 beside it: the closed
-form is affine in one leaf inside the valid domain, and that domain is an
-interval, so the ends decide the grid's validity and whether it crosses.
+the grid's two ends, screened as floats by the sweep's rules, certified by
+one evaluation tol/2 beside it: the closed form is affine in one leaf inside
+the valid domain, and that domain is an interval, so the ends decide the
+grid's validity and whether it crosses.
 """
 
 from __future__ import annotations
@@ -67,10 +68,13 @@ class SweepSpec:
     def grid(self) -> list[float]:
         return self._grid().tolist()
 
-    def _grid(self) -> np.ndarray:
-        # start + i * width elementwise, the same float operations as a loop
+    def _grid(self, i=None):
+        # start + i * width for every i, or the i given: a loop's float operations
         width = (self.stop - self.start) / (self.steps - 1)
-        return self.start + np.arange(self.steps) * width
+        return self.start + (np.arange(self.steps) if i is None else i) * width
+
+    def _ends(self) -> tuple[float, float]:
+        return float(self._grid(0)), float(self._grid(self.steps - 1))
 
 
 @_record
@@ -114,10 +118,10 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
 def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
     """Parameter value where the swept accuracy crosses the unaided reference.
 
-    Only the grid's two ends are validated and evaluated: the valid values of
-    one leaf form an interval, and the closed form is affine in the leaf
-    inside it.  An invalid end aborts as `run_sweep` would, naming the grid's
-    first invalid value; a degraded end issues the one DegradedRateWarning.
+    Only the grid's two ends are validated and evaluated, as floats: one
+    leaf's valid values form an interval, and the closed form is affine in the
+    leaf inside it.  An invalid end aborts as `run_sweep` would, naming the
+    grid's first invalid value; a degraded end issues the one DegradedRateWarning.
     The first end whose gap to the base's unaided rate is zero is returned,
     and None when both end gaps have the same sign.  Otherwise the ends'
     linear root x is probed, and so is the point tol/2 from it towards the
@@ -127,12 +131,11 @@ def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise SweepError(f"tol must be finite and > 0, got {tol!r}")
-    base, path, grid = spec.base, spec.parameter_path, spec._grid()
-    ends = grid[[0, -1]]
+    base, path, ends = spec.base, spec.parameter_path, spec._ends()
     try:
-        leaves = _grid_leaves(base, path, ends)
+        leaves = _grid_leaves(base, path, *ends)
     except SweepError:
-        _grid_leaves(base, path, grid)  # names the grid's first invalid value
+        _grid_leaves(base, path, spec._grid())  # names the grid's first invalid value
         raise
     reference = base.user.p_unaided_correct
 
@@ -140,7 +143,7 @@ def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
         leaves[path] = _clamped(value)
         return float(_accuracy(base, leaves)) - reference
 
-    gaps = [(value, gap(value)) for value in ends.tolist()]
+    gaps = [(value, gap(value)) for value in ends]
     for value, g in gaps:
         if g == 0.0:
             return value

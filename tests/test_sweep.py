@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from reliance import analytic, sweep
+from reliance.cli import MAX_STEPS
 from reliance.analytic import (
     FD_STEP,
     _accuracy,
@@ -833,6 +834,84 @@ class TestReferenceCrossing:
     def test_tol_below_float_resolution_ends(self, base_scenario):
         spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 11)
         assert find_reference_crossing(spec, tol=1e-300) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+# --- the crossing screens the grid's two ends as floats ----------------------
+
+
+def float_bits(values):
+    return [(type(v), v.hex()) for v in values]
+
+
+class TestCrossingEndsAsFloats:
+    EDGES = (0.0, -0.0, 1.0, -1e-12, 1e-300, 0.5, 1, 0)
+
+    def random_bound(self, rng):
+        if rng.random() < 0.3:
+            return self.EDGES[rng.integers(len(self.EDGES))]
+        return float(rng.uniform(-2.0, 2.0))
+
+    def test_ends_are_the_grids_ends_bit_for_bit(self, base_scenario):
+        rng = np.random.default_rng(17)
+        specs = [(0.0, 1.0, 11), (1.0, 0.0, 11), (-0.0, 1.0, 5), (-0.0, -1.0, 5), (-0.0, -0.0, 3),
+                 (0.0, -0.0, 3), (0.3, 0.3, 2), (1.0, 0.0, np.int64(7)), (-0.0, -0.5, np.int64(4))]
+        for _ in range(400):
+            start, stop = self.random_bound(rng), self.random_bound(rng)
+            steps = int(rng.integers(2, 300)) if rng.random() < 0.8 else int(rng.integers(2, MAX_STEPS + 1))
+            specs.append((start, stop, np.int64(steps) if rng.random() < 0.25 else steps))
+        specs += [(start, stop, steps) for start, stop in [(0.0, 1.0), (1.0, 0.0), (-0.0, 0.9), (0.1, 0.7)]
+                  for steps in (MAX_STEPS, MAX_STEPS - 1, np.int64(MAX_STEPS), MAX_STEPS - 3)]
+        for start, stop, steps in specs:
+            spec = SweepSpec(base_scenario, "policy.p_accept", start, stop, steps)
+            assert float_bits(spec._ends()) == float_bits(spec._grid()[[0, -1]].tolist()), (start, stop, steps)
+
+    def test_a_valid_crossing_evaluates_no_array(self, monkeypatch):
+        specs = golden_crossing_specs()
+        specs.append(SweepSpec(make_scenario(), "policy.p_accept", 0.0, 1.0, np.int64(11)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy array was evaluated")
+
+        for name in ("arange", "where", "any"):
+            monkeypatch.setattr(np, name, refuse)
+        found = [find_reference_crossing(spec) for spec in specs]
+        assert list(map(repr, found)) == GOLDEN_CROSSINGS + GOLDEN_CROSSINGS[:1]
+
+    def test_two_degraded_ends_warn_once_at_the_callers_line(self, base_scenario):
+        spec = SweepSpec(base_scenario, "user.p_post_reject_correct", 0.7, 0.9, 5)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            find_reference_crossing(spec)
+        assert [(w.category, w.filename) for w in record] == [(DegradedRateWarning, __file__)]
+
+    def test_a_base_at_its_unaided_rate_warns_once_past_it(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedRateWarning)
+            scenario = make_scenario(r=0.6)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            find_reference_crossing(SweepSpec(scenario, "user.p_post_reject_correct", 0.4, 0.8, 5))
+        assert [w.category for w in record] == [DegradedRateWarning]
+
+    @pytest.mark.parametrize(
+        "r,start,stop,steps,named",
+        [
+            (0.4, 0.0, 1.0, 11, "0.0"),  # the first end: degraded, past the Frechet bounds
+            (0.5, 0.45, 0.8, 8, "0.8"),  # the first end degraded and valid, the last invalid
+            (0.5, 0.45, 0.85, 9, "0.8"),  # the grid's first invalid value is inside it
+        ],
+    )
+    def test_an_invalid_degraded_end_aborts_as_the_sweep_does(self, r, start, stop, steps, named):
+        spec = SweepSpec(make_scenario(r=r, dependency=Joint(0.45)), "user.p_unaided_correct", start, stop, steps)
+        with pytest.raises(SweepError) as swept:
+            run_sweep(spec)
+        assert str(swept.value).startswith(f"swept value {named} for")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(SweepError) as crossed:
+                find_reference_crossing(spec)
+        assert str(crossed.value) == str(swept.value)
+        assert record == []
 
 
 # --- the ends' linear root against bisection and the exact gap ---------------

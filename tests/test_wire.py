@@ -2,8 +2,8 @@
 
 `to_dict()` is the CLI's `result` object; the CLI goldens pin the shapes it
 prints.  The goldens here pin the shapes no CLI run covers.  `from_dict`
-treats `notes` as optional, names any other missing key in a KeyError and
-any unknown key in a ValueError.
+treats `notes` as optional, names any other missing key in a KeyError, any
+unknown key in a ValueError and a null field read as it is in a TypeError.
 """
 
 import hashlib
@@ -148,13 +148,35 @@ def test_non_mapping_compared_results_are_named():
         PolicyComparison.from_dict(data)
 
 
-@pytest.mark.parametrize("cls", [EvalResult, PolicyComparison, BreakevenResult], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
 def test_a_null_field_is_a_value_or_type_error(cls):
-    # JSON null in place of each field; the three types need no numpy
+    # JSON null in place of each field
     data = one_of(cls).to_dict()
     for key in data:
         with pytest.raises((ValueError, TypeError)):
             cls.from_dict({**data, key: None})
+
+
+@pytest.mark.parametrize(
+    "cls,key",
+    [
+        (SimEstimate, "seed"),
+        (SimEstimate, "n_shards"),
+        (SweepSeries, "parameter_path"),
+        (SweepSeries, "unaided_reference"),
+        (SweepSeries, "routine_accept_reference"),
+    ],
+)
+def test_a_null_read_as_it_is_is_named(cls, key):
+    # these fields passed null through to the record before it was refused
+    with pytest.raises(TypeError, match=f"^{cls.__name__} {key} must not be null$"):
+        cls.from_dict({**one_of(cls).to_dict(), key: None})
+
+
+def test_an_unattainable_break_even_still_reads_back_its_null():
+    result = unattainable_breakeven()
+    assert result.to_dict()["accuracy_at_d_star"] is None
+    assert BreakevenResult.from_dict(result.to_dict()) == result
 
 
 def test_an_unknown_key_in_a_compared_result_is_named():
