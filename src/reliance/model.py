@@ -277,19 +277,16 @@ def as_probability(value: Any, name: str = "probability") -> float:
         v = float(value)
     except OverflowError:  # an integer past float range
         v = -math.inf if value < 0 else math.inf
-    if -PROBABILITY_CLAMP <= v < 0.0:
-        return 0.0
-    if 1.0 < v <= 1.0 + PROBABILITY_CLAMP:
-        return 1.0
+    v = _clamped(v)
     if not 0.0 <= v <= 1.0:
         raise ScenarioValidationError([ConstraintViolation(name, v, "[0, 1]")])
     return v
 
 
 def _clamped(values):
-    """`as_probability`'s clamp of overshoot within 1e-12 of [0, 1], on floats
-    or arrays, without the range check.  `as_probability` states the same rule
-    on one float without `_where`, at about half the cost."""
+    """The clamp of overshoot within 1e-12 of [0, 1] to its end, on floats or
+    arrays, without the range check: `as_probability` and the sweep's grid
+    both clamp through it."""
     values = _where((values >= -PROBABILITY_CLAMP) & (values < 0.0), 0.0, values)
     return _where((values > 1.0) & (values <= 1.0 + PROBABILITY_CLAMP), 1.0, values)
 
@@ -443,18 +440,14 @@ def policy_name(policy: ReliancePolicy) -> str:
     return _WIRE_NAMES[type(policy)]
 
 
-# `a if cond else b`, any, min and max for floats and numpy arrays alike; numpy
-# is imported only when an array is passed, so it is already loaded.
+# `a if cond else b`, min and max for floats and numpy arrays alike; numpy is
+# imported only when an array is passed, so it is already loaded.
 def _where(cond, a, b):
     if isinstance(cond, bool):
         return a if cond else b
     import numpy
 
     return numpy.where(cond, a, b)
-
-
-def _any(cond):
-    return cond if isinstance(cond, bool) else cond.any()
 
 
 # min(a, b) and max(a, b) keep a unless b is strictly smaller or larger, which
@@ -474,11 +467,11 @@ def frechet_bounds(p_a, p_u):
 
 def bound_violated(dependency: DependencyModel, p_a, p_u, p_both=None):
     """Whether P(both correct) `p_both` leaves its Frechet-Hoeffding bounds, or a
-    dominant advisor falls below the user, by more than BOUND_TOLERANCE;
-    elementwise for numpy arrays."""
+    dominant advisor falls below the user, by more than BOUND_TOLERANCE; on
+    floats, for a scenario or one sweep value."""
     if isinstance(dependency, Joint):
         lo, hi = frechet_bounds(p_a, p_u)
-        return (p_both < lo - BOUND_TOLERANCE) | (p_both > hi + BOUND_TOLERANCE)
+        return p_both < lo - BOUND_TOLERANCE or p_both > hi + BOUND_TOLERANCE
     if isinstance(dependency, Dominant):
         return p_a < p_u - BOUND_TOLERANCE
     return False
@@ -762,15 +755,14 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     return canonical
 
 
-def _grid_leaves(base: Scenario, path: str, *grids) -> dict[str, Any]:
-    """The base's leaves with the leaf at `path` set to each grid in turn, a
-    numpy array or a float (screened without numpy), clamped, once `path`
-    names a probability leaf of the base and every value passes
-    `validate_scenario`; otherwise SweepError, with the validator's text for
-    the first invalid value.  Then one DegradedRateWarning if a point's
-    post-rejection rate exceeds its unaided rate and the base's does not."""
-    import numpy  # loaded already: `sweep` passes the grids
-
+def _grid_leaves(base: Scenario, path: str, values) -> dict[str, float]:
+    """The base's leaves with the leaf at `path` set to each float of `values`
+    in turn, clamped, once `path` names a probability leaf of the base and
+    every value passes `validate_scenario`; otherwise SweepError, with the
+    validator's text for the first invalid value.  Then one
+    DegradedRateWarning if a value's post-rejection rate exceeds its unaided
+    rate and the base's does not: one leaf's valid values form an interval,
+    and so do its degraded ones, so a grid's two ends decide both."""
     if path.count(".") != 1 or path.split(".")[0] not in _SECTIONS:
         raise SweepError(f"parameter_path {path!r} not recognized")
     section, key = path.split(".")
@@ -778,21 +770,20 @@ def _grid_leaves(base: Scenario, path: str, *grids) -> dict[str, Any]:
         kind = _WIRE_NAMES.get(type(getattr(base, section)), section)
         raise SweepError(f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})")
     leaves, degraded = base.leaves, False
-    for grid in grids:
-        value = leaves[path] = _clamped(grid)
-        # exactly what validation rejects: a clamped value outside [0, 1], or the
-        # dependency past its bound; `~` would turn a float's bool into an int
-        rejected = (value < 0.0) | (value > 1.0) | bound_violated(
+    for value in values:
+        clamped = leaves[path] = _clamped(value)
+        # exactly what validation rejects: a clamped value outside [0, 1], or
+        # the dependency past its bound
+        if not 0.0 <= clamped <= 1.0 or bound_violated(
             base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
-        )
-        for bad in numpy.extract(rejected, grid).tolist() if _any(rejected) else ():
+        ):
             raw = scenario_to_dict(base)
-            raw[section][key] = bad
+            raw[section][key] = value
             try:
                 validate_scenario(raw)
             except ScenarioValidationError as err:
-                raise SweepError(f"swept value {bad!r} for {path!r} is invalid: {err}") from err
-        degraded = degraded or _any(leaves[P_POST_REJECT] > leaves[P_UNAIDED])
+                raise SweepError(f"swept value {value!r} for {path!r} is invalid: {err}") from err
+        degraded = degraded or leaves[P_POST_REJECT] > leaves[P_UNAIDED]
     if degraded and not base.user.p_post_reject_correct > base.user.p_unaided_correct:
         _warn_degraded_rate()
     return leaves

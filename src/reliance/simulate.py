@@ -106,6 +106,10 @@ class SimEstimate(_Wire):
             raise ValueError(f"outcome_counts sum to {total}, expected {n}")
         if n < 1:
             raise ValueError(f"n_trials must be >= 1, got {n!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
+        if isinstance(self.n_shards, bool) or not isinstance(self.n_shards, int) or self.n_shards < 1:
+            raise ValueError(f"n_shards must be an int >= 1, got {self.n_shards!r}")
         if not abs(self.p_hat - correct / n) <= 1e-9:
             raise ValueError(f"p_hat {self.p_hat!r} is not the final-correct count {correct} / {n}")
         expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials)
@@ -284,7 +288,7 @@ def estimate_accuracy(
         std_err=std_err,
         ci95=ci95,
         seed=int(seed),
-        n_shards=shards,
+        n_shards=int(shards),
         outcome_counts=outcome_counts,
         advice_correct_count=n_advice,
         user_correct_count=n_user,

@@ -5,18 +5,19 @@ used in scenario JSON, e.g. ``"policy.p_accept"``) with each value of an
 inclusive, equally spaced grid and evaluates the closed form at every point
 in one numpy pass over the whole grid:
 
-- ``model`` decides the grid's validity, as it decides a scenario's: the
-  swept leaf is clamped as ``as_probability`` clamps it, and the first
+- ``model`` decides the grid's validity, as it decides a scenario's, from
+  the grid's two ends as floats: one leaf's valid values form an interval.
+  The swept leaf is clamped as ``as_probability`` clamps it.  Only when an
+  end is invalid is the grid screened value by value, so that the first
   value ``validate_scenario`` would reject aborts the sweep with the
   validator's own message before anything is evaluated.
 - The closed form is ``analytic``'s kernel itself, run on the arrays, so
   every accuracy is bit-identical to ``evaluate`` on that point's scenario.
 
-A reference crossing is the linear root of the gaps to the unaided rate at
-the grid's two ends, screened as floats by the sweep's rules, certified by
-one evaluation tol/2 beside it: the closed form is affine in one leaf inside
-the valid domain, and that domain is an interval, so the ends decide the
-grid's validity and whether it crosses.
+A reference crossing is screened the same way.  It is the linear root of
+the gaps to the unaided rate at the grid's two ends, certified by one
+evaluation tol/2 beside it: the closed form is affine in one leaf inside
+the valid domain, so the ends also decide whether the grid crosses.
 """
 
 from __future__ import annotations
@@ -28,14 +29,37 @@ import numpy as np
 
 from .analytic import _accuracy, sensitivity  # sensitivity re-exported; it needs no numpy
 from .model import (
+    EvalResult,
     Scenario,
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
-    _TUPLE,
+    _FIELDS,
     _Wire,
     _clamped,
     _grid_leaves,
     _record,
 )
+
+# Every probability dot-path of the scenario schema.
+_PATHS = frozenset(path for fields in _FIELDS.values() for path in fields.values())
+
+
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _is_rate(value) -> bool:
+    return _is_number(value) and -EvalResult._GUARD <= value <= 1.0 + EvalResult._GUARD
+
+
+def _checked(name: str, is_valid, items) -> tuple:
+    """`items` as a tuple, unless one fails `is_valid`: then ValueError naming
+    `name` and the first such item."""
+    items = tuple(items)
+    for item in items:
+        if not is_valid(item):
+            raise ValueError(f"SweepSeries {name} cannot hold {item!r}")
+    return items
+
 
 @_record
 class SweepSpec:
@@ -79,7 +103,12 @@ class SweepSpec:
 
 @_record
 class SweepSeries(_Wire):
-    """Accuracies along a sweep grid, with the two routine reference lines."""
+    """Accuracies along a sweep grid, with the two routine reference lines.
+
+    Each grid value is a finite number and each accuracy and reference a rate
+    in [0, 1], within EvalResult's guard for round-off; `from_dict` checks the
+    grid and the accuracies, the record its path and references.
+    """
 
     parameter_path: str
     parameter_values: tuple[float, ...]
@@ -87,24 +116,43 @@ class SweepSeries(_Wire):
     unaided_reference: float
     routine_accept_reference: float
 
-    _CODECS = {"parameter_values": _TUPLE, "accuracies": _TUPLE}
+    _CODECS = {
+        "parameter_values": (list, lambda items: _checked("parameter_values", _is_number, items)),
+        "accuracies": (list, lambda items: _checked("accuracies", _is_rate, items)),
+    }
 
     def __post_init__(self):
         if len(self.parameter_values) != len(self.accuracies):
             raise ValueError("parameter_values and accuracies must have equal length")
+        if not isinstance(self.parameter_path, str) or self.parameter_path not in _PATHS:
+            raise ValueError(f"SweepSeries parameter_path {self.parameter_path!r} is no probability of the schema")
+        for name in ("unaided_reference", "routine_accept_reference"):
+            _checked(name, _is_rate, (getattr(self, name),))
+
+
+def _screened(spec: SweepSpec) -> dict[str, float]:
+    """The base's leaves once the grid's two ends, as floats, pass the model's
+    screen.  Where one fails, the grid is screened value by value in order,
+    so that the SweepError names its first invalid value."""
+    try:
+        return _grid_leaves(spec.base, spec.parameter_path, spec._ends())
+    except SweepError:
+        _grid_leaves(spec.base, spec.parameter_path, spec._grid().tolist())
+        raise
 
 
 def run_sweep(spec: SweepSpec) -> SweepSeries:
     """Evaluate the closed form at each grid point of the sweep.
 
-    Every swept scenario is validated before any evaluation begins; the
-    first invalid grid value aborts the whole sweep, by name.  One
-    DegradedRateWarning, reported at the caller's line, is issued if a
-    point's post-rejection rate exceeds its unaided rate while the base
-    scenario's does not.
+    The grid's two ends are validated before any evaluation begins, and so
+    every point between them; the first invalid grid value aborts the whole
+    sweep, by name.  One DegradedRateWarning, reported at the caller's line,
+    is issued if a point's post-rejection rate exceeds its unaided rate while
+    the base scenario's does not.
     """
     grid = spec._grid()
-    leaves = _grid_leaves(spec.base, spec.parameter_path, grid)
+    leaves = _screened(spec)
+    leaves[spec.parameter_path] = _clamped(grid)
     accuracies = np.broadcast_to(_accuracy(spec.base, leaves), grid.shape)
     return SweepSeries(
         parameter_path=spec.parameter_path,
@@ -132,11 +180,7 @@ def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise SweepError(f"tol must be finite and > 0, got {tol!r}")
     base, path, ends = spec.base, spec.parameter_path, spec._ends()
-    try:
-        leaves = _grid_leaves(base, path, *ends)
-    except SweepError:
-        _grid_leaves(base, path, spec._grid())  # names the grid's first invalid value
-        raise
+    leaves = _screened(spec)
     reference = base.user.p_unaided_correct
 
     def gap(value: float) -> float:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,3 +223,15 @@ def perturbed_scenario(scenario: Scenario, path: str, delta: float) -> Scenario:
     }
     values[key] += delta
     return replace(scenario, policy=SelfGated(**values))
+
+
+def loaded_after(probe: str, *modules: str) -> list[str]:
+    """Run `probe` in a fresh interpreter on this source tree; which of
+    `modules` it left imported."""
+    env = os.environ.copy()
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    probe += f"\nimport sys; print([name for name in {modules!r} if name in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.strip())

@@ -1,12 +1,7 @@
 """Closed-form accuracies: worked values, algebraic identities, and bounds."""
 
-import ast
 import itertools
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +30,15 @@ from reliance.model import (
     validate_scenario,
 )
 
-from conftest import BASE_RAW, exact_accuracy, grid_breakeven, make_scenario, random_scenario, replace
+from conftest import (
+    BASE_RAW,
+    exact_accuracy,
+    grid_breakeven,
+    loaded_after,
+    make_scenario,
+    random_scenario,
+    replace,
+)
 
 EXACT = 1e-12
 
@@ -510,18 +513,6 @@ class TestBreakevenDiscrimination:
         assert BreakevenResult.from_dict(unreachable.to_dict()) == unreachable
 
 
-def loaded_after(probe: str, *modules: str) -> list[str]:
-    """Run `probe` in a fresh interpreter on this source tree; which of
-    `modules` it left imported."""
-    env = os.environ.copy()
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    probe += f"\nimport sys; print([name for name in {modules!r} if name in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    return ast.literal_eval(result.stdout.strip())
-
-
 def test_closed_forms_import_without_numpy():
     # numpy stays behind the Monte Carlo engine and sweeps, so a command that
     # only needs the closed forms can skip importing it
@@ -543,18 +534,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def test_closed_forms_and_sensitivity_run_without_numpy():
+    # every closed form, and each of its results' readers, on the one policy
+    # whose rows read the joint mass, with numpy and `dataclasses` unloaded
     probe = """
 import reliance
 s = reliance.validate_scenario({
     "aid": {"p_advice_correct": 0.7},
     "user": {"p_unaided_correct": 0.6, "p_post_reject_correct": 0.4},
-    "policy": {"type": "discriminating", "p_accept_given_correct": 0.8, "p_accept_given_wrong": 0.3},
+    "policy": {"type": "self_gated", "p_ignore_given_user_correct": 0.8, "p_use_given_user_wrong": 0.3},
     "dependency": {"type": "joint", "p_both_correct": 0.45},
 })
 results = reliance.evaluate(s), reliance.compare_policies(s), reliance.sensitivity(s)
 breakeven = reliance.breakeven_discrimination(s.aid, s.user, s.dependency)
 reliance.potential_combined(s.aid, s.user, s.dependency)
 for result in results[0], results[1], breakeven:
-    assert type(result).from_dict(result.to_dict()) == result
+    data = result.to_dict()
+    assert type(result).from_dict(data) == result
+    for changes in [{"bogus": 1}] + [{key: None} for key in data]:
+        try:
+            type(result).from_dict({**data, **changes})
+        except (ValueError, TypeError):
+            pass
+        else:
+            raise AssertionError(f"{type(result).__name__}.from_dict accepted {changes}")
 """
-    assert loaded_after(probe, "numpy") == []
+    assert loaded_after(probe, "numpy", "dataclasses") == []

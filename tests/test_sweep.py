@@ -41,7 +41,15 @@ from reliance.sweep import (
     sensitivity,
 )
 
-from conftest import exact_accuracy, make_scenario, perturbed_scenario, random_scenario, replace
+from conftest import (
+    BASE_RAW,
+    exact_accuracy,
+    loaded_after,
+    make_scenario,
+    perturbed_scenario,
+    random_scenario,
+    replace,
+)
 
 EXACT = 1e-12
 
@@ -450,6 +458,12 @@ class TestRunSweep:
         spec = SweepSpec(base_scenario, "policy.p_accept", 0.0, 0.5, np.int64(3))
         assert spec.grid() == [0.0, 0.25, 0.5]
 
+    def test_a_valid_sweep_screens_only_its_two_ends(self, base_scenario, screened):
+        spec = SweepSpec(base_scenario, "policy.p_accept", 0.1, 0.9, 10_001)
+        series = run_sweep(spec)
+        assert screened == [float_bits(spec._ends())]
+        assert series.parameter_values == tuple(spec.grid())
+
     def test_invalid_swept_value_names_the_offender(self, base_scenario):
         scenario = replace(base_scenario, dependency=Joint(0.42))
         spec = SweepSpec(scenario, "dependency.p_both_correct", 0.0, 0.6, 7)
@@ -719,6 +733,14 @@ class TestSweepWarningsAndErrors:
             find_reference_crossing(spec)
         assert [w.filename for w in record] == [__file__] * 2
 
+    def test_a_degraded_first_end_alone_warns(self, base_scenario):
+        # a descending grid: only its first end is degraded
+        spec = SweepSpec(base_scenario, "user.p_post_reject_correct", 0.8, 0.2, 7)
+        with pytest.warns(DegradedRateWarning) as record:
+            run_sweep(spec)
+            find_reference_crossing(spec)
+        assert [w.filename for w in record] == [__file__] * 2
+
     def test_a_base_at_its_unaided_rate_warns_once_past_it(self):
         # the base's post-rejection rate equals its unaided rate: it did not
         # warn when built, so the sweep's degraded points warn, once
@@ -843,6 +865,20 @@ def float_bits(values):
     return [(type(v), v.hex()) for v in values]
 
 
+@pytest.fixture
+def screened(monkeypatch):
+    """The values of each call to `sweep._grid_leaves`, as `float_bits`."""
+    calls = []
+    grid_leaves = sweep._grid_leaves
+
+    def spy(base, path, values):
+        calls.append(float_bits(values))
+        return grid_leaves(base, path, values)
+
+    monkeypatch.setattr(sweep, "_grid_leaves", spy)
+    return calls
+
+
 class TestCrossingEndsAsFloats:
     EDGES = (0.0, -0.0, 1.0, -1e-12, 1e-300, 0.5, 1, 0)
 
@@ -877,6 +913,14 @@ class TestCrossingEndsAsFloats:
         found = [find_reference_crossing(spec) for spec in specs]
         assert list(map(repr, found)) == GOLDEN_CROSSINGS + GOLDEN_CROSSINGS[:1]
 
+    def test_the_float_screen_loads_no_numpy(self):
+        probe = f"""
+from reliance.model import _grid_leaves, validate_scenario
+leaves = _grid_leaves(validate_scenario({BASE_RAW!r}), "policy.p_accept", (0.0, 1.0))
+assert leaves["policy.p_accept"] == 1.0
+"""
+        assert loaded_after(probe, "numpy") == []
+
     def test_two_degraded_ends_warn_once_at_the_callers_line(self, base_scenario):
         spec = SweepSpec(base_scenario, "user.p_post_reject_correct", 0.7, 0.9, 5)
         with warnings.catch_warnings(record=True) as record:
@@ -901,17 +945,24 @@ class TestCrossingEndsAsFloats:
             (0.5, 0.45, 0.85, 9, "0.8"),  # the grid's first invalid value is inside it
         ],
     )
-    def test_an_invalid_degraded_end_aborts_as_the_sweep_does(self, r, start, stop, steps, named):
+    def test_an_invalid_degraded_end_aborts_as_the_sweep_does(self, screened, r, start, stop, steps, named):
+        # both callers screen the two ends, then the grid in order up to its
+        # first invalid value, with the validator's text and no warning
         spec = SweepSpec(make_scenario(r=r, dependency=Joint(0.45)), "user.p_unaided_correct", start, stop, steps)
-        with pytest.raises(SweepError) as swept:
-            run_sweep(spec)
-        assert str(swept.value).startswith(f"swept value {named} for")
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            with pytest.raises(SweepError) as crossed:
-                find_reference_crossing(spec)
-        assert str(crossed.value) == str(swept.value)
-        assert record == []
+        raw = scenario_to_dict(spec.base)
+        raw["user"]["p_unaided_correct"] = float(named)
+        with pytest.raises(ScenarioValidationError) as validated:
+            validate_scenario(raw)
+        message = f"swept value {named} for 'user.p_unaided_correct' is invalid: {validated.value}"
+        for run in run_sweep, find_reference_crossing:
+            screened.clear()
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                with pytest.raises(SweepError) as aborted:
+                    run(spec)
+            assert str(aborted.value) == message
+            assert record == []
+            assert screened == [float_bits(spec._ends()), float_bits(spec.grid())]
 
 
 # --- the ends' linear root against bisection and the exact gap ---------------

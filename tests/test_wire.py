@@ -173,6 +173,58 @@ def test_a_null_read_as_it_is_is_named(cls, key):
         cls.from_dict({**one_of(cls).to_dict(), key: None})
 
 
+@pytest.mark.parametrize(
+    "key,value,error",
+    [
+        ("seed", "abc", TypeError),
+        ("seed", True, TypeError),
+        ("seed", 3.0, TypeError),
+        ("n_shards", -3, ValueError),
+        ("n_shards", 0, ValueError),
+        ("n_shards", "abc", ValueError),
+        ("n_shards", True, ValueError),
+    ],
+)
+def test_a_bad_seed_or_shard_count_is_named(key, value, error):
+    with pytest.raises(error, match=f"^{key} must be an int"):
+        SimEstimate.from_dict({**one_of(SimEstimate).to_dict(), key: value})
+
+
+def test_a_negative_seed_reads_back():
+    # `estimate_accuracy` takes any integer seed, modulo 2**64
+    data = {**one_of(SimEstimate).to_dict(), "seed": -3}
+    assert SimEstimate.from_dict(data).to_dict() == data
+
+
+@pytest.mark.parametrize(
+    "key,value,named",
+    [
+        ("parameter_values", [0.0, 0.25, "x", 0.75, 1.0], "parameter_values cannot hold 'x'"),
+        ("parameter_values", [0.0, 0.25, None, 0.75, 1.0], "parameter_values cannot hold None"),
+        ("parameter_values", [0.0, 0.25, True, 0.75, 1.0], "parameter_values cannot hold True"),
+        ("parameter_values", [0.0, 0.25, float("inf"), 0.75, 1.0], "parameter_values cannot hold inf"),
+        ("accuracies", [0.5, 0.5, 9.0, "x", None], "accuracies cannot hold 9.0"),
+        ("accuracies", [0.5, 0.5, 0.5, 0.5, -0.1], "accuracies cannot hold -0.1"),
+        ("accuracies", [0.5, 0.5, 0.5, 0.5, float("nan")], "accuracies cannot hold nan"),
+        ("unaided_reference", 7.0, "unaided_reference cannot hold 7.0"),
+        ("routine_accept_reference", "0.7", "routine_accept_reference cannot hold '0.7'"),
+        ("parameter_path", "no.such", "parameter_path 'no.such' is no probability of the schema"),
+        ("parameter_path", "policy.type", "parameter_path 'policy.type' is no probability of the schema"),
+        ("parameter_path", ["aid"], r"parameter_path \['aid'\] is no probability of the schema"),
+    ],
+)
+def test_a_bad_sweep_value_is_named(key, value, named):
+    with pytest.raises(ValueError, match=f"^SweepSeries {named}$"):
+        SweepSeries.from_dict({**sweep_series().to_dict(), key: value})
+
+
+def test_a_sweep_over_any_leaf_reads_back():
+    scenario = make_scenario(policy=SelfGated(0.8, 0.3), dependency=Joint(0.45))
+    for path in scenario.leaves:
+        series = run_sweep(SweepSpec(scenario, path, scenario.leaves[path], scenario.leaves[path], 2))
+        assert SweepSeries.from_dict(series.to_dict()) == series
+
+
 def test_an_unattainable_break_even_still_reads_back_its_null():
     result = unattainable_breakeven()
     assert result.to_dict()["accuracy_at_d_star"] is None
