@@ -46,6 +46,7 @@ from .model import (
     _JOINT_SUCCESS,
     _TUPLE,
     _Wire,
+    _as_float,
     _check_sections,
     _mapping,
     _record,
@@ -220,7 +221,7 @@ class PolicyComparison(_Wire):
         for name, margin in self.margins.items():
             if not margin >= 0.0:
                 raise ValueError("margins must be >= 0")
-            if abs(margin - (best - self.results[name].p_correct_aided)) > EvalResult._GUARD:
+            if abs(_as_float(margin) - (best - self.results[name].p_correct_aided)) > EvalResult._GUARD:
                 raise ValueError(f"margin {margin!r} for {name} is not the best accuracy minus its own")
 
 

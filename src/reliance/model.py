@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from bisect import bisect_left
 from collections.abc import Mapping
 from itertools import product
 from typing import Any
@@ -273,14 +274,19 @@ def as_probability(value: Any, name: str = "probability") -> float:
         raise ScenarioValidationError(
             [ConstraintViolation(name, value, "[0, 1]", "expected a number")]
         )
-    try:
-        v = float(value)
-    except OverflowError:  # an integer past float range
-        v = -math.inf if value < 0 else math.inf
-    v = _clamped(v)
+    v = _clamped(_as_float(value))
     if not 0.0 <= v <= 1.0:
         raise ScenarioValidationError([ConstraintViolation(name, v, "[0, 1]")])
     return v
+
+
+def _as_float(value) -> float:
+    """The real `value` as a float; an integer past float range is the
+    infinity of its sign, so that a range check refuses it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return -math.inf if value < 0 else math.inf
 
 
 def _clamped(values):
@@ -656,7 +662,7 @@ class EvalResult(_Wire):
             raise ValueError(f"outcome_table sums to {total!r}, expected 1")
         if not (-guard <= headline <= 1.0 + guard and abs(correct - headline) <= guard):
             raise ValueError(f"p_correct_aided={headline!r} is not the final-correct mass {correct!r}")
-        if not abs(accepted - self.p_accept_marginal) <= guard:
+        if not abs(accepted - _as_float(self.p_accept_marginal)) <= guard:
             raise ValueError(f"p_accept_marginal={self.p_accept_marginal!r} is not the accepted mass {accepted!r}")
 
 
@@ -755,14 +761,15 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     return canonical
 
 
-def _grid_leaves(base: Scenario, path: str, values) -> dict[str, float]:
-    """The base's leaves with the leaf at `path` set to each float of `values`
-    in turn, clamped, once `path` names a probability leaf of the base and
-    every value passes `validate_scenario`; otherwise SweepError, with the
-    validator's text for the first invalid value.  Then one
-    DegradedRateWarning if a value's post-rejection rate exceeds its unaided
-    rate and the base's does not: one leaf's valid values form an interval,
-    and so do its degraded ones, so a grid's two ends decide both."""
+def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> dict[str, float]:
+    """The base's leaves with the leaf at `path` clamped to a grid value, once
+    `path` names a probability leaf of the base and each of the `count`
+    floats `value_at(i)` of a monotone grid passes `validate_scenario`;
+    otherwise SweepError, with the validator's text for the first invalid
+    value.  Then one DegradedRateWarning if a value's post-rejection rate
+    exceeds its unaided rate and the base's does not.  One leaf's valid
+    values form an interval, and so do its degraded ones, so the two ends
+    decide both; where the last alone is invalid, bisection finds the first."""
     if path.count(".") != 1 or path.split(".")[0] not in _SECTIONS:
         raise SweepError(f"parameter_path {path!r} not recognized")
     section, key = path.split(".")
@@ -770,13 +777,19 @@ def _grid_leaves(base: Scenario, path: str, values) -> dict[str, float]:
         kind = _WIRE_NAMES.get(type(getattr(base, section)), section)
         raise SweepError(f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})")
     leaves, degraded = base.leaves, False
-    for value in values:
-        clamped = leaves[path] = _clamped(value)
+
+    def invalid(i: int) -> bool:
         # exactly what validation rejects: a clamped value outside [0, 1], or
         # the dependency past its bound
-        if not 0.0 <= clamped <= 1.0 or bound_violated(
+        clamped = leaves[path] = _clamped(value_at(i))
+        return not 0.0 <= clamped <= 1.0 or bound_violated(
             base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
-        ):
+        )
+
+    for end in (0, count - 1):
+        if invalid(end):
+            # past a valid end 0 the invalid indices form a suffix: bisect for its start
+            value = value_at(bisect_left(range(end), True, 1, key=invalid) if end else 0)
             raw = scenario_to_dict(base)
             raw[section][key] = value
             try:

@@ -29,6 +29,7 @@ from .model import (
     SelfGated,
     _TUPLE,
     _Wire,
+    _as_float,
     _cells,
     _record,
     check_cells,
@@ -110,10 +111,10 @@ class SimEstimate(_Wire):
             raise TypeError(f"seed must be an int, got {self.seed!r}")
         if isinstance(self.n_shards, bool) or not isinstance(self.n_shards, int) or self.n_shards < 1:
             raise ValueError(f"n_shards must be an int >= 1, got {self.n_shards!r}")
-        if not abs(self.p_hat - correct / n) <= 1e-9:
+        if not abs(_as_float(self.p_hat) - correct / n) <= 1e-9:
             raise ValueError(f"p_hat {self.p_hat!r} is not the final-correct count {correct} / {n}")
         expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials)
-        if abs(self.std_err - expected_se) > 1e-9:
+        if abs(_as_float(self.std_err) - expected_se) > 1e-9:
             raise ValueError("std_err inconsistent with p_hat and n_trials")
         if len(self.ci95) != 2 or not 0.0 <= self.ci95[0] <= self.p_hat <= self.ci95[1] <= 1.0:
             raise ValueError(f"ci95 {self.ci95!r} is not an interval in [0, 1] that holds p_hat")

@@ -7,10 +7,10 @@ in one numpy pass over the whole grid:
 
 - ``model`` decides the grid's validity, as it decides a scenario's, from
   the grid's two ends as floats: one leaf's valid values form an interval.
-  The swept leaf is clamped as ``as_probability`` clamps it.  Only when an
-  end is invalid is the grid screened value by value, so that the first
-  value ``validate_scenario`` would reject aborts the sweep with the
-  validator's own message before anything is evaluated.
+  The swept leaf is clamped as ``as_probability`` clamps it.  Where an end
+  is invalid, the first value ``validate_scenario`` would reject (the first
+  end, or else the edge that bisection finds) aborts the sweep with the
+  validator's own message before the grid is built or evaluated.
 - The closed form is ``analytic``'s kernel itself, run on the arrays, so
   every accuracy is bit-identical to ``evaluate`` on that point's scenario.
 
@@ -34,6 +34,7 @@ from .model import (
     SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
     _FIELDS,
     _Wire,
+    _as_float,
     _clamped,
     _grid_leaves,
     _record,
@@ -44,7 +45,7 @@ _PATHS = frozenset(path for fields in _FIELDS.values() for path in fields.values
 
 
 def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(_as_float(value))
 
 
 def _is_rate(value) -> bool:
@@ -84,7 +85,7 @@ class SweepSpec:
             bound = getattr(self, name)
             if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
                 raise SweepError(f"sweep {name} must be a number, got {bound!r}")
-            if not math.isfinite(bound):
+            if not math.isfinite(_as_float(bound)):
                 raise SweepError(f"sweep {name} must be finite, got {bound!r}")
         if not math.isfinite(self.stop - self.start):
             raise SweepError(f"sweep width overflows: stop {self.stop!r} - start {self.start!r}")
@@ -93,12 +94,12 @@ class SweepSpec:
         return self._grid().tolist()
 
     def _grid(self, i=None):
-        # start + i * width for every i, or the i given: a loop's float operations
+        # start + i * width, a loop's float operations: for every i, or the i given as a float
         width = (self.stop - self.start) / (self.steps - 1)
-        return self.start + (np.arange(self.steps) if i is None else i) * width
+        return self.start + np.arange(self.steps) * width if i is None else float(self.start + i * width)
 
     def _ends(self) -> tuple[float, float]:
-        return float(self._grid(0)), float(self._grid(self.steps - 1))
+        return self._grid(0), self._grid(self.steps - 1)
 
 
 @_record
@@ -130,28 +131,17 @@ class SweepSeries(_Wire):
             _checked(name, _is_rate, (getattr(self, name),))
 
 
-def _screened(spec: SweepSpec) -> dict[str, float]:
-    """The base's leaves once the grid's two ends, as floats, pass the model's
-    screen.  Where one fails, the grid is screened value by value in order,
-    so that the SweepError names its first invalid value."""
-    try:
-        return _grid_leaves(spec.base, spec.parameter_path, spec._ends())
-    except SweepError:
-        _grid_leaves(spec.base, spec.parameter_path, spec._grid().tolist())
-        raise
-
-
 def run_sweep(spec: SweepSpec) -> SweepSeries:
     """Evaluate the closed form at each grid point of the sweep.
 
-    The grid's two ends are validated before any evaluation begins, and so
+    The grid's two ends are validated before the grid is built, and so
     every point between them; the first invalid grid value aborts the whole
     sweep, by name.  One DegradedRateWarning, reported at the caller's line,
     is issued if a point's post-rejection rate exceeds its unaided rate while
     the base scenario's does not.
     """
+    leaves = _grid_leaves(spec.base, spec.parameter_path, spec._grid, spec.steps)
     grid = spec._grid()
-    leaves = _screened(spec)
     leaves[spec.parameter_path] = _clamped(grid)
     accuracies = np.broadcast_to(_accuracy(spec.base, leaves), grid.shape)
     return SweepSeries(
@@ -169,7 +159,8 @@ def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
     Only the grid's two ends are validated and evaluated, as floats: one
     leaf's valid values form an interval, and the closed form is affine in the
     leaf inside it.  An invalid end aborts as `run_sweep` would, naming the
-    grid's first invalid value; a degraded end issues the one DegradedRateWarning.
+    grid's first invalid value, found by bisection where the first end is
+    valid; a degraded end issues the one DegradedRateWarning.
     The first end whose gap to the base's unaided rate is zero is returned,
     and None when both end gaps have the same sign.  Otherwise the ends'
     linear root x is probed, and so is the point tol/2 from it towards the
@@ -179,15 +170,15 @@ def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise SweepError(f"tol must be finite and > 0, got {tol!r}")
-    base, path, ends = spec.base, spec.parameter_path, spec._ends()
-    leaves = _screened(spec)
+    base, path = spec.base, spec.parameter_path
+    leaves = _grid_leaves(base, path, spec._grid, spec.steps)
     reference = base.user.p_unaided_correct
 
     def gap(value: float) -> float:
         leaves[path] = _clamped(value)
         return float(_accuracy(base, leaves)) - reference
 
-    gaps = [(value, gap(value)) for value in ends]
+    gaps = [(value, gap(value)) for value in spec._ends()]
     for value, g in gaps:
         if g == 0.0:
             return value

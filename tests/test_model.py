@@ -558,9 +558,11 @@ class TestViolationText:
         assert [v.constraint for v in err.value.violations] == [f"{section}.type"]
 
     def test_huge_integer_probability_is_a_violation(self):
-        with pytest.raises(ScenarioValidationError) as err:
-            validate_scenario(_malformed(aid={"p_advice_correct": 10**400}))
-        assert [v.constraint for v in err.value.violations] == ["aid.p_advice_correct"]
+        # an integer past float range is the infinity of its sign
+        for huge, value in (10**400, math.inf), (-(10**400), -math.inf):
+            with pytest.raises(ScenarioValidationError) as err:
+                validate_scenario(_malformed(aid={"p_advice_correct": huge}))
+            assert [(v.constraint, v.value) for v in err.value.violations] == [("aid.p_advice_correct", value)]
 
 
 # --- record semantics of every model and result type -----------------------

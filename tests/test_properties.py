@@ -1,6 +1,7 @@
 """Properties of the closed forms over every policy x dependency x mode, edges included."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 from reliance.analytic import (  # noqa: E402
     FD_STEP,
     TIE_TOLERANCE,
+    BreakevenResult,
+    PolicyComparison,
     breakeven_discrimination,
     compare_policies,
     evaluate,
@@ -19,13 +22,16 @@ from reliance.analytic import (  # noqa: E402
 from reliance.model import (  # noqa: E402
     DegradedRateWarning,
     Discriminating,
+    EvalResult,
     ScenarioValidationError,
     frechet_bounds,
     scenario_to_dict,
     validate_scenario,
 )
+from reliance.simulate import SimEstimate, estimate_accuracy  # noqa: E402
 from reliance.sweep import (  # noqa: E402
     SweepError,
+    SweepSeries,
     SweepSpec,
     find_reference_crossing,
     run_sweep,
@@ -198,3 +204,54 @@ def test_the_gaps_half_a_tol_either_side_of_a_crossing_straddle_zero(scenario, d
     lo, hi = min(spec.grid()), max(spec.grid())
     below, above = gap(scenario, path, max(lo, x - 0.5 * tol)), gap(scenario, path, min(hi, x + 0.5 * tol))
     assert min(below, above) <= 0.0 <= max(below, above)
+
+
+# --- every reader refuses a one-leaf mutation with a documented error ---------
+
+ATOMS = (None, True, False, 0, -0.0, math.nan, math.inf, -math.inf, 10**400, -(10**400),
+         "", "x", [], {}, [None], {"a": 1})
+# SweepError is a ValueError
+DOCUMENTED = (ScenarioValidationError, ValueError, TypeError, KeyError)
+
+
+def node_paths(data, path=()):
+    """The path to every value inside the JSON-shaped `data`, containers included."""
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from node_paths(value, path + (key,))
+
+
+def mutated(data, path, atom):
+    """`data` with the value at `path` replaced by `atom`; only the containers
+    on the path are copied."""
+    if not path:
+        return atom
+    head, *rest = path
+    copied = dict(data) if isinstance(data, dict) else list(data)
+    copied[head] = mutated(data[head], rest, atom)
+    return copied
+
+
+@settings(PROPERTY, max_examples=16)
+@given(scenarios())
+def test_every_reader_refuses_a_mutated_leaf_with_a_documented_error(scenario):
+    # a swept leaf every scenario has, held at its own value
+    path, value = "aid.p_advice_correct", scenario.aid.p_advice_correct
+    sections = (scenario.aid, scenario.user, scenario.dependency, scenario.degradation_mode)
+    readers = [
+        (validate_scenario, scenario_to_dict(scenario)),
+        (EvalResult.from_dict, evaluate(scenario).to_dict()),
+        (PolicyComparison.from_dict, compare_policies(scenario).to_dict()),
+        (BreakevenResult.from_dict, breakeven_discrimination(*sections).to_dict()),
+        (SimEstimate.from_dict, estimate_accuracy(scenario, 100, seed=1).to_dict()),
+        (SweepSeries.from_dict, run_sweep(SweepSpec(scenario, path, value, value, 3)).to_dict()),
+        (lambda fields: SweepSpec(scenario, **fields), {"parameter_path": path, "start": 0.0, "stop": 1.0, "steps": 5}),
+    ]
+    for read, data in readers:
+        for node in node_paths(data):
+            for atom in ATOMS:
+                try:
+                    read(mutated(data, node, atom))
+                except DOCUMENTED:
+                    pass

@@ -459,10 +459,13 @@ class TestRunSweep:
         assert spec.grid() == [0.0, 0.25, 0.5]
 
     def test_a_valid_sweep_screens_only_its_two_ends(self, base_scenario, screened):
-        spec = SweepSpec(base_scenario, "policy.p_accept", 0.1, 0.9, 10_001)
-        series = run_sweep(spec)
-        assert screened == [float_bits(spec._ends())]
-        assert series.parameter_values == tuple(spec.grid())
+        for steps in 2, 3, 10_001, np.int64(10_001):
+            spec = SweepSpec(base_scenario, "policy.p_accept", 0.1, 0.9, steps)
+            screened.clear()
+            series = run_sweep(spec)
+            find_reference_crossing(spec)
+            assert screened == [{0, steps - 1}] * 2
+            assert series.parameter_values == tuple(spec.grid())
 
     def test_invalid_swept_value_names_the_offender(self, base_scenario):
         scenario = replace(base_scenario, dependency=Joint(0.42))
@@ -518,24 +521,33 @@ SLACK = 0.5e-9  # inside the 1e-9 bound tolerance
 EDGE_VALUES = (0.0, -0.0, 1.0, 1e-300, 0.5, -5e-13, 1.0 + 5e-13, -1e-12, 1.0 + 1e-12, 1.0 - 2.0**-53)
 
 
-def per_point_sweep(spec):
-    """The reference: grid by loop, validate every point, then evaluate each.
+def per_point_scan(spec):
+    """The reference: grid by loop, then validate every point in order.
 
-    Returns (grid, accuracies), or the SweepError message the first invalid
-    grid value must produce.
+    Returns (grid, scenarios), or the index of the first invalid grid value
+    and the SweepError message it must produce.
     """
     width = (spec.stop - spec.start) / (spec.steps - 1)
     grid = [spec.start + i * width for i in range(spec.steps)]
     section, key = spec.parameter_path.split(".")
     scenarios = []
-    for value in grid:
+    for i, value in enumerate(grid):
         raw = scenario_to_dict(spec.base)
         raw[section][key] = value
         try:
             scenarios.append(validate_scenario(raw))
         except ScenarioValidationError as err:
-            return f"swept value {value!r} for {spec.parameter_path!r} is invalid: {err}"
-    return grid, [evaluate(s).p_correct_aided for s in scenarios]
+            return i, f"swept value {value!r} for {spec.parameter_path!r} is invalid: {err}"
+    return grid, scenarios
+
+
+def per_point_sweep(spec):
+    """Evaluate each point of `per_point_scan`: (grid, accuracies), or the
+    SweepError message the first invalid grid value must produce."""
+    first, rest = per_point_scan(spec)
+    if isinstance(first, int):
+        return rest
+    return first, [evaluate(s).p_correct_aided for s in rest]
 
 
 def assert_matches_per_point(spec):
@@ -783,11 +795,13 @@ class TestSweepWarningsAndErrors:
         with pytest.raises(SweepError, match="swept value 0.0 for 'aid.p_advice_correct'"):
             run_sweep(SweepSpec(scenario, "aid.p_advice_correct", 0.0, 1.0, 5))
 
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    # an integer past float range is refused as the infinity of its sign
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 10**400, -(10**400)],
+                             ids=["nan", "inf", "-inf", "10**400", "-10**400"])
     @pytest.mark.parametrize("field", ["start", "stop"])
     def test_non_finite_bounds_rejected(self, base_scenario, field, bound):
         bounds = {"start": 0.0, "stop": 1.0, field: bound}
-        with pytest.raises(SweepError, match=f"sweep {field} must be finite"):
+        with pytest.raises(SweepError, match=f"^sweep {field} must be finite, got {bound!r}$"):
             SweepSpec(base_scenario, "policy.p_accept", steps=5, **bounds)
 
     @pytest.mark.parametrize("bound", ["0.5", None, True])
@@ -867,13 +881,19 @@ def float_bits(values):
 
 @pytest.fixture
 def screened(monkeypatch):
-    """The values of each call to `sweep._grid_leaves`, as `float_bits`."""
+    """The set of grid indices each call to `sweep._grid_leaves` evaluates."""
     calls = []
     grid_leaves = sweep._grid_leaves
 
-    def spy(base, path, values):
-        calls.append(float_bits(values))
-        return grid_leaves(base, path, values)
+    def spy(base, path, value_at, count):
+        indices = set()
+        calls.append(indices)
+
+        def recorded(i):
+            indices.add(i)
+            return value_at(i)
+
+        return grid_leaves(base, path, recorded, count)
 
     monkeypatch.setattr(sweep, "_grid_leaves", spy)
     return calls
@@ -916,7 +936,7 @@ class TestCrossingEndsAsFloats:
     def test_the_float_screen_loads_no_numpy(self):
         probe = f"""
 from reliance.model import _grid_leaves, validate_scenario
-leaves = _grid_leaves(validate_scenario({BASE_RAW!r}), "policy.p_accept", (0.0, 1.0))
+leaves = _grid_leaves(validate_scenario({BASE_RAW!r}), "policy.p_accept", (0.0, 1.0).__getitem__, 2)
 assert leaves["policy.p_accept"] == 1.0
 """
         assert loaded_after(probe, "numpy") == []
@@ -946,8 +966,8 @@ assert leaves["policy.p_accept"] == 1.0
         ],
     )
     def test_an_invalid_degraded_end_aborts_as_the_sweep_does(self, screened, r, start, stop, steps, named):
-        # both callers screen the two ends, then the grid in order up to its
-        # first invalid value, with the validator's text and no warning
+        # both callers screen the two ends, then bisect for the grid's first
+        # invalid value, and abort with the validator's text and no warning
         spec = SweepSpec(make_scenario(r=r, dependency=Joint(0.45)), "user.p_unaided_correct", start, stop, steps)
         raw = scenario_to_dict(spec.base)
         raw["user"]["p_unaided_correct"] = float(named)
@@ -962,7 +982,75 @@ assert leaves["policy.p_accept"] == 1.0
                     run(spec)
             assert str(aborted.value) == message
             assert record == []
-            assert screened == [float_bits(spec._ends()), float_bits(spec.grid())]
+            assert len(screened) == 1 and spec.grid().index(float(named)) in screened[0]
+            assert len(screened[0]) <= 2 + math.ceil(math.log2(steps))
+
+
+# --- bisection for the first invalid grid value ------------------------------
+
+
+class TestBisectionNamesTheFirstInvalidValue:
+    # the clamp's ends and the values just past them
+    BOUNDS = (-0.0, -1e-12, -1.5e-12, 1.0 + 1e-12, 1.0 + 1.5e-12)
+
+    def test_it_names_the_value_a_linear_scan_names(self):
+        rng = np.random.default_rng(19)
+        inside = edge = valid = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedRateWarning)
+            for dependency, policy in itertools.product(GOLDEN_DEPENDENCIES.values(), GOLDEN_POLICIES.values()):
+                scenarios = []
+                while len(scenarios) < 6:
+                    scenario = random_edge_scenario(rng)
+                    if (type(scenario.dependency), type(scenario.policy)) == (type(dependency), type(policy)):
+                        scenarios.append(scenario)
+                for path in leaf_paths(scenarios[0]):
+                    for scenario in scenarios:
+                        bounds = leaf_bounds(scenario, path) + list(self.BOUNDS)
+                        # one end at an edge, the other often past an edge
+                        start = edge_value(rng, bounds)
+                        stop = edge_value(rng, bounds) + float(rng.choice((0.0, -1.0, 1.0))) * rng.uniform(0.0, 0.2)
+                        if rng.uniform() < 0.5:
+                            start, stop = stop, start
+                        spec = SweepSpec(scenario, path, start, stop, int(rng.integers(2, 301)))
+                        first, message = per_point_scan(spec)
+                        for run in run_sweep, find_reference_crossing:
+                            if not isinstance(first, int):
+                                run(spec)
+                                continue
+                            with pytest.raises(SweepError) as info:
+                                run(spec)
+                            assert str(info.value) == message, spec
+                        if not isinstance(first, int):
+                            valid += 1
+                        elif 0 < first < spec.steps - 1:
+                            inside += 1
+                        else:
+                            edge += 1
+        # the bisection, the invalid ends and valid grids were all exercised
+        assert inside > 30 and edge > 50 and valid > 50, (inside, edge, valid)
+
+    def test_an_invalid_grid_is_never_built(self, base_scenario, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        joint = make_scenario(dependency=Joint(0.45))
+        past_one = SweepSpec(base_scenario, "aid.p_advice_correct", 0.5, 1.5, 10**15)
+        cases = [
+            (past_one, "swept value 1.0000000000010005 for 'aid.p_advice_correct' is invalid"),
+            (SweepSpec(joint, "user.p_unaided_correct", 0.0, 0.7, 10**15), "swept value 0.0 for"),
+            (SweepSpec(base_scenario, "policy.p_bogus", 0.0, 1.0, 10**15), "parameter_path 'policy.p_bogus' not applicable"),
+        ]
+        for spec, message in cases:
+            for run in run_sweep, find_reference_crossing:
+                with pytest.raises(SweepError) as info:
+                    run(spec)
+                assert str(info.value).startswith(message), str(info.value)
+        # the value named is the first past the clamp: the grid value before it is valid
+        first = round((1.0000000000010005 - 0.5) / (1.0 / (10**15 - 1)))
+        assert past_one._grid(first) == 1.0000000000010005
+        assert past_one._grid(first - 1) <= 1.0 + 1e-12 < past_one._grid(first)
 
 
 # --- the ends' linear root against bisection and the exact gap ---------------

@@ -211,11 +211,61 @@ def test_a_negative_seed_reads_back():
         ("parameter_path", "no.such", "parameter_path 'no.such' is no probability of the schema"),
         ("parameter_path", "policy.type", "parameter_path 'policy.type' is no probability of the schema"),
         ("parameter_path", ["aid"], r"parameter_path \['aid'\] is no probability of the schema"),
+        *(
+            # integers past float range
+            pytest.param(key, value, f"{key} cannot hold {huge}", id=f"{key}-{sign}10**400")
+            for key, value, huge, sign in [
+                ("parameter_values", [0.0, 0.25, 0.5, 0.75, 10**400], 10**400, "+"),
+                ("parameter_values", [-(10**400), 0.25, 0.5, 0.75, 1.0], -(10**400), "-"),
+                ("accuracies", [0.5, 0.5, 0.5, 0.5, 10**400], 10**400, "+"),
+                ("accuracies", [-(10**400), 0.5, 0.5, 0.5, 0.5], -(10**400), "-"),
+                ("unaided_reference", 10**400, 10**400, "+"),
+                ("routine_accept_reference", -(10**400), -(10**400), "-"),
+            ]
+        ),
     ],
 )
 def test_a_bad_sweep_value_is_named(key, value, named):
     with pytest.raises(ValueError, match=f"^SweepSeries {named}$"):
         SweepSeries.from_dict({**sweep_series().to_dict(), key: value})
+
+
+# JSON integers past float range: each is refused by the check of its field
+HUGE = [10**400, -(10**400)]
+HUGE_IDS = ["+10**400", "-10**400"]
+
+
+@pytest.mark.parametrize("huge", HUGE, ids=HUGE_IDS)
+@pytest.mark.parametrize("compared", [False, True], ids=["alone", "compared"])
+def test_a_huge_accept_marginal_is_named(compared, huge):
+    data = tied_compare().to_dict()
+    data["results"]["routine_ignore"]["p_accept_marginal"] = huge
+    with pytest.raises(ValueError, match=f"^p_accept_marginal={huge} is not the accepted mass"):
+        if compared:
+            PolicyComparison.from_dict(data)
+        else:
+            EvalResult.from_dict(data["results"]["routine_ignore"])
+
+
+@pytest.mark.parametrize(
+    "huge,named", zip(HUGE, [f"margin {10**400} for routine_accept is not", "margins must be >= 0$"]), ids=HUGE_IDS
+)
+def test_a_huge_margin_is_refused(huge, named):
+    data = tied_compare().to_dict()
+    data["margins"]["routine_accept"] = huge
+    with pytest.raises(ValueError, match=f"^{named}"):
+        PolicyComparison.from_dict(data)
+
+
+@pytest.mark.parametrize("huge", HUGE, ids=HUGE_IDS)
+@pytest.mark.parametrize(
+    "key,named",
+    [("p_hat", "p_hat {} is not the final-correct count"), ("std_err", "std_err inconsistent")],
+    ids=["p_hat", "std_err"],
+)
+def test_a_huge_estimate_is_named(key, named, huge):
+    with pytest.raises(ValueError, match=f"^{named.format(huge)}"):
+        SimEstimate.from_dict({**one_of(SimEstimate).to_dict(), key: huge})
 
 
 def test_a_sweep_over_any_leaf_reads_back():
