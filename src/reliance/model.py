@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from bisect import bisect_left
 from collections.abc import Mapping
 from itertools import product
 from typing import Any
@@ -602,24 +601,20 @@ def joint_success_probability(dependency: DependencyModel, values: Mapping[str, 
     return _JOINT_SUCCESS[type(dependency)](values)
 
 
-def conditional_rates(dependency: DependencyModel, values: Mapping[str, Any]):
-    """(P(user would be correct | advice correct), P(... | advice wrong)).
+def conditional_user_rates(scenario: Scenario) -> tuple[float, float]:
+    """(P(user would be correct | advice correct), P(user would be correct | advice wrong)).
 
-    On floats.  Degenerate conditionals are pinned to zero
-    (p_advice_correct = 1 leaves no wrong advice, and 0 no correct advice).
+    Degenerate conditionals are pinned to zero (p_advice_correct = 1 leaves
+    no wrong advice, and 0 no correct advice).
     """
+    values = scenario._leaves
     p_a, p_u = values[P_ADVICE], values[P_UNAIDED]
-    if isinstance(dependency, Independent):
+    if isinstance(scenario.dependency, Independent):
         return p_u, p_u
-    p11 = joint_success_probability(dependency, values)
+    p11 = joint_success_probability(scenario.dependency, values)
     given_correct = min(1.0, p11 / p_a) if p_a != 0.0 else 0.0
     given_wrong = min(1.0, max(0.0, (p_u - p11) / (1.0 - p_a))) if p_a != 1.0 else 0.0
     return given_correct, given_wrong
-
-
-def conditional_user_rates(scenario: Scenario) -> tuple[float, float]:
-    """(P(user would be correct | advice correct), P(user would be correct | advice wrong))."""
-    return conditional_rates(scenario.dependency, scenario.leaves)
 
 
 @_record
@@ -769,7 +764,8 @@ def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> dict[str, f
     value.  Then one DegradedRateWarning if a value's post-rejection rate
     exceeds its unaided rate and the base's does not.  One leaf's valid
     values form an interval, and so do its degraded ones, so the two ends
-    decide both; where the last alone is invalid, bisection finds the first."""
+    decide both; where the last alone is invalid, bisection finds the first.
+    It bisects over plain ints: `bisect` takes no index past `sys.maxsize`."""
     if path.count(".") != 1 or path.split(".")[0] not in _SECTIONS:
         raise SweepError(f"parameter_path {path!r} not recognized")
     section, key = path.split(".")
@@ -789,7 +785,14 @@ def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> dict[str, f
     for end in (0, count - 1):
         if invalid(end):
             # past a valid end 0 the invalid indices form a suffix: bisect for its start
-            value = value_at(bisect_left(range(end), True, 1, key=invalid) if end else 0)
+            lo, first = 1, end
+            while lo < first:
+                mid = (lo + first) // 2
+                if invalid(mid):
+                    first = mid
+                else:
+                    lo = mid + 1
+            value = value_at(first)
             raw = scenario_to_dict(base)
             raw[section][key] = value
             try:

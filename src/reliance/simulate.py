@@ -3,9 +3,11 @@
 Each trial consumes exactly three uniforms in a fixed order (joint latent
 draw, policy decision draw, post-rejection solve draw), so the scalar
 `sample_trial` and the vectorized `estimate_accuracy` walk the same random
-stream and produce identical outcomes for the same seed.  Shards own disjoint
-substreams derived deterministically from (seed, shard index), making every
-estimate a pure function of (scenario, n_trials, seed, shards).
+stream and produce identical outcomes for the same seed.  Both read each
+policy's one decision from `_decision`, where routine acceptance and ignoring
+are use rates 1 and 0.  Shards own disjoint substreams derived
+deterministically from (seed, shard index), making every estimate a pure
+function of (scenario, n_trials, seed, shards).
 
 Only the non-empty shards run, in parallel threads (numpy releases the GIL)
 capped at the CPUs available to the process.  Each shard draws its trials in
@@ -22,6 +24,7 @@ import numpy as np
 
 from .model import (
     FIXED_RATE,
+    Discriminating,
     Indiscriminate,
     RoutineAccept,
     RoutineIgnore,
@@ -33,7 +36,7 @@ from .model import (
     _cells,
     _record,
     check_cells,
-    conditional_rates,
+    conditional_user_rates,
     joint_success_probability,
 )
 
@@ -58,7 +61,8 @@ def shard_rng(seed: int, shard: int) -> np.random.Generator:
 
 @_record
 class TrialOutcome:
-    """One sampled trial of the decision process."""
+    """One sampled trial of the decision process; `attended` is whether the
+    policy decided on the advice's correctness."""
 
     advice_correct: bool
     user_would_be_correct: bool
@@ -141,13 +145,35 @@ def _joint_cell_cuts(scenario: Scenario) -> tuple[float, float, float]:
     return p11, p_a, p_a + p01
 
 
-def _post_reject_rates(scenario: Scenario) -> tuple[float, float]:
-    """Rates of solving correctly alone after rejecting correct and wrong advice:
-    p_post_reject_correct under fixed_rate, else the conditional user rates."""
-    if scenario.effective_degradation_mode == FIXED_RATE:
-        r = scenario.user.p_post_reject_correct
-        return r, r
-    return conditional_rates(scenario.dependency, scenario.leaves)
+# policy class -> (whether it attends, its rates of using the advice when the
+# latent bit it decides on is true and when it is false)
+_DECISIONS = {
+    RoutineAccept: lambda policy: (False, 1.0, 1.0),
+    RoutineIgnore: lambda policy: (False, 0.0, 0.0),
+    SelfGated: lambda policy: (False, 1.0 - policy.p_ignore_given_user_correct, policy.p_use_given_user_wrong),
+    Indiscriminate: lambda policy: (True, policy.p_accept, policy.p_accept),
+    Discriminating: lambda policy: (True, policy.p_accept_given_correct, policy.p_accept_given_wrong),
+}
+
+
+def _decision(scenario: Scenario) -> tuple[float, float, tuple[float, float] | None]:
+    """The policy's one decision, read by both samplers: (use_if, use_unless, redraw).
+
+    The advice is used at rate `use_if` when the latent bit decided on is
+    true, else at `use_unless`.  An attending policy decides on whether the
+    advice is correct, and answers a rejection afresh at `redraw`'s rates:
+    p_post_reject_correct under fixed_rate, else the conditional user rates.
+    Every other policy decides on whether the user would be right alone and
+    keeps the latent user's answer (`redraw` None).  The use draw is from
+    `Generator.random`'s [0, 1), so `u2 < 1.0` always holds and `u2 < 0.0`
+    never does: routine acceptance and ignoring are use rates 1 and 0.
+    """
+    attends, use_if, use_unless = _DECISIONS[type(scenario.policy)](scenario.policy)
+    if not attends:
+        return use_if, use_unless, None
+    r = scenario.user.p_post_reject_correct
+    fixed = scenario.effective_degradation_mode == FIXED_RATE
+    return use_if, use_unless, (r, r) if fixed else conditional_user_rates(scenario)
 
 
 def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
@@ -156,27 +182,11 @@ def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
     c_both, c_advice, c_user = _joint_cell_cuts(scenario)
     advice = bool(u1 < c_advice)
     user = bool(u1 < c_both or (c_advice <= u1 < c_user))
-
-    policy = scenario.policy
-    if isinstance(policy, RoutineAccept):
-        return TrialOutcome(advice, user, False, True, advice)
-    if isinstance(policy, RoutineIgnore):
-        return TrialOutcome(advice, user, False, False, user)
-    if isinstance(policy, SelfGated):
-        use_threshold = (1.0 - policy.p_ignore_given_user_correct) if user else policy.p_use_given_user_wrong
-        used = bool(u2 < use_threshold)
-        return TrialOutcome(advice, user, False, used, advice if used else user)
-
-    if isinstance(policy, Indiscriminate):
-        ac = aw = policy.p_accept
-    else:
-        ac, aw = policy.p_accept_given_correct, policy.p_accept_given_wrong
-    accepted = bool(u2 < (ac if advice else aw))
-    if accepted:
-        return TrialOutcome(advice, user, True, True, advice)
-    u_c, u_w = _post_reject_rates(scenario)
-    final = bool(u3 < (u_c if advice else u_w))
-    return TrialOutcome(advice, user, True, False, final)
+    use_if, use_unless, redraw = _decision(scenario)
+    bit = user if redraw is None else advice
+    used = bool(u2 < (use_if if bit else use_unless))
+    alone = user if redraw is None else bool(u3 < (redraw[0] if advice else redraw[1]))
+    return TrialOutcome(advice, user, redraw is not None, used, advice if used else alone)
 
 
 def _simulate_batch(scenario: Scenario, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -192,27 +202,11 @@ def _simulate_batch(scenario: Scenario, n: int, rng: np.random.Generator) -> np.
     # comparisons, so the same outcomes, at a fraction of the passes.
     advice = u1 < c_advice
     user = (u1 < c_both) | (~advice & (u1 < c_user))
-
-    policy = scenario.policy
-    if isinstance(policy, RoutineAccept):
-        accepted = np.ones(n, dtype=bool)
-        final = advice
-    elif isinstance(policy, RoutineIgnore):
-        accepted = np.zeros(n, dtype=bool)
-        final = user
-    elif isinstance(policy, SelfGated):
-        use_if_right = 1.0 - policy.p_ignore_given_user_correct
-        accepted = (user & (u2 < use_if_right)) | (~user & (u2 < policy.p_use_given_user_wrong))
-        final = (accepted & advice) | (~accepted & user)
-    else:
-        if isinstance(policy, Indiscriminate):
-            ac = aw = policy.p_accept
-        else:
-            ac, aw = policy.p_accept_given_correct, policy.p_accept_given_wrong
-        accepted = (advice & (u2 < ac)) | (~advice & (u2 < aw))
-        u_c, u_w = _post_reject_rates(scenario)
-        solved_alone = (advice & (u3 < u_c)) | (~advice & (u3 < u_w))
-        final = (accepted & advice) | (~accepted & solved_alone)
+    use_if, use_unless, redraw = _decision(scenario)
+    bit = user if redraw is None else advice
+    accepted = (bit & (u2 < use_if)) | (~bit & (u2 < use_unless))
+    alone = user if redraw is None else (advice & (u3 < redraw[0])) | (~advice & (u3 < redraw[1]))
+    final = (accepted & advice) | (~accepted & alone)
 
     # cell = 4*advice + 2*accepted + final, built in place on one uint8 array
     cell = advice.view(np.uint8) << 2

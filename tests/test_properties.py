@@ -1,5 +1,7 @@
 """Properties of the closed forms over every policy x dependency x mode, edges included."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -7,7 +9,7 @@ import warnings
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from reliance.analytic import (  # noqa: E402
@@ -19,6 +21,7 @@ from reliance.analytic import (  # noqa: E402
     compare_policies,
     evaluate,
 )
+from reliance.cli import main  # noqa: E402
 from reliance.model import (  # noqa: E402
     DegradedRateWarning,
     Discriminating,
@@ -255,3 +258,73 @@ def test_every_reader_refuses_a_mutated_leaf_with_a_documented_error(scenario):
                     read(mutated(data, node, atom))
                 except DOCUMENTED:
                     pass
+
+
+# --- the CLI keeps its exit-code contract on any input ------------------------
+
+LEAF_PATHS = ("aid.p_advice_correct", "user.p_unaided_correct", "user.p_post_reject_correct",
+              "policy.p_accept", "policy.p_accept_given_wrong", "dependency.p_both_correct")
+
+
+@st.composite
+def scenario_files(draw):
+    """The bytes of a scenario file: half of them a valid scenario as it is,
+    the rest one with a value replaced by an atom, or raw bytes."""
+    kind = draw(st.sampled_from(("valid", "valid", "mutated", "raw")))
+    if kind == "raw":
+        return draw(st.binary(max_size=64))
+    data = scenario_to_dict(draw(scenarios()))
+    if kind == "mutated":
+        node = draw(st.sampled_from(list(node_paths(data))))
+        data = mutated(data, node, draw(st.sampled_from(ATOMS)))
+    return json.dumps(data).encode()
+
+
+# option values that are no number, or below every size's lower bound
+JUNK = ("", "x", "nan", "-inf", "1e400", "0x1", "--help", "0", "-1")
+
+
+@st.composite
+def command_lines(draw):
+    """A command with arbitrary option values, inside the fuzz's size limits:
+    at most 50 trials, 4 shards and 1000 steps, none at a CLI bound.  Half
+    of them have one option value replaced by junk."""
+    command = draw(st.sampled_from(("eval", "compare", "simulate", "sweep", "breakeven")))
+    bound = st.one_of(edge_probability, st.floats(-0.5, 1.5), st.floats()).map(repr)
+    options = {
+        "eval": {"--format": st.sampled_from(("json", "csv", "xml"))},
+        "simulate": {
+            "--trials": st.integers(1, 50).map(str),
+            "--seed": st.integers(-(2**70), 2**70).map(str),
+            "--shards": st.integers(1, 4).map(str),
+        },
+        "sweep": {
+            "--param": st.sampled_from(LEAF_PATHS),
+            "--from": bound,
+            "--to": bound,
+            "--steps": st.integers(2, 1000).map(str),
+        },
+    }.get(command, {})
+    argv = [command]
+    for flag, values in options.items():
+        argv += [flag, draw(values)]
+    if options and draw(st.booleans()):
+        argv[draw(st.sampled_from(range(2, len(argv), 2)))] = draw(st.sampled_from(JUNK))
+    return argv
+
+
+@settings(PROPERTY, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario_files(), command_lines())
+def test_the_cli_exits_0_to_3_without_a_traceback(tmp_path, content, argv):
+    scenario_file, out = tmp_path / "scenario.json", tmp_path / "out.csv"
+    scenario_file.write_bytes(content)
+    argv = [argv[0], str(scenario_file), *argv[1:]]
+    if argv[0] == "sweep":
+        argv += ["--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code, stderr.getvalue())
+    # a failure says why on stderr; a success writes nothing there
+    assert "Traceback" not in stderr.getvalue(), argv
+    assert (code == 0) == (stderr.getvalue() == ""), (argv, code, stderr.getvalue())

@@ -11,6 +11,7 @@ from reliance.analytic import evaluate
 from reliance import simulate
 from reliance.model import (
     CONDITIONAL_FROM_JOINT,
+    FIXED_RATE,
     Discriminating,
     Dominant,
     Independent,
@@ -20,6 +21,8 @@ from reliance.model import (
     RoutineAccept,
     RoutineIgnore,
     SelfGated,
+    _POLICIES,
+    scenario_to_dict,
 )
 from reliance.simulate import (
     SimEstimate,
@@ -92,18 +95,26 @@ class TestDeterminism:
         assert a == b
         assert a.n_shards == 4
 
-    def test_scalar_and_vectorized_paths_share_the_stream(self):
+    @pytest.mark.parametrize("mode", [FIXED_RATE, CONDITIONAL_FROM_JOINT])
+    @pytest.mark.parametrize("dependency", ["independent", "joint", "dominant"])
+    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    def test_scalar_and_vectorized_paths_share_the_stream(self, policy, dependency, mode):
         rng = np.random.default_rng(13)
-        for _ in range(5):
-            scenario = random_scenario(rng, explicit_mode=True)
+        for _ in range(2):
+            scenario = random_scenario(rng, policy_kind=policy, dependency_kind=dependency, mode=mode)
+            canonical = scenario_to_dict(scenario)
+            assert (canonical["policy"]["type"], canonical["dependency"]["type"]) == (policy, dependency)
+            assert canonical["degradation_mode"] == mode
             seed = int(rng.integers(1 << 48))
             estimate = estimate_accuracy(scenario, 500, seed=seed, shards=1)
-            counts = {cell: 0 for cell in OUTCOME_CELLS}
+            counts, users = {cell: 0 for cell in OUTCOME_CELLS}, 0
             replay = shard_rng(seed, 0)
             for _ in range(500):
                 trial = sample_trial(scenario, replay)
                 counts[(trial.advice_correct, trial.accepted_or_used, trial.final_correct)] += 1
+                users += trial.user_would_be_correct
             assert counts == estimate.outcome_counts
+            assert users == estimate.user_correct_count
 
     def test_negative_seed_is_normalized_not_fatal(self, base_scenario):
         estimate = estimate_accuracy(base_scenario, 100, seed=-7)
@@ -115,6 +126,15 @@ GOLDEN_SCENARIOS = {
         policy=Discriminating(0.8, 0.3), dependency=Joint(0.5), mode=CONDITIONAL_FROM_JOINT
     ),
     "self_gated": lambda: make_scenario(policy=SelfGated(0.8, 0.3), dependency=Dominant()),
+    # every other policy, and the fixed-rate redraw, on the discriminating golden's latent cells
+    "routine_accept": lambda: make_scenario(policy=RoutineAccept(), dependency=Joint(0.5), mode=FIXED_RATE),
+    "routine_ignore": lambda: make_scenario(policy=RoutineIgnore(), dependency=Joint(0.5), mode=FIXED_RATE),
+    "indiscriminate": lambda: make_scenario(
+        policy=Indiscriminate(0.6), dependency=Joint(0.5), mode=FIXED_RATE
+    ),
+    "discriminating_fixed_rate": lambda: make_scenario(
+        policy=Discriminating(0.8, 0.3), dependency=Joint(0.5), mode=FIXED_RATE
+    ),
 }
 
 # (scenario, seed, shards, n_trials, p_hat, outcome counts in OUTCOME_CELLS
@@ -137,6 +157,22 @@ GOLDEN = [
     ("self_gated", 12345, 4, 1_000_003, 0.6301851094446717,
      (149646, 0, 480541, 70121, 0, 89966, 0, 209729), (700308, 600213, 700308)),
     ("self_gated", 4, 8, 3, 0.3333333333333333, (0, 0, 1, 0, 0, 1, 0, 1), (1, 1, 1)),
+    ("routine_accept", 7, 1, 70_001, 0.7015614062656248,
+     (49110, 0, 0, 0, 0, 20891, 0, 0), (49110, 42064, 56086)),
+    ("routine_accept", 7, 3, 70_001, 0.6980757417751176,
+     (48866, 0, 0, 0, 0, 21135, 0, 0), (48866, 41996, 55905)),
+    ("routine_ignore", 7, 1, 70_001, 0.6009057013471236,
+     (0, 0, 35088, 14022, 0, 0, 6976, 13915), (49110, 42064, 56086)),
+    ("routine_ignore", 7, 3, 70_001, 0.5999342866530478,
+     (0, 0, 34957, 13909, 0, 0, 7039, 14096), (48866, 41996, 55905)),
+    ("indiscriminate", 7, 1, 70_001, 0.5784345937915173,
+     (29403, 0, 7773, 11934, 0, 12606, 3315, 4970), (49110, 42064, 56086)),
+    ("indiscriminate", 7, 3, 70_001, 0.5754346366480478,
+     (29212, 0, 7795, 11859, 0, 12788, 3274, 5073), (48866, 41996, 55905)),
+    ("discriminating_fixed_rate", 7, 1, 70_001, 0.7017471178983158,
+     (39410, 0, 3884, 5816, 0, 6270, 5829, 8792), (49110, 42064, 56086)),
+    ("discriminating_fixed_rate", 7, 3, 70_001, 0.6968471878973157,
+     (39063, 0, 3917, 5886, 0, 6417, 5800, 8918), (48866, 41996, 55905)),
 ]
 
 

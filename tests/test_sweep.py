@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -1051,6 +1052,34 @@ class TestBisectionNamesTheFirstInvalidValue:
         first = round((1.0000000000010005 - 0.5) / (1.0 / (10**15 - 1)))
         assert past_one._grid(first) == 1.0000000000010005
         assert past_one._grid(first - 1) <= 1.0 + 1e-12 < past_one._grid(first)
+
+    def test_a_grid_past_sys_maxsize_names_its_first_invalid_value(self, base_scenario):
+        # more indices than `bisect` takes; only the last end is invalid
+        spec = SweepSpec(base_scenario, "aid.p_advice_correct", 0.5, 1.5, 10**20)
+        assert spec.steps - 1 > sys.maxsize
+
+        def rejection(i):
+            """The validator's error for the grid value at index i, or None."""
+            raw = scenario_to_dict(base_scenario)
+            raw["aid"]["p_advice_correct"] = spec._grid(i)
+            try:
+                validate_scenario(raw)
+            except ScenarioValidationError as err:
+                return err
+            return None
+
+        # the index-by-index rule, bisected: the first index whose value is rejected
+        lo, first = 0, spec.steps - 1
+        while lo < first:
+            mid = (lo + first) // 2
+            lo, first = (lo, mid) if rejection(mid) else (mid + 1, first)
+        assert rejection(first) and not rejection(first - 1)
+        value = spec._grid(first)
+        message = f"swept value {value!r} for 'aid.p_advice_correct' is invalid: {rejection(first)}"
+        for run in run_sweep, find_reference_crossing:
+            with pytest.raises(SweepError) as info:
+                run(spec)
+            assert str(info.value) == message
 
 
 # --- the ends' linear root against bisection and the exact gap ---------------
