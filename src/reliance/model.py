@@ -274,9 +274,16 @@ def as_probability(value: Any, name: str = "probability") -> float:
             [ConstraintViolation(name, value, "[0, 1]", "expected a number")]
         )
     v = _clamped(_as_float(value))
-    if not 0.0 <= v <= 1.0:
-        raise ScenarioValidationError([ConstraintViolation(name, v, "[0, 1]")])
+    violations = _range_violations(v, name)
+    if violations:
+        raise ScenarioValidationError(violations)
     return v
+
+
+def _range_violations(value: float, name: str) -> list[ConstraintViolation]:
+    """The violation, if any, of a clamped probability `value` named `name`
+    outside [0, 1]; `as_probability` raises it, the sweep's screen returns it."""
+    return [] if 0.0 <= value <= 1.0 else [ConstraintViolation(name, value, "[0, 1]")]
 
 
 def _as_float(value) -> float:
@@ -470,45 +477,28 @@ def frechet_bounds(p_a, p_u):
     return _max(0.0, p_a + p_u - 1.0), _min(p_a, p_u)
 
 
-def bound_violated(dependency: DependencyModel, p_a, p_u, p_both=None):
-    """Whether P(both correct) `p_both` leaves its Frechet-Hoeffding bounds, or a
-    dominant advisor falls below the user, by more than BOUND_TOLERANCE; on
-    floats, for a scenario or one sweep value."""
+def bound_violations(dependency: DependencyModel, p_a, p_u, p_both=None) -> list[ConstraintViolation]:
+    """The violation, if any, of P(both correct) `p_both` past its
+    Frechet-Hoeffding bounds, or of a dominant advisor below the user, by more
+    than BOUND_TOLERANCE; on floats, for a scenario or one sweep value."""
     if isinstance(dependency, Joint):
         lo, hi = frechet_bounds(p_a, p_u)
-        return p_both < lo - BOUND_TOLERANCE or p_both > hi + BOUND_TOLERANCE
-    if isinstance(dependency, Dominant):
-        return p_a < p_u - BOUND_TOLERANCE
-    return False
-
-
-def dependency_violations(
-    aid: AidProfile, user: UserProfile, dependency: DependencyModel
-) -> list[ConstraintViolation]:
-    """Cross-field bound checks of a dependency against the marginals."""
-    p_a = aid.p_advice_correct
-    p_u = user.p_unaided_correct
-    p11 = getattr(dependency, "p_both_correct", None)
-    if not bound_violated(dependency, p_a, p_u, p11):
-        return []
-    if isinstance(dependency, Joint):
-        lo, hi = frechet_bounds(p_a, p_u)
+        if p_both < lo - BOUND_TOLERANCE or p_both > hi + BOUND_TOLERANCE:
+            return [
+                ConstraintViolation(
+                    P_BOTH, p_both, f"[{lo:.12g}, {hi:.12g}]", "Frechet-Hoeffding bounds for the given marginals"
+                )
+            ]
+    elif isinstance(dependency, Dominant) and p_a < p_u - BOUND_TOLERANCE:
         return [
             ConstraintViolation(
-                "dependency.p_both_correct",
-                p11,
-                f"[{lo:.12g}, {hi:.12g}]",
-                "Frechet-Hoeffding bounds for the given marginals",
+                "dependency",
+                f"p_advice_correct={p_a:.12g} < p_unaided_correct={p_u:.12g}",
+                "p_advice_correct >= p_unaided_correct",
+                "a uniformly dominant advisor must solve everything the user would",
             )
         ]
-    return [
-        ConstraintViolation(
-            "dependency",
-            f"p_advice_correct={p_a:.12g} < p_unaided_correct={p_u:.12g}",
-            "p_advice_correct >= p_unaided_correct",
-            "a uniformly dominant advisor must solve everything the user would",
-        )
-    ]
+    return []
 
 
 @_record
@@ -567,7 +557,8 @@ def _scenario_violations(mode, sections: Mapping[str, Any]) -> list[ConstraintVi
         )
     aid, user, dependency = sections.get("aid"), sections.get("user"), sections.get("dependency")
     if aid is not None and user is not None and dependency is not None:
-        violations.extend(dependency_violations(aid, user, dependency))
+        p_both = getattr(dependency, "p_both_correct", None)
+        violations.extend(bound_violations(dependency, aid.p_advice_correct, user.p_unaided_correct, p_both))
     return violations
 
 
@@ -756,50 +747,48 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     return canonical
 
 
-def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> dict[str, float]:
-    """The base's leaves with the leaf at `path` clamped to a grid value, once
-    `path` names a probability leaf of the base and each of the `count`
-    floats `value_at(i)` of a monotone grid passes `validate_scenario`;
-    otherwise SweepError, with the validator's text for the first invalid
-    value.  Then one DegradedRateWarning if a value's post-rejection rate
-    exceeds its unaided rate and the base's does not.  One leaf's valid
-    values form an interval, and so do its degraded ones, so the two ends
-    decide both; where the last alone is invalid, bisection finds the first.
-    It bisects over plain ints: `bisect` takes no index past `sys.maxsize`."""
-    if path.count(".") != 1 or path.split(".")[0] not in _SECTIONS:
+def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> tuple[dict[str, float], tuple[float, float]]:
+    """The base's leaves with the leaf at `path` clamped to a grid value, and
+    the grid's two end values, once `path` names a probability leaf of the
+    base and each of the `count` floats `value_at(i)` of a monotone grid
+    passes the validator's own range and bound rules; otherwise SweepError
+    wrapping the validator's error for the first invalid value.  Then one
+    DegradedRateWarning if a value's post-rejection rate exceeds its unaided
+    rate and the base's does not.  One leaf's valid values form an interval,
+    and so do its degraded ones, so the two ends decide both; where the last
+    alone is invalid, bisection over plain ints finds the first, as `bisect`
+    takes no index past `sys.maxsize`."""
+    section = path.split(".")[0]
+    if path.count(".") != 1 or section not in _SECTIONS:
         raise SweepError(f"parameter_path {path!r} not recognized")
-    section, key = path.split(".")
     if path not in base._leaves:
         kind = _WIRE_NAMES.get(type(getattr(base, section)), section)
         raise SweepError(f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})")
     leaves, degraded = base.leaves, False
 
-    def invalid(i: int) -> bool:
-        # exactly what validation rejects: a clamped value outside [0, 1], or
-        # the dependency past its bound
-        clamped = leaves[path] = _clamped(value_at(i))
-        return not 0.0 <= clamped <= 1.0 or bound_violated(
+    def violations(value: float) -> list[ConstraintViolation]:
+        # what `validate_scenario` reports for the base with this value: the
+        # clamped value outside [0, 1], else the dependency past its bound
+        clamped = leaves[path] = _clamped(value)
+        return _range_violations(clamped, path) or bound_violations(
             base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
         )
 
-    for end in (0, count - 1):
-        if invalid(end):
+    ends = value_at(0), value_at(count - 1)
+    for end, value in zip((0, count - 1), ends):
+        if violations(value):
             # past a valid end 0 the invalid indices form a suffix: bisect for its start
             lo, first = 1, end
             while lo < first:
                 mid = (lo + first) // 2
-                if invalid(mid):
+                if violations(value_at(mid)):
                     first = mid
                 else:
                     lo = mid + 1
             value = value_at(first)
-            raw = scenario_to_dict(base)
-            raw[section][key] = value
-            try:
-                validate_scenario(raw)
-            except ScenarioValidationError as err:
-                raise SweepError(f"swept value {value!r} for {path!r} is invalid: {err}") from err
+            err = ScenarioValidationError(violations(value))
+            raise SweepError(f"swept value {value!r} for {path!r} is invalid: {err}") from err
         degraded = degraded or leaves[P_POST_REJECT] > leaves[P_UNAIDED]
     if degraded and not base.user.p_post_reject_correct > base.user.p_unaided_correct:
         _warn_degraded_rate()
-    return leaves
+    return leaves, ends

@@ -5,12 +5,13 @@ used in scenario JSON, e.g. ``"policy.p_accept"``) with each value of an
 inclusive, equally spaced grid and evaluates the closed form at every point
 in one numpy pass over the whole grid:
 
-- ``model`` decides the grid's validity, as it decides a scenario's, from
-  the grid's two ends as floats: one leaf's valid values form an interval.
-  The swept leaf is clamped as ``as_probability`` clamps it.  Where an end
-  is invalid, the first value ``validate_scenario`` would reject (the first
-  end, or else the edge that bisection finds) aborts the sweep with the
-  validator's own message before the grid is built or evaluated.
+- ``model`` decides the grid's validity from the grid's two ends as floats,
+  through the range and bound rules that validate a scenario: one leaf's
+  valid values form an interval.  The swept leaf is clamped as
+  ``as_probability`` clamps it.  Where an end is invalid, the first value
+  ``validate_scenario`` would reject (the first end, or else the edge that
+  bisection finds) aborts the sweep with those rules' own violations before
+  the grid is built or evaluated.
 - The closed form is ``analytic``'s kernel itself, run on the arrays, so
   every accuracy is bit-identical to ``evaluate`` on that point's scenario.
 
@@ -98,9 +99,6 @@ class SweepSpec:
         width = (self.stop - self.start) / (self.steps - 1)
         return self.start + np.arange(self.steps) * width if i is None else float(self.start + i * width)
 
-    def _ends(self) -> tuple[float, float]:
-        return self._grid(0), self._grid(self.steps - 1)
-
 
 @_record
 class SweepSeries(_Wire):
@@ -140,7 +138,7 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     is issued if a point's post-rejection rate exceeds its unaided rate while
     the base scenario's does not.
     """
-    leaves = _grid_leaves(spec.base, spec.parameter_path, spec._grid, spec.steps)
+    leaves, _ = _grid_leaves(spec.base, spec.parameter_path, spec._grid, spec.steps)
     grid = spec._grid()
     leaves[spec.parameter_path] = _clamped(grid)
     accuracies = np.broadcast_to(_accuracy(spec.base, leaves), grid.shape)
@@ -171,14 +169,14 @@ def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise SweepError(f"tol must be finite and > 0, got {tol!r}")
     base, path = spec.base, spec.parameter_path
-    leaves = _grid_leaves(base, path, spec._grid, spec.steps)
+    leaves, ends = _grid_leaves(base, path, spec._grid, spec.steps)
     reference = base.user.p_unaided_correct
 
     def gap(value: float) -> float:
         leaves[path] = _clamped(value)
         return float(_accuracy(base, leaves)) - reference
 
-    gaps = [(value, gap(value)) for value in spec._ends()]
+    gaps = [(value, gap(value)) for value in ends]
     for value, g in gaps:
         if g == 0.0:
             return value

@@ -1,5 +1,6 @@
 """Closed-form accuracies: worked values, algebraic identities, and bounds."""
 
+import importlib
 import itertools
 import json
 
@@ -517,6 +518,27 @@ def test_closed_forms_import_without_numpy():
     # numpy stays behind the Monte Carlo engine and sweeps, so a command that
     # only needs the closed forms can skip importing it
     assert loaded_after("import reliance.analytic", "numpy") == []
+
+
+def test_every_public_name_resolves_to_its_modules_object(monkeypatch):
+    # the sweep and Monte Carlo names load, and are kept, on first access;
+    # the type aliases (`Probability`, `ReliancePolicy`, `DependencyModel`)
+    # are the model's
+    import reliance
+
+    for name in reliance._LAZY_NAMES:
+        monkeypatch.delitem(vars(reliance), name, raising=False)
+    for name in reliance.__all__:
+        value = getattr(reliance, name)
+        home = getattr(value, "__module__", "")
+        home = home if home.startswith("reliance.") else "reliance.model"
+        if name in reliance._LAZY_NAMES:
+            assert home == f"reliance.{reliance._LAZY_NAMES[name]}" and vars(reliance)[name] is value
+        assert getattr(importlib.import_module(home), name) is value, name
+    with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+        reliance.bogus
+    assert loaded_after("import reliance", "numpy") == []
+    assert loaded_after("import reliance; reliance.SweepSpec", "numpy") == ["numpy"]
 
 
 def test_cli_eval_runs_without_dataclasses(tmp_path):

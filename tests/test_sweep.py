@@ -29,6 +29,7 @@ from reliance.model import (
     ScenarioValidationError,
     SelfGated,
     _clamped,
+    _grid_leaves,
     frechet_bounds,
     scenario_to_dict,
     validate_scenario,
@@ -918,9 +919,32 @@ class TestCrossingEndsAsFloats:
             specs.append((start, stop, np.int64(steps) if rng.random() < 0.25 else steps))
         specs += [(start, stop, steps) for start, stop in [(0.0, 1.0), (1.0, 0.0), (-0.0, 0.9), (0.1, 0.7)]
                   for steps in (MAX_STEPS, MAX_STEPS - 1, np.int64(MAX_STEPS), MAX_STEPS - 3)]
+        screened = 0
         for start, stop, steps in specs:
             spec = SweepSpec(base_scenario, "policy.p_accept", start, stop, steps)
-            assert float_bits(spec._ends()) == float_bits(spec._grid()[[0, -1]].tolist()), (start, stop, steps)
+            ends = float_bits(spec._grid()[[0, -1]].tolist())
+            assert float_bits((spec._grid(0), spec._grid(steps - 1))) == ends, (start, stop, steps)
+            try:
+                _, screen_ends = _grid_leaves(base_scenario, spec.parameter_path, spec._grid, spec.steps)
+            except SweepError:
+                continue
+            assert float_bits(screen_ends) == ends, (start, stop, steps)
+            screened += 1
+        assert screened >= 100
+
+    def test_a_valid_crossing_computes_each_end_once(self, base_scenario, monkeypatch):
+        calls = []
+        grid = SweepSpec._grid
+
+        def counted(spec, i=None):
+            calls.append(i)
+            return grid(spec, i)
+
+        monkeypatch.setattr(SweepSpec, "_grid", counted)
+        for steps in 2, 3, 10_001:
+            del calls[:]
+            find_reference_crossing(SweepSpec(base_scenario, "policy.p_accept", 0.1, 0.9, steps))
+            assert calls == [0, steps - 1]
 
     def test_a_valid_crossing_evaluates_no_array(self, monkeypatch):
         specs = golden_crossing_specs()
@@ -937,8 +961,8 @@ class TestCrossingEndsAsFloats:
     def test_the_float_screen_loads_no_numpy(self):
         probe = f"""
 from reliance.model import _grid_leaves, validate_scenario
-leaves = _grid_leaves(validate_scenario({BASE_RAW!r}), "policy.p_accept", (0.0, 1.0).__getitem__, 2)
-assert leaves["policy.p_accept"] == 1.0
+leaves, ends = _grid_leaves(validate_scenario({BASE_RAW!r}), "policy.p_accept", (0.0, 1.0).__getitem__, 2)
+assert leaves["policy.p_accept"] == 1.0 and ends == (0.0, 1.0)
 """
         assert loaded_after(probe, "numpy") == []
 
@@ -1312,6 +1336,26 @@ class TestLinearRootAgainstBisection:
         found = find_reference_crossing(spec, 1e-12)
         assert sign_change_near(spec, found, 1e-12, 0.0, 1.0)
         assert len(kernel_calls) < 37
+
+    def test_a_zero_gap_at_a_bisection_midpoint_is_returned(self, kernel_calls, monkeypatch):
+        # a bent line, zero on [0.1, 0.6]: the ends' linear root 0.8 and its
+        # probe 0.8 - tol/2 both lie above zero, so the bracket (0, probe) is
+        # bisected, and its first midpoint lands on the zero
+        counted = sweep._accuracy
+
+        def bent(scenario, leaves):
+            counted(scenario, leaves)
+            v = leaves["policy.p_accept"]
+            return 0.5 + 16.0 * min(0.0, v - 0.1) + max(0.0, v - 0.6)
+
+        monkeypatch.setattr(sweep, "_accuracy", bent)
+        spec = SweepSpec(make_scenario(p_u=0.5), "policy.p_accept", 0.0, 1.0, 11)
+        tol = 1e-9
+        crossing = find_reference_crossing(spec, tol)
+        x = 0.8  # gaps -1.6 and 0.4 at the ends
+        assert crossing == 0.5 * (x - 0.5 * tol)
+        probed = [leaves["policy.p_accept"] for leaves in kernel_calls]
+        assert probed == [0.0, 1.0, x, x - 0.5 * tol, crossing]
 
     def test_a_gap_that_rounds_to_zero_inside_the_grid_is_no_crossing(self):
         # the exact gap is -(1 - p_a) * 2**-53, below -5.8e-17 on the whole
