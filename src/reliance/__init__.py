@@ -44,14 +44,14 @@ from .model import (
     validate_scenario,
 )
 
-# The Monte Carlo engine and sweeps need numpy; their names load on first
-# use, so importing the closed forms and sensitivity alone (model,
-# analytic) does not.
-_NUMPY_MODULES = {
+# Names that load their module on first use.  The Monte Carlo engine needs
+# numpy.  The sweeps need it only above `sweep._SCALAR_STEPS` points; they
+# stay lazy because the closed-form commands do not use them.
+_LAZY_MODULES = {
     "simulate": ("SimEstimate", "TrialOutcome", "estimate_accuracy", "sample_trial"),
     "sweep": ("SweepSeries", "SweepSpec", "find_reference_crossing", "run_sweep"),
 }
-_LAZY_NAMES = {name: module for module, names in _NUMPY_MODULES.items() for name in names}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 
 def __getattr__(name):

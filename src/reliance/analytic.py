@@ -138,11 +138,6 @@ def _form(kind: type, mode: str, dependency: type, clamp: bool = True):
     return lambda v: _correct(rows(v))
 
 
-def _accuracy(scenario: Scenario, v: Mapping[str, Any]) -> Any:
-    """The scenario's headline accuracy at the leaves `v`."""
-    return _form(type(scenario.policy), scenario.effective_degradation_mode, type(scenario.dependency))(v)
-
-
 def _result(scenario: Scenario, kind: type, v: Mapping[str, Any]) -> EvalResult:
     """The EvalResult of policy class `kind` in the scenario, at its leaves `v`."""
     mode = scenario.effective_degradation_mode

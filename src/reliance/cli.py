@@ -5,8 +5,10 @@ JSON envelope with the canonicalized scenario and the result payload, and
 follows a stable exit-code contract: 0 success, 1 I/O or parse failure,
 2 semantic validation failure, 3 flag misuse.
 
-numpy, the simulator and sweeps are imported only by the `simulate` and
-`sweep` commands, so `eval`, `compare` and `breakeven` start without them.
+The simulator and sweeps are imported only by the `simulate` and `sweep`
+commands, so `eval`, `compare` and `breakeven` start without them.  numpy
+is imported by `simulate` and by a sweep of more than 4096 steps; a smaller
+sweep is evaluated as floats.
 """
 
 from __future__ import annotations

@@ -230,8 +230,8 @@ class ScenarioValidationError(ValueError):
 class SweepError(ValueError):
     """A sweep specification cannot be evaluated as requested.
 
-    Defined here, not in ``sweep``, so that the CLI can catch it without
-    importing numpy; ``reliance.sweep`` re-exports it.
+    Defined here, not in ``sweep``, so that the CLI can catch it before it
+    imports the sweep module; ``reliance.sweep`` re-exports it.
     """
 
 

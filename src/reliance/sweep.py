@@ -2,8 +2,7 @@
 
 A sweep replaces one numeric leaf of the scenario (addressed by the dot-path
 used in scenario JSON, e.g. ``"policy.p_accept"``) with each value of an
-inclusive, equally spaced grid and evaluates the closed form at every point
-in one numpy pass over the whole grid:
+inclusive, equally spaced grid and evaluates the closed form at every point:
 
 - ``model`` decides the grid's validity from the grid's two ends as floats,
   through the range and bound rules that validate a scenario: one leaf's
@@ -12,8 +11,11 @@ in one numpy pass over the whole grid:
   ``validate_scenario`` would reject (the first end, or else the edge that
   bisection finds) aborts the sweep with those rules' own violations before
   the grid is built or evaluated.
-- The closed form is ``analytic``'s kernel itself, run on the arrays, so
-  every accuracy is bit-identical to ``evaluate`` on that point's scenario.
+- The closed form is ``analytic``'s kernel itself, so every accuracy is
+  bit-identical to ``evaluate`` on that point's scenario.  It runs once on
+  numpy arrays where numpy is loaded or the grid has more than
+  ``_SCALAR_STEPS`` points; otherwise on each value as a float, as the
+  crossing does, without importing numpy.
 
 A reference crossing is screened the same way.  It is the linear root of
 the gaps to the unaided rate at the grid's two ends, certified by one
@@ -25,14 +27,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
-import numpy as np
-
-from .analytic import _accuracy, sensitivity  # sensitivity re-exported; it needs no numpy
+from .analytic import _form, sensitivity  # sensitivity re-exported
 from .model import (
     EvalResult,
     Scenario,
-    SweepError,  # re-exported; defined in model so the CLI can catch it without numpy
+    SweepError,  # re-exported; defined in model so the CLI can catch it before importing sweep
     _FIELDS,
     _Wire,
     _as_float,
@@ -43,6 +44,18 @@ from .model import (
 
 # Every probability dot-path of the scenario schema.
 _PATHS = frozenset(path for fields in _FIELDS.values() for path in fields.values())
+# A cost bound, not a tuned knob: where numpy is not loaded yet, run_sweep
+# evaluates a grid of at most this many points as floats rather than import
+# it.  At 1.2-1.8 us a point (2-CPU x86-64 host) the float loop costs under
+# 8 ms at the bound, against 65-90 ms to import numpy in a fresh process.
+_SCALAR_STEPS = 4096
+
+
+def _on_arrays(steps: int) -> bool:
+    """Whether run_sweep evaluates its grid on numpy arrays: always once
+    numpy is loaded, as arrays are the faster path from about 20 points up,
+    and before that only for a grid large enough to repay importing it."""
+    return "numpy" in sys.modules or steps > _SCALAR_STEPS
 
 
 def _is_number(value) -> bool:
@@ -68,7 +81,9 @@ class SweepSpec:
     """One-dimensional sweep: which parameter to vary, over what grid.
 
     The grid is inclusive of both endpoints and equally spaced; `steps` is
-    the number of grid points, an integer of at least 2.
+    the number of grid points, an integer of at least 2.  `start` and `stop`
+    may be any finite reals and are kept as floats, so every grid is one of
+    floats whichever way it is evaluated.
     """
 
     base: Scenario
@@ -78,7 +93,7 @@ class SweepSpec:
     steps: int
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
             raise SweepError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise SweepError(f"steps must be >= 2, got {self.steps}")
@@ -88,6 +103,7 @@ class SweepSpec:
                 raise SweepError(f"sweep {name} must be a number, got {bound!r}")
             if not math.isfinite(_as_float(bound)):
                 raise SweepError(f"sweep {name} must be finite, got {bound!r}")
+            object.__setattr__(self, name, float(bound))
         if not math.isfinite(self.stop - self.start):
             raise SweepError(f"sweep width overflows: stop {self.stop!r} - start {self.start!r}")
 
@@ -97,7 +113,11 @@ class SweepSpec:
     def _grid(self, i=None):
         # start + i * width, a loop's float operations: for every i, or the i given as a float
         width = (self.stop - self.start) / (self.steps - 1)
-        return self.start + np.arange(self.steps) * width if i is None else float(self.start + i * width)
+        if i is not None:
+            return float(self.start + i * width)
+        import numpy as np
+
+        return self.start + np.arange(self.steps) * width
 
 
 @_record
@@ -129,6 +149,19 @@ class SweepSeries(_Wire):
             _checked(name, _is_rate, (getattr(self, name),))
 
 
+def _swept(base: Scenario, path: str, leaves: dict):
+    """The base's accuracy as a function of the value of the leaf at `path`,
+    a float or an array, over the screened `leaves`: the form is picked once,
+    and each value is clamped as the screen clamped it."""
+    form = _form(type(base.policy), base.effective_degradation_mode, type(base.dependency))
+
+    def accuracy_at(value):
+        leaves[path] = _clamped(value)
+        return form(leaves)
+
+    return accuracy_at
+
+
 def run_sweep(spec: SweepSpec) -> SweepSeries:
     """Evaluate the closed form at each grid point of the sweep.
 
@@ -136,16 +169,28 @@ def run_sweep(spec: SweepSpec) -> SweepSeries:
     every point between them; the first invalid grid value aborts the whole
     sweep, by name.  One DegradedRateWarning, reported at the caller's line,
     is issued if a point's post-rejection rate exceeds its unaided rate while
-    the base scenario's does not.
+    the base scenario's does not.  The grid is evaluated in one pass over
+    numpy arrays where numpy is loaded or the grid has more than
+    `_SCALAR_STEPS` points, and otherwise value by value as floats, without
+    importing numpy; both give the same bits.
     """
     leaves, _ = _grid_leaves(spec.base, spec.parameter_path, spec._grid, spec.steps)
-    grid = spec._grid()
-    leaves[spec.parameter_path] = _clamped(grid)
-    accuracies = np.broadcast_to(_accuracy(spec.base, leaves), grid.shape)
+    accuracy_at = _swept(spec.base, spec.parameter_path, leaves)
+    if _on_arrays(spec.steps):
+        import numpy as np
+
+        array = spec._grid()
+        # evaluated before the grid's floats are made: the other order ran up
+        # to 12 % slower on 10,001-point sweeps
+        accuracies = np.broadcast_to(accuracy_at(array), array.shape).tolist()
+        grid = array.tolist()
+    else:
+        grid = [spec._grid(i) for i in range(spec.steps)]
+        accuracies = map(accuracy_at, grid)
     return SweepSeries(
         parameter_path=spec.parameter_path,
-        parameter_values=tuple(grid.tolist()),
-        accuracies=tuple(accuracies.tolist()),
+        parameter_values=tuple(grid),
+        accuracies=tuple(accuracies),
         unaided_reference=spec.base.user.p_unaided_correct,
         routine_accept_reference=spec.base.aid.p_advice_correct,
     )
@@ -170,11 +215,10 @@ def find_reference_crossing(spec: SweepSpec, tol: float = 1e-9) -> float | None:
         raise SweepError(f"tol must be finite and > 0, got {tol!r}")
     base, path = spec.base, spec.parameter_path
     leaves, ends = _grid_leaves(base, path, spec._grid, spec.steps)
-    reference = base.user.p_unaided_correct
+    accuracy_at, reference = _swept(base, path, leaves), base.user.p_unaided_correct
 
     def gap(value: float) -> float:
-        leaves[path] = _clamped(value)
-        return float(_accuracy(base, leaves)) - reference
+        return accuracy_at(value) - reference
 
     gaps = [(value, gap(value)) for value in ends]
     for value, g in gaps:

@@ -158,6 +158,17 @@ def base_scenario() -> Scenario:
     return validate_scenario(BASE_RAW)
 
 
+@pytest.fixture(params=["floats", "arrays"])
+def either_sweep_path(request, monkeypatch):
+    """Runs a test twice: once with run_sweep evaluating every grid value by
+    value as floats, once on numpy arrays, whatever the grid's size and
+    whether numpy is loaded."""
+    from reliance import sweep
+
+    monkeypatch.setattr(sweep, "_on_arrays", lambda steps: request.param == "arrays")
+    return request.param
+
+
 def grid_breakeven(aid, user, dependency, mode=None, step=1e-3):
     """Grid-search oracle for the break-even discrimination level.
 

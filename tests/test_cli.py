@@ -16,6 +16,7 @@ from reliance.analytic import BreakevenResult, PolicyComparison
 from reliance.cli import MAX_SHARDS, MAX_STEPS, MAX_TRIALS, main
 from reliance.model import DegradedRateWarning, EvalResult, scenario_to_dict, validate_scenario
 from reliance.simulate import SimEstimate
+from reliance.sweep import _SCALAR_STEPS
 
 from conftest import BASE_RAW
 
@@ -60,8 +61,8 @@ def run_cli(capsys, *args) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-# Modules the closed-form commands must not import: numpy and the two that load
-# it. No command imports click.
+# Modules the closed-form commands must not import: numpy, the simulator and
+# the sweeps. No command imports click.
 PROBED_MODULES = ("numpy", "reliance.simulate", "reliance.sweep", "click")
 
 
@@ -302,6 +303,18 @@ class TestSimulate:
         assert payload["ci95"][0] <= 0.67 <= payload["ci95"][1]
 
 
+JOINT_CONDITIONAL_RAW = {
+    "aid": {"p_advice_correct": 0.7},
+    "user": {"p_unaided_correct": 0.6, "p_post_reject_correct": 0.4},
+    "policy": {
+        "type": "discriminating",
+        "p_accept_given_correct": 0.8,
+        "p_accept_given_wrong": 0.25,
+    },
+    "dependency": {"type": "joint", "p_both_correct": 0.48},
+    "degradation_mode": "conditional_from_joint",
+}
+
 # (scenario, sweep flags) -> sha256 of the CSV and of stdout, computed with
 # the per-point sweep; the CSV is written to a relative path so stdout's
 # "out" field is the same on every run.
@@ -333,6 +346,12 @@ GOLDEN_SWEEP_RUNS = [
         "0379c36037433ee06970c212c0891124b76aae848aad32702ba8245ed71e8c3c",
         "155784c707937d7f907a2936c7d18b474fec4332847cf2d13b38435ddcc7977a",
     ),
+    (  # more than _SCALAR_STEPS points: a fresh `reliance sweep` evaluates it on numpy arrays
+        JOINT_CONDITIONAL_RAW,
+        ["--param", "dependency.p_both_correct", "--from", "0.6", "--to", "0.3", "--steps", "5001"],
+        "aa1454fabe1ccf8da31cdc8da82d5b70f3fec0b6668b1fd5400e237cca6efc4f",
+        "04e886e54aef8dab7dd0d8182b5270395ccd80a06884f1b4a19ed17277e0f393",
+    ),
 ]
 
 
@@ -345,18 +364,6 @@ DEGRADED_RAW = {
         "p_use_given_user_wrong": 0.8,
     },
     "dependency": {"type": "independent"},
-}
-
-JOINT_CONDITIONAL_RAW = {
-    "aid": {"p_advice_correct": 0.7},
-    "user": {"p_unaided_correct": 0.6, "p_post_reject_correct": 0.4},
-    "policy": {
-        "type": "discriminating",
-        "p_accept_given_correct": 0.8,
-        "p_accept_given_wrong": 0.25,
-    },
-    "dependency": {"type": "joint", "p_both_correct": 0.48},
-    "degradation_mode": "conditional_from_joint",
 }
 
 GOLDEN_SCENARIOS = {
@@ -395,6 +402,7 @@ class TestGoldenBytes:
 
 
 class TestSweep:
+    @pytest.mark.usefixtures("either_sweep_path")
     @pytest.mark.parametrize("raw,flags,csv_sha,stdout_sha", GOLDEN_SWEEP_RUNS)
     def test_golden_bytes(self, tmp_path, capsys, monkeypatch, raw, flags, csv_sha, stdout_sha):
         scenario = write_scenario(tmp_path, raw)
@@ -675,10 +683,12 @@ class TestCommandLineContract:
         assert not imported & set(PROBED_MODULES)
 
     def test_sweep_and_simulate_load_only_their_own_module(self, tmp_path):
+        # a sweep of up to _SCALAR_STEPS points is evaluated as floats; a larger one loads numpy
         path = str(write_scenario(tmp_path, BASE_RAW))
         sweep = ["sweep", path, "--param", "policy.p_accept", "--from", "0", "--to", "1"]
-        sweep += ["--steps", "3", "--out", str(tmp_path / "x.csv")]
-        assert probe_main([sweep]) == ([0], ["numpy", "reliance.sweep"])
+        sweep += ["--out", str(tmp_path / "x.csv"), "--steps"]
+        assert probe_main([sweep + ["3"], sweep + [str(_SCALAR_STEPS)]]) == ([0, 0], ["reliance.sweep"])
+        assert probe_main([sweep + [str(_SCALAR_STEPS + 1)]]) == ([0], ["numpy", "reliance.sweep"])
         simulate = ["simulate", path, "--trials", "100"]
         assert probe_main([simulate]) == ([0], ["numpy", "reliance.simulate"])
 

@@ -13,7 +13,6 @@ from reliance import analytic, sweep
 from reliance.cli import MAX_STEPS
 from reliance.analytic import (
     FD_STEP,
-    _accuracy,
     evaluate,
     free_parameters,
 )
@@ -422,6 +421,30 @@ class TestRunSweep:
         assert series.parameter_values[0] == 0.2
         assert series.parameter_values[-1] == 0.8
 
+    @pytest.mark.parametrize(
+        "start,stop", [(0, 1), (Fraction(1, 3), np.float32(0.7))], ids=["int", "fraction-float32"]
+    )
+    def test_bounds_are_kept_as_floats(self, base_scenario, start, stop):
+        spec = SweepSpec(base_scenario, "policy.p_accept", start, stop, 5)
+        assert (type(spec.start), type(spec.stop)) == (float, float)
+        assert spec == SweepSpec(base_scenario, "policy.p_accept", float(start), float(stop), 5)
+
+    def test_once_numpy_is_loaded_a_small_grid_is_one_array_pass(self, base_scenario, monkeypatch):
+        # this process has loaded numpy, so a 3-point grid skips the float loop
+        swept, form = [], sweep._form
+
+        def counting_form(*key):
+            def counted(leaves):
+                swept.append(leaves["policy.p_accept"])
+                return form(*key)(leaves)
+
+            return counted
+
+        monkeypatch.setattr(sweep, "_form", counting_form)
+        run_sweep(SweepSpec(base_scenario, "policy.p_accept", 0.0, 1.0, 3))
+        assert "numpy" in sys.modules
+        assert [value.tolist() for value in swept] == [[0.0, 0.5, 1.0]]
+
     def test_identity_sweep_over_advisor_rate(self):
         scenario = make_scenario(policy=RoutineAccept())
         series = run_sweep(SweepSpec(scenario, "aid.p_advice_correct", 0.0, 1.0, 2))
@@ -628,7 +651,8 @@ def random_policy_at_edges(rng):
     return Discriminating(a, b) if kind == 3 else SelfGated(a, b)
 
 
-class TestArrayPathMatchesPerPoint:
+@pytest.mark.usefixtures("either_sweep_path")
+class TestEitherPathMatchesPerPoint:
     def test_random_scenarios(self):
         rng = np.random.default_rng(401)
         outcomes = []
@@ -734,6 +758,53 @@ class TestArrayPathMatchesPerPoint:
         assert str(info.value) == message
 
 
+def sweep_outcome(spec):
+    """`run_sweep(spec)` as bits: the float bits of its values and accuracies,
+    or its SweepError text, then each warning's category, text, file and line."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            series = run_sweep(spec)
+            result = float_bits(series.parameter_values), float_bits(series.accuracies)
+        except SweepError as err:
+            result = str(err)
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in record]
+
+
+class TestFloatPathMatchesArrayPath:
+    # -0.0, the clamp's two ends, a midpoint, and ends given as a Fraction and
+    # as a float32; each leaf's Frechet or dominance bounds, with and without
+    # slack, are added per leaf
+    ENDS = (-0.0, -1e-12, 1.0 + 1e-12, 0.5, Fraction(1, 3), np.float32(0.1))
+
+    def test_every_policy_dependency_mode_and_leaf(self, monkeypatch):
+        outcomes = {"evaluated": 0, "rejected": 0, "warned": 0}
+        cases = itertools.product(
+            GOLDEN_POLICIES.values(), GOLDEN_DEPENDENCIES.values(), ("fixed_rate", "conditional_from_joint")
+        )
+        k = 0
+        for policy, dependency, mode in cases:
+            scenario = make_scenario(policy=policy, dependency=dependency, mode=mode)
+            for path in leaf_paths(scenario):
+                ends = self.ENDS + tuple(leaf_bounds(scenario, path))
+                # every ordered pair: ascending and descending grids
+                for start, stop in itertools.permutations(ends, 2):
+                    k += 1
+                    steps = 2 + k % 9
+                    spec = SweepSpec(scenario, path, start, stop, np.int64(steps) if k % 4 == 0 else steps)
+                    found = []
+                    for on_arrays in (False, True):
+                        monkeypatch.setattr(sweep, "_on_arrays", lambda steps, on_arrays=on_arrays: on_arrays)
+                        found.append(sweep_outcome(spec))
+                    assert found[0] == found[1], spec
+                    result, warned = found[0]
+                    outcomes["rejected" if isinstance(result, str) else "evaluated"] += 1
+                    outcomes["warned"] += bool(warned)
+                    assert all(filename == __file__ for _, _, filename, _ in warned)
+        assert outcomes["evaluated"] > 3000 and outcomes["rejected"] > 3000 and outcomes["warned"] > 300, outcomes
+
+
+@pytest.mark.usefixtures("either_sweep_path")
 class TestSweepWarningsAndErrors:
     def test_post_reject_rate_crossing_unaided_warns(self, base_scenario):
         spec = SweepSpec(base_scenario, "user.p_post_reject_correct", 0.2, 0.8, 7)
@@ -1111,9 +1182,10 @@ class TestBisectionNamesTheFirstInvalidValue:
 
 def gap_at(spec, value):
     """The swept accuracy minus the base unaided rate, straight from the kernel."""
-    leaves = spec.base.leaves
+    base, leaves = spec.base, spec.base.leaves
     leaves[spec.parameter_path] = _clamped(value)
-    return _accuracy(spec.base, leaves) - spec.base.user.p_unaided_correct
+    form = analytic._form(type(base.policy), base.effective_degradation_mode, type(base.dependency))
+    return form(leaves) - base.user.p_unaided_correct
 
 
 def exact_gap(spec, value):
@@ -1167,12 +1239,16 @@ def kernel_calls(monkeypatch):
     """Counts the closed-form evaluations find_reference_crossing makes, the
     grid's two ends included."""
     calls = []
+    form = sweep._form
 
-    def counted(scenario, leaves):
-        calls.append(dict(leaves))
-        return _accuracy(scenario, leaves)
+    def counted_form(*key):
+        def counted(leaves):
+            calls.append(dict(leaves))
+            return form(*key)(leaves)
 
-    monkeypatch.setattr(sweep, "_accuracy", counted)
+        return counted
+
+    monkeypatch.setattr(sweep, "_form", counted_form)
     return calls
 
 
@@ -1341,14 +1417,19 @@ class TestLinearRootAgainstBisection:
         # a bent line, zero on [0.1, 0.6]: the ends' linear root 0.8 and its
         # probe 0.8 - tol/2 both lie above zero, so the bracket (0, probe) is
         # bisected, and its first midpoint lands on the zero
-        counted = sweep._accuracy
+        counted_form = sweep._form
 
-        def bent(scenario, leaves):
-            counted(scenario, leaves)
-            v = leaves["policy.p_accept"]
-            return 0.5 + 16.0 * min(0.0, v - 0.1) + max(0.0, v - 0.6)
+        def bent_form(*key):
+            counted = counted_form(*key)
 
-        monkeypatch.setattr(sweep, "_accuracy", bent)
+            def bent(leaves):
+                counted(leaves)
+                v = leaves["policy.p_accept"]
+                return 0.5 + 16.0 * min(0.0, v - 0.1) + max(0.0, v - 0.6)
+
+            return bent
+
+        monkeypatch.setattr(sweep, "_form", bent_form)
         spec = SweepSpec(make_scenario(p_u=0.5), "policy.p_accept", 0.0, 1.0, 11)
         tol = 1e-9
         crossing = find_reference_crossing(spec, tol)
