@@ -11,19 +11,24 @@ function of (scenario, n_trials, seed, shards).
 
 Only the non-empty shards run, in parallel threads (numpy releases the GIL)
 capped at the CPUs available to the process.  Each shard draws its trials in
-cache-sized batches that consume its substream in trial order, so neither the
-batch size nor the thread count ever changes a result.
+batches of `_BATCH` that consume its substream in trial order, so neither the
+batch size nor the thread count ever changes a result.  A shard allocates its
+buffer once and copies each batch's draws into one contiguous column per
+draw, so every comparison reads contiguous memory; a batch tallies its
+outcome cells by counting a few mask intersections.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 import numpy as np
 
 from .model import (
     FIXED_RATE,
+    OUTCOME_CELLS,
     Discriminating,
     Indiscriminate,
     RoutineAccept,
@@ -42,8 +47,11 @@ from .model import (
 
 # Uniforms consumed per trial, in fixed order.
 DRAWS_PER_TRIAL = 3
-# Trials per vectorized batch: the batch's uniforms and masks stay cache-sized.
-_BATCH = 1 << 16
+# Trials per vectorized batch.  On a 2-CPU x86-64 host (2 MiB of L2 per core),
+# 10^7-trial runs cost 22-23 ns a trial on one shard and 14-15 ns on four at
+# 2^15, against 24-25 and 15-16 ns at 2^16 and 21-24 and 17-19 ns at 2^14:
+# the batch's 1.5 MB of draws and columns and its 32 KB masks stay in L2.
+_BATCH = 1 << 15
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -102,6 +110,8 @@ class SimEstimate(_Wire):
     def __post_init__(self):
         check_cells(self.outcome_counts, "outcome_counts")
         n = self.n_trials
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"n_trials must be an int, got {n!r}")
         total = advice = correct = 0
         for (advice_correct, _, final), count in self.outcome_counts.items():
             total += count
@@ -189,42 +199,70 @@ def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
     return TrialOutcome(advice, user, redraw is not None, used, advice if used else alone)
 
 
-def _simulate_batch(scenario: Scenario, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized batch of n trials.
+def _simulate_batch(
+    cuts: tuple[float, float, float],
+    decision: tuple[float, float, tuple[float, float] | None],
+    u: np.ndarray,
+) -> tuple[int, ...]:
+    """Vectorized batch: trial i draws u[0][i], u[1][i], u[2][i], each a contiguous column.
 
-    Returns the 8 outcome-cell counts followed by the advice-correct,
-    user-correct and either-correct marginal counts, as one int64 vector.
+    Returns the 8 outcome-cell counts in OUTCOME_CELLS order, then the
+    advice-correct, user-correct and either-correct latent counts, as ints.
     """
-    u = rng.random((n, DRAWS_PER_TRIAL))
-    u1, u2, u3 = u[:, 0], u[:, 1], u[:, 2]
-    c_both, c_advice, c_user = _joint_cell_cuts(scenario)
+    u1, u2, u3 = u
+    c_both, c_advice, c_user = cuts
     # Boolean masks combine with & | ~ rather than np.where: the same
     # comparisons, so the same outcomes, at a fraction of the passes.
     advice = u1 < c_advice
     user = (u1 < c_both) | (~advice & (u1 < c_user))
-    use_if, use_unless, redraw = _decision(scenario)
+    use_if, use_unless, redraw = decision
     bit = user if redraw is None else advice
-    accepted = (bit & (u2 < use_if)) | (~bit & (u2 < use_unless))
+    used = (bit & (u2 < use_if)) | (~bit & (u2 < use_unless))
     alone = user if redraw is None else (advice & (u3 < redraw[0])) | (~advice & (u3 < redraw[1]))
-    final = (accepted & advice) | (~accepted & alone)
-
-    # cell = 4*advice + 2*accepted + final, built in place on one uint8 array
-    cell = advice.view(np.uint8) << 2
-    cell += accepted.view(np.uint8)
-    cell += accepted.view(np.uint8)
-    cell += final.view(np.uint8)
-    n_advice = np.count_nonzero(advice)
-    n_user = np.count_nonzero(user)
-    n_either = n_advice + n_user - np.count_nonzero(advice & user)
-    return np.append(np.bincount(cell, minlength=8), (n_advice, n_user, n_either))
-
-
-def _simulate_shard(scenario: Scenario, n: int, seed: int, shard: int) -> np.ndarray:
-    """All n trials of one shard, drawn batch by batch from its own substream."""
-    rng = shard_rng(seed, shard)
-    return sum(
-        _simulate_batch(scenario, min(_BATCH, n - done), rng) for done in range(0, n, _BATCH)
+    # A used trial's final answer is the advice's; any other trial's, alone's.
+    right_alone = alone & ~used
+    n_advice, n_user, n_used, n_advice_used, n_right_alone, n_advice_right_alone, n_both = (
+        int(np.count_nonzero(mask))
+        for mask in (advice, user, used, advice & used, right_alone, advice & right_alone, advice & user)
     )
+    n_wrong_right_alone = n_right_alone - n_advice_right_alone
+    n_wrong_unused = len(u1) - n_advice - n_used + n_advice_used
+    return (  # in OUTCOME_CELLS order; used advice is never a different answer
+        n_advice_used, 0, n_advice_right_alone, n_advice - n_advice_used - n_advice_right_alone,
+        0, n_used - n_advice_used, n_wrong_right_alone, n_wrong_unused - n_wrong_right_alone,
+        n_advice, n_user, n_advice + n_user - n_both,
+    )
+
+
+def _summed(tallies) -> list[int]:
+    """Column sums of equal-length count tuples."""
+    return [sum(column) for column in zip(*tallies)]
+
+
+def _simulate_shard(scenario: Scenario, n: int, seed: int, shard: int) -> list[int]:
+    """All n trials of one shard, drawn batch by batch from its own substream.
+
+    The shard's buffer is allocated once: each batch's uniforms are drawn
+    into `draws`, the stream `rng.random((m, 3))` would take, and copied into
+    `cols`, one contiguous column per draw.
+    """
+    rng = shard_rng(seed, shard)
+    cuts, decision = _joint_cell_cuts(scenario), _decision(scenario)
+    size = min(_BATCH, n) * DRAWS_PER_TRIAL
+    # One allocation, not two: under glibc's malloc, two such blocks freed
+    # together at the heap top exceeded its trim threshold (twice the largest
+    # block freed so far), so each call faulted the pages in afresh: 103 page
+    # faults a 10^4-trial call with two buffers, under 1 with one.
+    buffer = np.empty(2 * size)
+    draws = buffer[:size].reshape(-1, DRAWS_PER_TRIAL)
+    cols = buffer[size:].reshape(DRAWS_PER_TRIAL, -1)
+
+    def batch(m: int) -> tuple[int, ...]:
+        rng.random(out=draws[:m])
+        np.copyto(cols[:, :m], draws[:m].T)
+        return _simulate_batch(cuts, decision, cols[:, :m])
+
+    return _summed(batch(min(_BATCH, n - done)) for done in range(0, n, _BATCH))
 
 
 def _available_cpus() -> int:
@@ -232,6 +270,16 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not offered on every platform
         return os.cpu_count() or 1
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int through `operator.index`; a bool is refused, as elsewhere."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def estimate_accuracy(
@@ -243,8 +291,11 @@ def estimate_accuracy(
     spread across shards as evenly as possible, remainder to the lowest
     shard indices.  Only the non-empty shards run, on at most as many
     threads as the process has CPUs; batch size and thread count never
-    change the result.
+    change the result.  The three counts may be any integers but bools, and
+    are recorded as ints.
     """
+    n_trials = _integer(n_trials, "n_trials")
+    seed, shards = _integer(seed, "seed"), _integer(shards, "shards")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if shards < 1:
@@ -266,24 +317,20 @@ def estimate_accuracy(
                 for shard, size in enumerate(sizes)
             ]
             results = [future.result() for future in futures]
-    tallies = sum(results)  # in shard order
-    counts = tallies[:8]
-    n_advice, n_user, n_either = (int(count) for count in tallies[8:])
-
-    n_correct = int(counts[1::2].sum())  # odd cell indices have final_correct = True
+    tallies = _summed(results)
+    counts, (n_advice, n_user, n_either) = tallies[:8], tallies[8:]
+    outcome_counts = dict(zip(OUTCOME_CELLS, counts))
+    n_correct = sum(counts[::2])  # even OUTCOME_CELLS indices have final_correct = True
     p_hat = n_correct / n_trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_trials)
     ci95 = (max(0.0, p_hat - _Z95 * std_err), min(1.0, p_hat + _Z95 * std_err))
-    outcome_counts = {
-        (bool(idx & 4), bool(idx & 2), bool(idx & 1)): int(counts[idx]) for idx in range(8)
-    }
     return SimEstimate(
         p_hat=p_hat,
         n_trials=n_trials,
         std_err=std_err,
         ci95=ci95,
-        seed=int(seed),
-        n_shards=int(shards),
+        seed=seed,
+        n_shards=shards,
         outcome_counts=outcome_counts,
         advice_correct_count=n_advice,
         user_correct_count=n_user,

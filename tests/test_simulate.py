@@ -106,19 +106,74 @@ class TestDeterminism:
             assert (canonical["policy"]["type"], canonical["dependency"]["type"]) == (policy, dependency)
             assert canonical["degradation_mode"] == mode
             seed = int(rng.integers(1 << 48))
-            estimate = estimate_accuracy(scenario, 500, seed=seed, shards=1)
-            counts, users = {cell: 0 for cell in OUTCOME_CELLS}, 0
-            replay = shard_rng(seed, 0)
-            for _ in range(500):
-                trial = sample_trial(scenario, replay)
-                counts[(trial.advice_correct, trial.accepted_or_used, trial.final_correct)] += 1
-                users += trial.user_would_be_correct
-            assert counts == estimate.outcome_counts
-            assert users == estimate.user_correct_count
+            assert_replayed(estimate_accuracy(scenario, 500, seed=seed, shards=1), scenario)
+
+    @pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
+    def test_edge_values_match_the_scalar_replay_across_batches(self, monkeypatch):
+        # Empty cells, certain cells and cuts at the validation slack, none of
+        # which random_scenario's interior draws reach, over batches of 4.
+        monkeypatch.setattr(simulate, "_BATCH", 4)
+        rates = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1e-300, 0.5), (0.5, 1e-300)]
+        policies = [
+            lambda k: RoutineAccept(),
+            lambda k: RoutineIgnore(),
+            lambda k: Indiscriminate(rates[k % len(rates)][0]),
+            lambda k: Discriminating(*rates[k % len(rates)]),
+            lambda k: SelfGated(*rates[k % len(rates)]),
+        ]
+        edges = [0.0, 1e-300, 0.3, 1.0]
+        marginals = [(p_a, p_u) for p_a in edges for p_u in edges] + [(0.3, 0.3 + 5e-10)]
+
+        def dependencies(p_a, p_u):
+            lo, hi = max(0.0, p_a + p_u - 1.0), min(p_a, p_u)
+            return {
+                "independent": [Independent],
+                "dominant": [Dominant],
+                "joint": [lambda p=p: Joint(p) for p in (lo, hi, lo - 5e-10, hi + 5e-10)],
+            }
+
+        runs = k = 0
+        for policy in policies:
+            for kind in ("independent", "joint", "dominant"):
+                for mode in (FIXED_RATE, CONDITIONAL_FROM_JOINT):
+                    for p_a, p_u in marginals:
+                        for dependency in dependencies(p_a, p_u)[kind]:
+                            k += 1
+                            try:
+                                scenario = make_scenario(
+                                    p_a, p_u, (0.0, 1.0, 1e-300)[k % 3], policy(k), dependency(), mode
+                                )
+                            except ValueError:  # past a bound or out of range, beyond the slack
+                                continue
+                            estimate = estimate_accuracy(scenario, 29, seed=k, shards=1 + k % 2)
+                            assert_replayed(estimate, scenario)
+                            runs += 1
+        assert runs >= 800
 
     def test_negative_seed_is_normalized_not_fatal(self, base_scenario):
         estimate = estimate_accuracy(base_scenario, 100, seed=-7)
         assert estimate.n_trials == 100
+
+
+def assert_replayed(estimate, scenario):
+    """The estimate's outcome and latent counts are those of `sample_trial`
+    replaying each shard's stream, trial by trial."""
+    counts, advice, user, either = {cell: 0 for cell in OUTCOME_CELLS}, 0, 0, 0
+    n, shards = estimate.n_trials, estimate.n_shards
+    for shard in range(min(shards, n)):
+        replay = shard_rng(estimate.seed, shard)
+        for _ in range(n // shards + (shard < n % shards)):
+            trial = sample_trial(scenario, replay)
+            counts[(trial.advice_correct, trial.accepted_or_used, trial.final_correct)] += 1
+            advice += trial.advice_correct
+            user += trial.user_would_be_correct
+            either += trial.advice_correct or trial.user_would_be_correct
+    assert counts == estimate.outcome_counts
+    assert (advice, user, either) == (
+        estimate.advice_correct_count,
+        estimate.user_correct_count,
+        estimate.either_correct_count,
+    )
 
 
 GOLDEN_SCENARIOS = {
@@ -193,13 +248,18 @@ class TestGoldenValues:
         assert (estimate.seed, estimate.n_shards, estimate.n_trials) == (seed, shards, n_trials)
         assert_golden(estimate, p_hat, cells, latent)
 
-    @pytest.mark.parametrize("batch", [7, 1000])
+    # 1 << 16 was the default batch before; 3,001 trials on 3 shards leave
+    # each shard fewer trials than any batch of 1000 or more.
+    @pytest.mark.parametrize(
+        "batch,n_trials",
+        [(1, 3_001), (7, 70_001), (1000, 70_001), (1000, 3_001), (1 << 16, 70_001), (1 << 16, 3_001)],
+    )
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-    def test_batch_size_never_changes_the_estimate(self, monkeypatch, name, batch):
+    def test_batch_size_never_changes_the_estimate(self, monkeypatch, name, batch, n_trials):
         scenario = GOLDEN_SCENARIOS[name]()
-        reference = estimate_accuracy(scenario, 70_001, seed=7, shards=3)
+        reference = estimate_accuracy(scenario, n_trials, seed=7, shards=3)
         monkeypatch.setattr(simulate, "_BATCH", batch)
-        assert estimate_accuracy(scenario, 70_001, seed=7, shards=3) == reference
+        assert estimate_accuracy(scenario, n_trials, seed=7, shards=3) == reference
 
     @pytest.mark.parametrize("cpus", [1, 2, 5])
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
@@ -240,6 +300,19 @@ class TestEstimateAccuracy:
             estimate_accuracy(base_scenario, 0, seed=1)
         with pytest.raises(ValueError):
             estimate_accuracy(base_scenario, 100, seed=1, shards=0)
+
+    def test_numpy_integer_counts_are_recorded_as_ints(self, base_scenario):
+        estimate = estimate_accuracy(base_scenario, np.int64(100), np.int64(1), np.uint8(2))
+        assert [type(value) for value in (estimate.n_trials, estimate.seed, estimate.n_shards)] == [int] * 3
+        assert estimate == estimate_accuracy(base_scenario, 100, 1, 2)
+        assert json.loads(json.dumps(estimate.to_dict()))["n_trials"] == 100
+
+    @pytest.mark.parametrize("value", [True, False, 100.0])
+    @pytest.mark.parametrize("name", ["n_trials", "seed", "shards"])
+    def test_a_bool_or_float_count_is_a_type_error_naming_it(self, base_scenario, name, value):
+        counts = {"n_trials": 100, "seed": 1, "shards": 1, name: value}
+        with pytest.raises(TypeError, match=rf"^{name} must be an int, got {value!r}$"):
+            estimate_accuracy(base_scenario, **counts)
 
     def test_more_shards_than_trials_is_fine(self, base_scenario):
         estimate = estimate_accuracy(base_scenario, 3, seed=4, shards=8)

@@ -183,6 +183,8 @@ def test_a_null_read_as_it_is_is_named(cls, key):
         ("n_shards", 0, ValueError),
         ("n_shards", "abc", ValueError),
         ("n_shards", True, ValueError),
+        ("n_trials", True, TypeError),
+        ("n_trials", 1000.0, TypeError),
     ],
 )
 def test_a_bad_seed_or_shard_count_is_named(key, value, error):
