@@ -49,6 +49,7 @@ from .model import (
     _as_float,
     _check_sections,
     _mapping,
+    _no_bools,
     _record,
     joint_success_probability,
     leaves_of,
@@ -199,7 +200,7 @@ class PolicyComparison(_Wire):
                 for name, result in _mapping(data, "PolicyComparison results").items()
             },
         ),
-        "margins": (dict, dict),
+        "margins": (dict, lambda data: _no_bools(dict(data), "PolicyComparison margin")),
         "notes": _TUPLE,
     }
 

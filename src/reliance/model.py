@@ -23,6 +23,7 @@ import sys
 import warnings
 from collections.abc import Mapping
 from itertools import product
+from operator import itemgetter
 from typing import Any
 
 # A probability is a plain float in [0, 1]; `as_probability` is the checked
@@ -50,11 +51,28 @@ OUTCOME_CELLS: tuple[tuple[bool, bool, bool], ...] = tuple(
     product((True, False), repeat=3)
 )
 
+_in_order = itemgetter(*OUTCOME_CELLS)
+_EMPTY_CELLS = ((True, True, False), (False, True, True))  # used advice is the final answer
+_empties = itemgetter(*map(OUTCOME_CELLS.index, _EMPTY_CELLS))
 
-def check_cells(table: Mapping[tuple[bool, bool, bool], Any], name: str) -> None:
-    """Raise ValueError unless the table `name` has exactly the eight canonical cells."""
-    if set(table) != set(OUTCOME_CELLS):
+
+def _cell_sums(table: Mapping[tuple[bool, bool, bool], Any], name: str, top, slack=0) -> tuple:
+    """The used, advice-correct and final-correct sums of the outcome table
+    `name`, once its eight canonical cells are each in [0, `top`] ([0, 0] if
+    empty) and sum to `top`, within `slack`; else ValueError naming the first
+    bad cell, which is sought only then, or the sum."""
+    try:
+        c = _in_order(table)
+    except KeyError:
+        c = None
+    if c is None or len(table) != len(c):
         raise ValueError(f"{name} must cover exactly the 8 canonical cells")
+    if -slack <= min(c) and max(c) <= top + slack and not any(_empties(c)) and abs(sum(c) - top) <= slack:
+        return c[0] + c[1] + c[4] + c[5], c[0] + c[1] + c[2] + c[3], c[0] + c[2] + c[4] + c[6]
+    for cell, v in zip(OUTCOME_CELLS, c):
+        if not -slack <= v <= top + slack or v and cell in _EMPTY_CELLS:
+            raise ValueError(f"{name} cell {cell} holds {v!r}, not in [0, {0 if cell in _EMPTY_CELLS else top}]")
+    raise ValueError(f"{name} sum to {sum(c)!r}, expected {top}")
 
 
 class _Record:
@@ -149,7 +167,8 @@ class _Wire(_Record):
     (`_TUPLE`, a list); any other field is written and read as it is.
     `from_dict` may omit a field with a default, such as `notes`.  It names
     any other missing key in a KeyError, an unknown key in a ValueError, and
-    a null read as it is, unless `_NULLABLE` lists it, in a TypeError.
+    in a TypeError a bool, which no result field holds, or a null read as it
+    is, unless `_NULLABLE` lists it.
     """
 
     __slots__ = ()
@@ -171,8 +190,8 @@ class _Wire(_Record):
         for key, _, decode in cls._WIRE:
             if key in data or key not in cls._defaults:
                 value = data[key]
-                if value is None and decode is None and key not in cls._NULLABLE:
-                    raise TypeError(f"{cls.__name__} {key} must not be null")
+                if isinstance(value, bool) or value is None and decode is None and key not in cls._NULLABLE:
+                    raise TypeError(f"{cls.__name__} {key} must not be {'null' if value is None else 'a bool'}")
                 values[key] = value if decode is None else decode(value)
         return cls(**values)
 
@@ -184,13 +203,23 @@ def _mapping(data: Any, what: str) -> Mapping:
     return data
 
 
+def _no_bools(values, what: str):
+    """The JSON list or object `values`, unless it holds a bool: then
+    TypeError naming `what` and the bool's index or key.  A result holds
+    numbers where it holds a list or object of scalars, and no bool."""
+    for key, value in values.items() if isinstance(values, dict) else enumerate(values):
+        if isinstance(value, bool):
+            raise TypeError(f"{what} {key!r} must not be a bool")
+    return values
+
+
 def _cells(key: str) -> tuple:
     """Encode and decode of an eight-cell table as JSON rows in canonical
     order, each value under `key`."""
     a, u, f = "advice_correct", "accepted_or_used", "final_correct"
     return (
         lambda table: [{a: c[0], u: c[1], f: c[2], key: table[c]} for c in OUTCOME_CELLS],
-        lambda rows: {(row[a], row[u], row[f]): row[key] for row in rows},
+        lambda rows: _no_bools({(row[a], row[u], row[f]): row[key] for row in rows}, f"{key} of cell"),
     )
 
 
@@ -615,9 +644,13 @@ class EvalResult(_Wire):
     Attributes:
         p_correct_aided: headline P(final answer correct) under the scenario.
         outcome_table: probability of each (advice_correct, accepted_or_used,
-            final_correct) cell; the eight cells sum to one.
+            final_correct) cell; the eight cells sum to one, and the two
+            `_EMPTY_CELLS`, where used advice is not the final answer, hold 0.
         p_accept_marginal: marginal probability of adopting the advice.
         notes: human-readable caveats (defaults applied, assumptions).
+
+    Each cell and the headline lie in [0, 1], and the sums, headline and use
+    rate agree, each within `_GUARD`.
     """
 
     p_correct_aided: Probability
@@ -633,19 +666,8 @@ class EvalResult(_Wire):
     _WIRE_ORDER = ("p_correct_aided", "p_accept_marginal", "outcome_table", "notes")
 
     def __post_init__(self):
-        check_cells(self.outcome_table, "outcome_table")
         guard, headline = self._GUARD, self.p_correct_aided
-        total = accepted = correct = 0.0
-        for cell, p in self.outcome_table.items():
-            if not -guard <= p <= 1.0 + guard:
-                raise ValueError(f"outcome_table cell {cell} holds {p!r}, not in [0, 1]")
-            total += p
-            if cell[1]:
-                accepted += p
-            if cell[2]:
-                correct += p
-        if abs(total - 1.0) > guard:
-            raise ValueError(f"outcome_table sums to {total!r}, expected 1")
+        accepted, _, correct = _cell_sums(self.outcome_table, "outcome_table", 1, guard)
         if not (-guard <= headline <= 1.0 + guard and abs(correct - headline) <= guard):
             raise ValueError(f"p_correct_aided={headline!r} is not the final-correct mass {correct!r}")
         if not abs(accepted - _as_float(self.p_accept_marginal)) <= guard:

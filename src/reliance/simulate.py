@@ -38,9 +38,10 @@ from .model import (
     _TUPLE,
     _Wire,
     _as_float,
+    _cell_sums,
     _cells,
+    _no_bools,
     _record,
-    check_cells,
     conditional_user_rates,
     joint_success_probability,
 )
@@ -88,10 +89,16 @@ class SimEstimate(_Wire):
         std_err: binomial standard error sqrt(p_hat * (1 - p_hat) / n).
         ci95: normal-approximation 95% interval, clipped to [0, 1].
         outcome_counts: trial counts per (advice_correct, accepted_or_used,
-            final_correct) cell; they sum to n_trials.
+            final_correct) cell; they sum to n_trials, and the two
+            `_EMPTY_CELLS`, where used advice is not the final answer, hold 0.
         advice_correct_count / user_correct_count / either_correct_count:
             latent marginals, kept for cross-checks against the configured
             hit rates and the combined-accuracy ceiling.
+
+    Each field annotated `int` (`n_trials`, `seed`, `n_shards` and the three
+    latent counts) and each of the eight counts is exactly an int: a float
+    or bool is a TypeError naming it.  `n_trials` and `n_shards` are at
+    least 1.
     """
 
     p_hat: float
@@ -105,26 +112,22 @@ class SimEstimate(_Wire):
     user_correct_count: int
     either_correct_count: int
 
-    _CODECS = {"ci95": _TUPLE, "outcome_counts": _cells("count")}
+    _CODECS = {
+        "ci95": (list, lambda items: tuple(_no_bools(items, "SimEstimate ci95 item"))),
+        "outcome_counts": _cells("count"),
+    }
+    _INTEGERS = tuple(key for key, kind in __annotations__.items() if kind == "int")
 
     def __post_init__(self):
-        check_cells(self.outcome_counts, "outcome_counts")
-        n = self.n_trials
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise TypeError(f"n_trials must be an int, got {n!r}")
-        total = advice = correct = 0
-        for (advice_correct, _, final), count in self.outcome_counts.items():
-            total += count
-            advice += count if advice_correct else 0
-            correct += count if final else 0
-        if total != n:
-            raise ValueError(f"outcome_counts sum to {total}, expected {n}")
+        counts, n, integers = self.outcome_counts, self.n_trials, operator.attrgetter(*self._INTEGERS)(self)
+        if {*map(type, integers), *map(type, counts.values())} != {int}:
+            named = (*zip(self._INTEGERS, integers), *((f"outcome_counts cell {c}", k) for c, k in counts.items()))
+            raise TypeError("{} must be an int, got {!r}".format(*next(p for p in named if type(p[1]) is not int)))
         if n < 1:
             raise ValueError(f"n_trials must be >= 1, got {n!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise TypeError(f"seed must be an int, got {self.seed!r}")
-        if isinstance(self.n_shards, bool) or not isinstance(self.n_shards, int) or self.n_shards < 1:
+        if self.n_shards < 1:
             raise ValueError(f"n_shards must be an int >= 1, got {self.n_shards!r}")
+        _, advice, correct = _cell_sums(counts, "outcome_counts", n)
         if not abs(_as_float(self.p_hat) - correct / n) <= 1e-9:
             raise ValueError(f"p_hat {self.p_hat!r} is not the final-correct count {correct} / {n}")
         expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials)

@@ -4,6 +4,7 @@ record semantics of every model and result type."""
 import copy
 import math
 import pickle
+import re
 import sys
 import warnings
 
@@ -417,6 +418,38 @@ class TestEvalResult:
         table[(True, True, True)], table[(False, False, False)] = 1.5, -0.5
         with pytest.raises(ValueError, match=r"^outcome_table cell \(True, True, True\) holds 1\.5, not in \[0, 1\]$"):
             EvalResult(1.5, table, 0.5)
+
+    @pytest.mark.parametrize(
+        "cells,named",
+        [
+            ((1.0 + 1.5e-9, -1e-9, -0.5e-9), r"\(True, True, True\) holds 1\.0000000015"),
+            ((1.0 + 0.5e-9, 1e-9, -1.5e-9), r"\(False, False, False\) holds -1\.5e-09"),
+            ((1.0, 0.0, math.nan), r"\(False, False, False\) holds nan"),
+        ],
+        ids=["above", "below", "nan"],
+    )
+    def test_a_cell_past_the_guard_is_named(self, cells, named):
+        # one cell 0.5e-9 past the guard, the others inside it and summing to 1
+        table = dict.fromkeys(OUTCOME_CELLS, 0.0)
+        table[(True, True, True)], table[(True, False, True)], table[(False, False, False)] = cells
+        with pytest.raises(ValueError, match=rf"^outcome_table cell {named}, not in \[0, 1\]$"):
+            EvalResult(1.0, table, 1.0)
+
+    # Each move keeps the total, used and final-correct masses that the
+    # result checks; each read back before the cells were checked.
+    @pytest.mark.parametrize(
+        "donor,cell",
+        [((False, True, False), (True, True, False)), ((True, True, True), (False, True, True))],
+        ids=["right_advice", "wrong_advice"],
+    )
+    def test_mass_in_an_empty_cell_is_named(self, donor, cell):
+        data = evaluate(make_scenario()).to_dict()
+        for row in data["outcome_table"]:
+            key = (row["advice_correct"], row["accepted_or_used"], row["final_correct"])
+            row["probability"] += 0.1 if key == cell else -0.1 if key == donor else 0.0
+        named = re.escape(f"outcome_table cell {cell} holds 0.1, not in [0, 0]")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            EvalResult.from_dict(data)
 
     def test_headline_must_lie_in_unit_interval(self):
         # every cell within 1e-9 of [0, 1], and each headline within 1e-9 of

@@ -225,6 +225,13 @@ def node_paths(data, path=()):
         yield from node_paths(value, path + (key,))
 
 
+def leaf_at(data, path):
+    """The value at `path` inside `data`."""
+    for key in path:
+        data = data[key]
+    return data
+
+
 def mutated(data, path, atom):
     """`data` with the value at `path` replaced by `atom`; only the containers
     on the path are copied."""
@@ -258,6 +265,13 @@ def test_every_reader_refuses_a_mutated_leaf_with_a_documented_error(scenario):
                     read(mutated(data, node, atom))
                 except DOCUMENTED:
                     pass
+            # no number is a bool, and no integer of an estimate a float
+            leaf = leaf_at(data, node)
+            if type(leaf) in (int, float):
+                integer = read is SimEstimate.from_dict and type(leaf) is int
+                for wrong in (True, False, float(leaf)) if integer else (True, False):
+                    with pytest.raises(DOCUMENTED):
+                        read(mutated(data, node, wrong))
 
 
 # --- the CLI keeps its exit-code contract on any input ------------------------

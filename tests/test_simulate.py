@@ -2,12 +2,13 @@
 
 import json
 import math
+import re
 import threading
 
 import numpy as np
 import pytest
 
-from reliance.analytic import evaluate
+from reliance.analytic import compare_policies, evaluate
 from reliance import simulate
 from reliance.model import (
     CONDITIONAL_FROM_JOINT,
@@ -21,6 +22,7 @@ from reliance.model import (
     RoutineAccept,
     RoutineIgnore,
     SelfGated,
+    _EMPTY_CELLS,
     _POLICIES,
     scenario_to_dict,
 )
@@ -110,49 +112,71 @@ class TestDeterminism:
 
     @pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
     def test_edge_values_match_the_scalar_replay_across_batches(self, monkeypatch):
-        # Empty cells, certain cells and cuts at the validation slack, none of
-        # which random_scenario's interior draws reach, over batches of 4.
+        # over batches of 4
         monkeypatch.setattr(simulate, "_BATCH", 4)
-        rates = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1e-300, 0.5), (0.5, 1e-300)]
-        policies = [
-            lambda k: RoutineAccept(),
-            lambda k: RoutineIgnore(),
-            lambda k: Indiscriminate(rates[k % len(rates)][0]),
-            lambda k: Discriminating(*rates[k % len(rates)]),
-            lambda k: SelfGated(*rates[k % len(rates)]),
-        ]
-        edges = [0.0, 1e-300, 0.3, 1.0]
-        marginals = [(p_a, p_u) for p_a in edges for p_u in edges] + [(0.3, 0.3 + 5e-10)]
-
-        def dependencies(p_a, p_u):
-            lo, hi = max(0.0, p_a + p_u - 1.0), min(p_a, p_u)
-            return {
-                "independent": [Independent],
-                "dominant": [Dominant],
-                "joint": [lambda p=p: Joint(p) for p in (lo, hi, lo - 5e-10, hi + 5e-10)],
-            }
-
-        runs = k = 0
-        for policy in policies:
-            for kind in ("independent", "joint", "dominant"):
-                for mode in (FIXED_RATE, CONDITIONAL_FROM_JOINT):
-                    for p_a, p_u in marginals:
-                        for dependency in dependencies(p_a, p_u)[kind]:
-                            k += 1
-                            try:
-                                scenario = make_scenario(
-                                    p_a, p_u, (0.0, 1.0, 1e-300)[k % 3], policy(k), dependency(), mode
-                                )
-                            except ValueError:  # past a bound or out of range, beyond the slack
-                                continue
-                            estimate = estimate_accuracy(scenario, 29, seed=k, shards=1 + k % 2)
-                            assert_replayed(estimate, scenario)
-                            runs += 1
+        runs = 0
+        for k, scenario in edge_scenarios():
+            estimate = estimate_accuracy(scenario, 29, seed=k, shards=1 + k % 2)
+            assert_replayed(estimate, scenario)
+            runs += 1
         assert runs >= 800
+
+    @pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
+    def test_every_table_the_library_builds_leaves_the_empty_cells_exactly_zero(self):
+        # each record checked its table when built; the empty cells are 0 and 0.0, not -0.0
+        rng = np.random.default_rng(61)
+        interior = [random_scenario(rng, explicit_mode=True) for _ in range(200)]
+        for k, scenario in [*edge_scenarios(), *enumerate(interior)]:
+            estimate = estimate_accuracy(scenario, 29, seed=k)
+            assert [repr(estimate.outcome_counts[cell]) for cell in _EMPTY_CELLS] == ["0", "0"]
+            results = [evaluate(scenario), *compare_policies(scenario).results.values()]
+            for result in results:
+                assert [repr(result.outcome_table[cell]) for cell in _EMPTY_CELLS] == ["0.0", "0.0"]
 
     def test_negative_seed_is_normalized_not_fatal(self, base_scenario):
         estimate = estimate_accuracy(base_scenario, 100, seed=-7)
         assert estimate.n_trials == 100
+
+
+def edge_scenarios():
+    """(k, scenario) over every policy x dependency x mode at edge values:
+    empty cells, certain cells and cuts at the validation slack, none of
+    which random_scenario's interior draws reach.  `k` counts the
+    combinations tried, the valid ones and those past a bound or out of
+    range beyond the slack, which are skipped."""
+    rates = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1e-300, 0.5), (0.5, 1e-300)]
+    policies = [
+        lambda k: RoutineAccept(),
+        lambda k: RoutineIgnore(),
+        lambda k: Indiscriminate(rates[k % len(rates)][0]),
+        lambda k: Discriminating(*rates[k % len(rates)]),
+        lambda k: SelfGated(*rates[k % len(rates)]),
+    ]
+    edges = [0.0, 1e-300, 0.3, 1.0]
+    marginals = [(p_a, p_u) for p_a in edges for p_u in edges] + [(0.3, 0.3 + 5e-10)]
+
+    def dependencies(p_a, p_u):
+        lo, hi = max(0.0, p_a + p_u - 1.0), min(p_a, p_u)
+        return {
+            "independent": [Independent],
+            "dominant": [Dominant],
+            "joint": [lambda p=p: Joint(p) for p in (lo, hi, lo - 5e-10, hi + 5e-10)],
+        }
+
+    k = 0
+    for policy in policies:
+        for kind in ("independent", "joint", "dominant"):
+            for mode in (FIXED_RATE, CONDITIONAL_FROM_JOINT):
+                for p_a, p_u in marginals:
+                    for dependency in dependencies(p_a, p_u)[kind]:
+                        k += 1
+                        try:
+                            scenario = make_scenario(
+                                p_a, p_u, (0.0, 1.0, 1e-300)[k % 3], policy(k), dependency(), mode
+                            )
+                        except ValueError:
+                            continue
+                        yield k, scenario
 
 
 def assert_replayed(estimate, scenario):
@@ -370,6 +394,66 @@ class TestEstimateAccuracy:
             with pytest.raises(ValueError, match=message):
                 SimEstimate.from_dict({**estimate.to_dict(), **changes})
         assert (advice, user, estimate.p_hat) == (668, 595, 0.546)
+
+
+    @staticmethod
+    def moved(estimate, donor, cell, trials):
+        """The estimate's dict with `trials` trials moved from cell `donor`, or
+        from none, to `cell`."""
+        data = estimate.to_dict()
+        for row in data["outcome_counts"]:
+            key = (row["advice_correct"], row["accepted_or_used"], row["final_correct"])
+            row["count"] += trials if key == cell else -trials if key == donor else 0
+        return data
+
+    # Each move keeps the total, advice-correct and final-correct counts that
+    # the estimate checks; each read back before the cells were checked.
+    @pytest.mark.parametrize(
+        "donor,cell,trials,named",
+        [
+            ((False, False, False), (False, True, False), 500, r"\(False, False, False\) holds -406, not in \[0, 1000\]"),
+            ((False, False, False), (False, True, False), 95, r"\(False, False, False\) holds -1, not in \[0, 1000\]"),
+            ((False, False, False), (True, True, True), 673, r"\(True, True, True\) holds 1001, not in \[0, 1000\]"),
+            ((True, False, False), (True, True, False), 3, r"\(True, True, False\) holds 3, not in \[0, 0\]$"),
+            ((False, False, True), (False, True, True), 3, r"\(False, True, True\) holds 3, not in \[0, 0\]$"),
+        ],
+        ids=["negative", "minus_one", "past_n_trials", "empty_right_advice", "empty_wrong_advice"],
+    )
+    def test_a_count_outside_its_cell_is_named(self, base_scenario, donor, cell, trials, named):
+        estimate = estimate_accuracy(base_scenario, 1000, seed=7)
+        with pytest.raises(ValueError, match=f"^outcome_counts cell {named}"):
+            SimEstimate.from_dict(self.moved(estimate, donor, cell, trials))
+
+    @pytest.mark.parametrize("cell", _EMPTY_CELLS)
+    def test_a_single_trial_in_an_empty_cell_is_named(self, base_scenario, cell):
+        # its count is n_trials, the top of the range
+        estimate = estimate_accuracy(base_scenario, 1, seed=7)
+        (donor,) = [key for key, count in estimate.outcome_counts.items() if count]
+        with pytest.raises(ValueError, match=rf"^outcome_counts cell {re.escape(str(cell))} holds 1, not in \[0, 0\]$"):
+            SimEstimate.from_dict(self.moved(estimate, donor, cell, 1))
+
+    def test_a_single_trial_counted_twice_is_a_sum_not_a_cell(self, base_scenario):
+        # the estimate's one count is n_trials, the top of its range
+        estimate = estimate_accuracy(base_scenario, 1, seed=7)
+        (cell,) = [key for key, count in estimate.outcome_counts.items() if count]
+        other = (False, False, False) if cell != (False, False, False) else (True, True, True)
+        with pytest.raises(ValueError, match=r"^outcome_counts sum to 2, expected 1$"):
+            SimEstimate.from_dict(self.moved(estimate, None, other, 1))
+
+    # `test_wire.py::test_a_bad_seed_or_shard_count_is_named` covers `n_trials` and `seed`
+    @pytest.mark.parametrize("key", ["n_shards", "advice_correct_count", "user_correct_count", "either_correct_count"])
+    def test_a_float_for_an_integer_field_is_a_type_error_naming_it(self, base_scenario, key):
+        data = estimate_accuracy(base_scenario, 1000, seed=7).to_dict()
+        value = data[key] = float(data[key])
+        with pytest.raises(TypeError, match=rf"^{key} must be an int, got {value!r}$"):
+            SimEstimate.from_dict(data)
+
+    def test_float_counts_are_a_type_error_naming_the_first_cell(self, base_scenario):
+        data = estimate_accuracy(base_scenario, 1000, seed=7).to_dict()
+        for row in data["outcome_counts"]:
+            row["count"] = float(row["count"])
+        with pytest.raises(TypeError, match=r"^outcome_counts cell \(True, True, True\) must be an int, got 328\.0$"):
+            SimEstimate.from_dict(data)
 
 
 class TestOracleAgreement:

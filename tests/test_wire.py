@@ -3,7 +3,8 @@
 `to_dict()` is the CLI's `result` object; the CLI goldens pin the shapes it
 prints.  The goldens here pin the shapes no CLI run covers.  `from_dict`
 treats `notes` as optional, names any other missing key in a KeyError, any
-unknown key in a ValueError and a null field read as it is in a TypeError.
+unknown key in a ValueError, and a null field read as it is or a bool in
+place of a number in a TypeError.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from reliance.model import (
     Independent,
     Indiscriminate,
     Joint,
+    RoutineAccept,
     SelfGated,
     UserProfile,
 )
@@ -181,15 +183,101 @@ def test_a_null_read_as_it_is_is_named(cls, key):
         ("seed", 3.0, TypeError),
         ("n_shards", -3, ValueError),
         ("n_shards", 0, ValueError),
-        ("n_shards", "abc", ValueError),
-        ("n_shards", True, ValueError),
+        ("n_shards", "abc", TypeError),
+        ("n_shards", True, TypeError),
         ("n_trials", True, TypeError),
         ("n_trials", 1000.0, TypeError),
     ],
 )
 def test_a_bad_seed_or_shard_count_is_named(key, value, error):
-    with pytest.raises(error, match=f"^{key} must be an int"):
+    # a bool is refused by `from_dict` before the record sees it
+    named = f"SimEstimate {key} must not be a bool" if isinstance(value, bool) else f"{key} must be an int"
+    with pytest.raises(error, match=f"^{named}"):
         SimEstimate.from_dict({**one_of(SimEstimate).to_dict(), key: value})
+
+
+@pytest.mark.parametrize("cls", [EvalResult, BreakevenResult, SimEstimate, SweepSeries], ids=lambda cls: cls.__name__)
+def test_a_bool_for_a_number_is_a_type_error_naming_the_field(cls):
+    data = one_of(cls).to_dict()
+    numbers = [key for key, value in data.items() if type(value) in (int, float)]
+    assert numbers
+    for key in numbers:
+        for flag in (True, False):
+            with pytest.raises(TypeError, match=f"^{cls.__name__} {key} must not be a bool$"):
+                cls.from_dict({**data, key: flag})
+
+
+def certain_accept():
+    """Routine acceptance of advice that is always right: every mass is 1 or 0."""
+    return evaluate(make_scenario(p_a=1.0, policy=RoutineAccept())).to_dict()
+
+
+def attainable_breakeven():
+    return breakeven_discrimination(AidProfile(0.7), UserProfile(0.6, 0.4), Independent()).to_dict()
+
+
+# Each bool stood for 1 or 0 where that passed every check, read back and
+# was written again as a bool.
+@pytest.mark.parametrize(
+    "cls,build,key,flag",
+    [
+        (EvalResult, certain_accept, "p_correct_aided", True),
+        (EvalResult, certain_accept, "p_accept_marginal", True),
+        (BreakevenResult, attainable_breakeven, "d_star", True),
+        (BreakevenResult, attainable_breakeven, "target", False),
+        (BreakevenResult, attainable_breakeven, "accuracy_at_d_star", True),
+    ],
+)
+def test_a_bool_that_passed_for_1_or_0_is_refused(cls, build, key, flag):
+    with pytest.raises(TypeError, match=f"^{cls.__name__} {key} must not be a bool$"):
+        cls.from_dict({**build(), key: flag})
+
+
+def test_all_three_breakeven_bools_are_refused():
+    data = {**attainable_breakeven(), "d_star": True, "target": False, "accuracy_at_d_star": True}
+    with pytest.raises(TypeError, match="^BreakevenResult d_star must not be a bool$"):
+        BreakevenResult.from_dict(data)
+
+
+def bool_in_cells():
+    data = certain_accept()
+    data["outcome_table"][0]["probability"] = True
+    return EvalResult, data
+
+
+def bool_in_counts():
+    data = one_of(SimEstimate).to_dict()
+    data["outcome_counts"][1]["count"] = False  # an empty cell
+    return SimEstimate, data
+
+
+def bool_in_margins():
+    data = tied_compare().to_dict()
+    data["margins"]["routine_accept"] = False
+    return PolicyComparison, data
+
+
+def bool_in_interval():
+    data = one_of(SimEstimate).to_dict()
+    data["ci95"][1] = True
+    return SimEstimate, data
+
+
+# a bool inside a table, the margins or an interval, where the field itself is no bool
+@pytest.mark.parametrize(
+    "build,named",
+    [
+        (bool_in_cells, r"probability of cell \(True, True, True\)"),
+        (bool_in_counts, r"count of cell \(True, True, False\)"),
+        (bool_in_margins, "PolicyComparison margin 'routine_accept'"),
+        (bool_in_interval, "SimEstimate ci95 item 1"),
+    ],
+    ids=["cells", "counts", "margins", "interval"],
+)
+def test_a_bool_inside_a_field_is_a_type_error_naming_it(build, named):
+    cls, data = build()
+    with pytest.raises(TypeError, match=f"^{named} must not be a bool$"):
+        cls.from_dict(data)
 
 
 def test_a_negative_seed_reads_back():
