@@ -44,7 +44,7 @@ from .model import (
     SelfGated,
     UserProfile,
     _JOINT_SUCCESS,
-    _TUPLE,
+    _NOTES,
     _Wire,
     _as_float,
     _check_sections,
@@ -201,7 +201,7 @@ class PolicyComparison(_Wire):
             },
         ),
         "margins": (dict, lambda data: _no_bools(dict(data), "PolicyComparison margin")),
-        "notes": _TUPLE,
+        "notes": _NOTES,
     }
 
     def __post_init__(self):

@@ -19,7 +19,6 @@ statement.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from collections.abc import Mapping
 from itertools import product
@@ -84,7 +83,8 @@ class _Record:
     be assigned or deleted.  A copy or an unpickled record gets its slots set
     as they were, without `__post_init__`, so it neither checks nor warns
     again.  `__replace__` (`copy.replace` from Python 3.13) builds a new
-    record through `__init__`.
+    record through `__init__`, so a degraded `UserProfile` it rebuilds warns
+    at `__replace__`'s own line.
     """
 
     __slots__ = ()
@@ -130,8 +130,7 @@ def _record(cls: type) -> type:
     Its `__init__` sets each field in turn, then calls `__post_init__` if
     the class has one, and its `_asdict` gives the fields by name.  Both are
     generated per class, as generic ones that loop over the fields are
-    slower on every result built and every scenario serialised.  They run
-    in this module's globals, so that `_caller_stacklevel` skips `__init__`.
+    slower on every result built and every scenario serialised.
     A result class gets its `_WIRE` table here too, so no codec is looked up per call.
     """
     namespace = dict(vars(cls))
@@ -163,8 +162,8 @@ class _Wire(_Record):
     """`to_dict` and `from_dict` read the `_WIRE` table that `_record` derives:
     (key, encode, decode) per field, in `_WIRE_ORDER` if the class states one,
     else in field order.  Each class states `_CODECS`, the (encode, decode)
-    of each field whose JSON form differs from its value, such as a tuple
-    (`_TUPLE`, a list); any other field is written and read as it is.
+    of each field whose JSON form differs from its value, such as `notes`
+    (`_NOTES`, a list of strings); any other field is written and read as it is.
     `from_dict` may omit a field with a default, such as `notes`.  It names
     any other missing key in a KeyError, an unknown key in a ValueError, and
     in a TypeError a bool, which no result field holds, or a null read as it
@@ -215,15 +214,35 @@ def _no_bools(values, what: str):
 
 def _cells(key: str) -> tuple:
     """Encode and decode of an eight-cell table as JSON rows in canonical
-    order, each value under `key`."""
-    a, u, f = "advice_correct", "accepted_or_used", "final_correct"
+    order, each value under `key`.  Decoding refuses, naming the row, one
+    that is no mapping or whose flag is no bool (TypeError) and a key beside
+    the three flags and `key` (ValueError); a missing one is a KeyError."""
+    flags = a, u, f = "advice_correct", "accepted_or_used", "final_correct"
+
+    def cell(i: int, row) -> tuple[bool, bool, bool]:
+        name = f"{key} row {i}"
+        extra = _mapping(row, name).keys() - {*flags, key}
+        if extra:
+            raise ValueError(f"{name} has no field {', '.join(sorted(map(repr, extra)))}")
+        c = row[a], row[u], row[f]
+        if {*map(type, c)} != {bool}:
+            raise TypeError(f"{name} flags must be bools, got {c!r}")
+        return c
+
     return (
         lambda table: [{a: c[0], u: c[1], f: c[2], key: table[c]} for c in OUTCOME_CELLS],
-        lambda rows: _no_bools({(row[a], row[u], row[f]): row[key] for row in rows}, f"{key} of cell"),
+        lambda rows: _no_bools({cell(i, row): row[key] for i, row in enumerate(rows)}, f"{key} of cell"),
     )
 
 
-_TUPLE = (list, tuple)
+def _notes(items) -> tuple[str, ...]:
+    """The JSON list of strings `items` as a tuple, else TypeError naming `notes`."""
+    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+        raise TypeError(f"notes must be a list of strings, got {items!r}")
+    return tuple(items)
+
+
+_NOTES = (list, _notes)
 
 
 class DegradedRateWarning(UserWarning):
@@ -264,35 +283,17 @@ class SweepError(ValueError):
     """
 
 
-# Modules whose frames a DegradedRateWarning passes over to name its caller.
-_WARNING_INTERNAL = (__name__, f"{__package__}.sweep")
-
-
-def _caller_stacklevel() -> int:
-    """The `stacklevel` that names the first caller outside this package's
-    scenario layers.
-
-    Counted from the function that calls this one and warns.  Frames of this
-    module and of ``sweep`` are skipped, and so is a record's generated
-    ``__init__``, which runs in this module's globals: a `UserProfile` built
-    directly is reported where it was built, one loaded by
-    `validate_scenario` where `validate_scenario` was called, and a degraded
-    sweep point where `run_sweep` or `find_reference_crossing` was called.
-    """
-    level, frame = 1, sys._getframe(1)
-    while frame is not None and frame.f_globals.get("__name__") in _WARNING_INTERNAL:
-        level += 1
-        frame = frame.f_back
-    return level
-
-
-def _warn_degraded_rate() -> None:
-    """Warn that a post-rejection rate exceeds its unaided rate, at the caller's line."""
+def _warn_degraded_rate(stacklevel: int) -> None:
+    """Warn that a post-rejection rate exceeds its unaided rate, at the line
+    `stacklevel` frames up.  Each of the three callers passes its own fixed
+    depth below the line to blame: where a `UserProfile` was built, where
+    `validate_scenario` was called, or where `run_sweep` or
+    `find_reference_crossing` was called."""
     warnings.warn(
         "p_post_reject_correct exceeds p_unaided_correct; deliberation "
         "time usually degrades the post-rejection rate",
         DegradedRateWarning,
-        stacklevel=_caller_stacklevel(),
+        stacklevel=stacklevel,
     )
 
 
@@ -363,7 +364,7 @@ class UserProfile:
     def __post_init__(self):
         _check_probabilities(self)
         if self.p_post_reject_correct > self.p_unaided_correct:
-            _warn_degraded_rate()
+            _warn_degraded_rate(4)  # under the generated `__init__`, at its caller
 
 
 @_record
@@ -661,7 +662,7 @@ class EvalResult(_Wire):
     # Loose construction guard; the test suite asserts the 1e-12 versions on
     # every computed result. The slack covers 12-significant-digit round-trips.
     _GUARD = 1e-9
-    _CODECS = {"outcome_table": _cells("probability"), "notes": _TUPLE}
+    _CODECS = {"outcome_table": _cells("probability"), "notes": _NOTES}
     # the wire order is not the field order, which positional callers rely on
     _WIRE_ORDER = ("p_correct_aided", "p_accept_marginal", "outcome_table", "notes")
 
@@ -750,7 +751,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
         raise ScenarioValidationError(violations)
     scenario = Scenario(**sections, degradation_mode=mode)
     if scenario.user.p_post_reject_correct > scenario.user.p_unaided_correct:
-        _warn_degraded_rate()
+        _warn_degraded_rate(3)
     return scenario
 
 
@@ -812,5 +813,5 @@ def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> tuple[dict[
             raise SweepError(f"swept value {value!r} for {path!r} is invalid: {err}") from err
         degraded = degraded or leaves[P_POST_REJECT] > leaves[P_UNAIDED]
     if degraded and not base.user.p_post_reject_correct > base.user.p_unaided_correct:
-        _warn_degraded_rate()
+        _warn_degraded_rate(4)  # at the caller of `run_sweep` or `find_reference_crossing`
     return leaves, ends

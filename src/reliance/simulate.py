@@ -35,7 +35,6 @@ from .model import (
     RoutineIgnore,
     Scenario,
     SelfGated,
-    _TUPLE,
     _Wire,
     _as_float,
     _cell_sums,
@@ -130,7 +129,7 @@ class SimEstimate(_Wire):
         _, advice, correct = _cell_sums(counts, "outcome_counts", n)
         if not abs(_as_float(self.p_hat) - correct / n) <= 1e-9:
             raise ValueError(f"p_hat {self.p_hat!r} is not the final-correct count {correct} / {n}")
-        expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials)
+        expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / _as_float(n))
         if abs(_as_float(self.std_err) - expected_se) > 1e-9:
             raise ValueError("std_err inconsistent with p_hat and n_trials")
         if len(self.ci95) != 2 or not 0.0 <= self.ci95[0] <= self.p_hat <= self.ci95[1] <= 1.0:

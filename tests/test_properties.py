@@ -265,13 +265,19 @@ def test_every_reader_refuses_a_mutated_leaf_with_a_documented_error(scenario):
                     read(mutated(data, node, atom))
                 except DOCUMENTED:
                     pass
-            # no number is a bool, and no integer of an estimate a float
-            leaf = leaf_at(data, node)
+            # no number is a bool, no integer of an estimate a float, no cell
+            # flag the int it equals, and no notes anything but a list of strings
+            leaf, wrongs = leaf_at(data, node), ()
             if type(leaf) in (int, float):
                 integer = read is SimEstimate.from_dict and type(leaf) is int
-                for wrong in (True, False, float(leaf)) if integer else (True, False):
-                    with pytest.raises(DOCUMENTED):
-                        read(mutated(data, node, wrong))
+                wrongs = (True, False, float(leaf)) if integer else (True, False)
+            elif type(leaf) is bool:
+                wrongs = (int(leaf),)
+            elif node[-1] == "notes":
+                wrongs = [atom for atom in ATOMS if atom != []]
+            for wrong in wrongs:
+                with pytest.raises(DOCUMENTED):
+                    read(mutated(data, node, wrong))
 
 
 # --- the CLI keeps its exit-code contract on any input ------------------------

@@ -25,6 +25,7 @@ from reliance.model import (
     Independent,
     Indiscriminate,
     Joint,
+    OUTCOME_CELLS,
     RoutineAccept,
     SelfGated,
     UserProfile,
@@ -278,6 +279,91 @@ def test_a_bool_inside_a_field_is_a_type_error_naming_it(build, named):
     cls, data = build()
     with pytest.raises(TypeError, match=f"^{named} must not be a bool$"):
         cls.from_dict(data)
+
+
+def with_row(data, key, i, row):
+    """`data` with row `i` of its table under `key` replaced by `row`."""
+    return {**data, key: [row if j == i else r for j, r in enumerate(data[key])]}
+
+
+# each record's cell table: (class, data, table key, value key)
+TABLES = [
+    pytest.param(EvalResult, certain_accept, "outcome_table", "probability", id="EvalResult"),
+    pytest.param(SimEstimate, lambda: one_of(SimEstimate).to_dict(), "outcome_counts", "count", id="SimEstimate"),
+]
+FLAGS = ("advice_correct", "accepted_or_used", "final_correct")
+
+
+@pytest.mark.parametrize("cls,build,table,value", TABLES)
+def test_a_cell_flag_must_be_a_bool_not_its_equal_int(cls, build, table, value):
+    # 1 and 0 hash equal to True and False, so they read back as the cell
+    data = build()
+    for flag in FLAGS:
+        for i, row in enumerate(data[table]):
+            with pytest.raises(TypeError, match=rf"^{value} row {i} flags must be bools, got \("):
+                cls.from_dict(with_row(data, table, i, {**row, flag: int(row[flag])}))
+    with pytest.raises(TypeError, match=rf"^{value} row 2 flags must be bools, got \(True, 'x', None\)$"):
+        cls.from_dict(with_row(data, table, 2, {**data[table][2], "accepted_or_used": "x", "final_correct": None}))
+    with pytest.raises(TypeError, match=rf"^{value} row 7 flags must be bools, got \(0, 0, 0\)$"):
+        cls.from_dict(with_row(data, table, 7, {**data[table][7], **dict.fromkeys(FLAGS, 0)}))
+
+
+@pytest.mark.parametrize("cls,build,table,value", TABLES)
+def test_a_cell_row_is_a_mapping_of_exactly_its_four_keys(cls, build, table, value):
+    data = build()
+    row = data[table][3]
+    with pytest.raises(ValueError, match=f"^{value} row 3 has no field 'bogus', 'extra'$"):
+        cls.from_dict(with_row(data, table, 3, {**row, "extra": 1, "bogus": None}))
+    for junk in (None, [], "row", 1.0):
+        with pytest.raises(TypeError, match=f"^{value} row 3 needs a mapping, got {type(junk).__name__}$"):
+            cls.from_dict(with_row(data, table, 3, junk))
+    for key in (*FLAGS, value):
+        with pytest.raises(KeyError) as err:
+            cls.from_dict(with_row(data, table, 3, {k: v for k, v in row.items() if k != key}))
+        assert err.value.args == (key,)
+    assert cls.from_dict(data).to_dict() == data
+
+
+def notes_of_compared(data, notes):
+    data["results"]["routine_ignore"]["notes"] = notes
+
+
+def notes_of(data, notes):
+    data["notes"] = notes
+
+
+@pytest.mark.parametrize("notes", ["degradation_mode defaulted", "", [1, None], ["a", 2], {"a": 1}, ("a",), None])
+@pytest.mark.parametrize(
+    "cls,place",
+    [(EvalResult, notes_of), (PolicyComparison, notes_of), (PolicyComparison, notes_of_compared)],
+    ids=["EvalResult", "PolicyComparison", "compared"],
+)
+def test_notes_must_be_a_list_of_strings(cls, place, notes):
+    # a string read back as one note per letter, and a mapping as its keys
+    data = tied_compare().to_dict()
+    if cls is EvalResult:
+        data = data["results"]["routine_ignore"]
+    place(data, notes)
+    with pytest.raises(TypeError, match="^notes must be a list of strings, got "):
+        cls.from_dict(data)
+
+
+@pytest.mark.parametrize("cls", [EvalResult, PolicyComparison], ids=lambda cls: cls.__name__)
+def test_notes_of_strings_read_back(cls):
+    data = {**one_of(cls).to_dict(), "notes": ["one", "two"]}
+    result = cls.from_dict(data)
+    assert result.notes == ("one", "two") and result.to_dict() == data
+
+
+def test_an_estimate_past_float_range_reads_back():
+    # every trial in one cell: n_trials / n_trials is 1.0, and std_err is 0.0
+    n = 10**400
+    rows = [dict(zip(FLAGS, cell), count=n if cell == (True, True, True) else 0) for cell in OUTCOME_CELLS]
+    data = dict(p_hat=1.0, n_trials=n, std_err=0.0, ci95=[1.0, 1.0], seed=1, n_shards=1, outcome_counts=rows,
+                advice_correct_count=n, user_correct_count=0, either_correct_count=n)
+    assert SimEstimate.from_dict(data).to_dict() == data
+    with pytest.raises(ValueError, match="^std_err inconsistent with p_hat and n_trials$"):
+        SimEstimate.from_dict({**data, "std_err": 0.5})
 
 
 def test_a_negative_seed_reads_back():
