@@ -52,7 +52,6 @@ from .model import (
     _no_bools,
     _record,
     joint_success_probability,
-    leaves_of,
     policy_name,
     resolve_degradation_mode,
 )
@@ -139,10 +138,19 @@ def _form(kind: type, mode: str, dependency: type, clamp: bool = True):
     return lambda v: _correct(rows(v))
 
 
+def _with_p11(scenario: Scenario) -> dict[str, float]:
+    """The scenario's leaves, with P_BOTH set to the clamped P(both correct)
+    its dependency implies, computed once for the policies evaluated on them."""
+    v = scenario.leaves
+    v[P_BOTH] = joint_success_probability(scenario.dependency, v)
+    return v
+
+
 def _result(scenario: Scenario, kind: type, v: Mapping[str, Any]) -> EvalResult:
-    """The EvalResult of policy class `kind` in the scenario, at its leaves `v`."""
+    """The EvalResult of policy class `kind` in the scenario, at the leaves
+    `v` of `_with_p11`, whose P_BOTH is read as it is, already clamped."""
     mode = scenario.effective_degradation_mode
-    rows = _kernel(kind, mode, type(scenario.dependency))(v)
+    rows = _kernel(kind, mode, Joint, False)(v)
     (m_c, used_c, right_kept_c, wrong_kept_c, right_c), (m_w, used_w, right_kept_w, wrong_kept_w, right_w) = rows
     masses = (  # in OUTCOME_CELLS order
         used_c, 0.0, right_kept_c * right_c, wrong_kept_c * (m_c - right_c),
@@ -160,16 +168,15 @@ def _result(scenario: Scenario, kind: type, v: Mapping[str, Any]) -> EvalResult:
 
 def evaluate(scenario: Scenario) -> EvalResult:
     """Closed-form accuracy for whatever policy the scenario configures."""
-    return _result(scenario, type(scenario.policy), scenario.leaves)
+    return _result(scenario, type(scenario.policy), _with_p11(scenario))
 
 
 def potential_combined(
     aid: AidProfile, user: UserProfile, dependency: DependencyModel
 ) -> float:
     """P(at least one of advisor and unaided user is correct): the accuracy ceiling."""
-    _check_sections("potential_combined", aid=aid, user=user, dependency=dependency)
-    p11 = joint_success_probability(dependency, leaves_of(aid, user, dependency))
-    return aid.p_advice_correct + user.p_unaided_correct - p11
+    v = _check_sections("potential_combined", aid=aid, user=user, dependency=dependency)
+    return v[P_ADVICE] + v[P_UNAIDED] - joint_success_probability(dependency, v)
 
 
 @_record
@@ -200,7 +207,10 @@ class PolicyComparison(_Wire):
                 for name, result in _mapping(data, "PolicyComparison results").items()
             },
         ),
-        "margins": (dict, lambda data: _no_bools(dict(data), "PolicyComparison margin")),
+        "margins": (
+            dict,
+            lambda data: _no_bools(dict(_mapping(data, "PolicyComparison margins")), "PolicyComparison margin"),
+        ),
         "notes": _NOTES,
     }
 
@@ -222,9 +232,11 @@ class PolicyComparison(_Wire):
 
 
 def compare_policies(scenario: Scenario) -> PolicyComparison:
-    """Evaluate the configured policy next to routine acceptance and routine ignoring."""
+    """Evaluate the configured policy next to routine acceptance and routine
+    ignoring.  The three read one clamped P(both correct) (`_with_p11`) and
+    the scenario's one resolved mode; each result is checked as it is built."""
     configured = policy_name(scenario.policy)
-    v = scenario.leaves
+    v = _with_p11(scenario)
     results: dict[str, EvalResult] = {
         "routine_ignore": _result(scenario, RoutineIgnore, v),
         "routine_accept": _result(scenario, RoutineAccept, v),
@@ -232,31 +244,21 @@ def compare_policies(scenario: Scenario) -> PolicyComparison:
     if configured not in results:
         results[configured] = _result(scenario, type(scenario.policy), v)
 
-    top = max(r.p_correct_aided for r in results.values())
-    # `results` is in tie precedence: the least machinery first
-    best = next(name for name, r in results.items() if r.p_correct_aided >= top - TIE_TOLERANCE)
-    tied = [
-        name
-        for name in results
-        if name != best and abs(results[name].p_correct_aided - results[best].p_correct_aided) <= TIE_TOLERANCE
-    ]
-    notes = []
+    accuracy = {name: r.p_correct_aided for name, r in results.items()}
+    top = max(accuracy.values())
+    # `accuracy` is in tie precedence, the least machinery first
+    for best, best_acc in accuracy.items():
+        if best_acc >= top - TIE_TOLERANCE:
+            break
+    tied = [name for name, a in accuracy.items() if name != best and abs(a - best_acc) <= TIE_TOLERANCE]
+    notes = ()
     if tied:
-        notes.append(
+        notes = (
             "tie within 1e-12 broken by precedence routine_ignore > routine_accept "
-            f"> configured: chose {best} over {', '.join(sorted(tied))}"
+            f"> configured: chose {best} over {', '.join(sorted(tied))}",
         )
-    best_acc = results[best].p_correct_aided
-    margins = {
-        name: max(0.0, best_acc - res.p_correct_aided) for name, res in results.items()
-    }
-    return PolicyComparison(
-        results=results,
-        configured_policy=configured,
-        best_policy=best,
-        margins=margins,
-        notes=tuple(notes),
-    )
+    margins = {name: max(0.0, best_acc - a) for name, a in accuracy.items()}
+    return PolicyComparison(results, configured, best, margins, notes)
 
 
 @_record
@@ -309,11 +311,10 @@ def breakeven_discrimination(
     (accuracy >= max of the two routine policies) has a closed-form solution;
     comparisons carry a 1e-12 slack so exact boundary cases resolve cleanly.
     """
-    _check_sections("breakeven_discrimination", mode, aid=aid, user=user, dependency=dependency)
+    v = _check_sections("breakeven_discrimination", mode, aid=aid, user=user, dependency=dependency)
     mode = resolve_degradation_mode(mode, dependency)
     target = max(aid.p_advice_correct, user.p_unaided_correct)
     # at discrimination d the rows give d * p_a + (1 - d) * right_c + d * right_w
-    v = leaves_of(aid, user, dependency)
     v["policy.p_accept_given_correct"], v["policy.p_accept_given_wrong"] = 0.0, 1.0
     (p_a, _, _, _, right_c), (_, _, _, _, right_w) = _kernel(Discriminating, mode, type(dependency))(v)
     intercept, slope = right_c, p_a - right_c + right_w

@@ -298,7 +298,16 @@ def _warn_degraded_rate(stacklevel: int) -> None:
 
 
 def as_probability(value: Any, name: str = "probability") -> float:
-    """Validate a probability, clamping float overshoot within 1e-12 of [0, 1]."""
+    """Validate a probability named `name`, as the Python float it is.
+
+    A float in [0, 1] is kept as it is, sign of zero included: it needs no
+    clamp.  Any other number (an int, or a float outside [0, 1]) is made a
+    float, and clamped to its end if within 1e-12 of [0, 1].  A bool, a
+    non-number or a value still outside [0, 1] raises
+    ScenarioValidationError naming `name`.
+    """
+    if value.__class__ is float and 0.0 <= value <= 1.0:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioValidationError(
             [ConstraintViolation(name, value, "[0, 1]", "expected a number")]
@@ -327,8 +336,8 @@ def _as_float(value) -> float:
 
 def _clamped(values):
     """The clamp of overshoot within 1e-12 of [0, 1] to its end, on floats or
-    arrays, without the range check: `as_probability` and the sweep's grid
-    both clamp through it."""
+    arrays, without the range check: `as_probability`, for a value outside
+    [0, 1], and the sweep's grid both clamp through it."""
     values = _where((values >= -PROBABILITY_CLAMP) & (values < 0.0), 0.0, values)
     return _where((values > 1.0) & (values <= 1.0 + PROBABILITY_CLAMP), 1.0, values)
 
@@ -336,7 +345,7 @@ def _clamped(values):
 def _check_probabilities(section) -> None:
     """`__post_init__` of every section: each field through `as_probability`,
     named by its dot-path."""
-    for name, path in _FIELDS[type(section)].items():
+    for name, path in _FIELDS[type(section)]:
         object.__setattr__(section, name, as_probability(getattr(section, name), path))
 
 
@@ -455,26 +464,29 @@ _CLASSES: dict[str, tuple[type, ...]] = {
     section: tuple(variants.values()) if isinstance(variants, dict) else (variants,)
     for section, variants in _SECTIONS.items()
 }
-# field -> dot-path of every probability of each section class.
-_FIELDS: dict[type, dict[str, str]] = {
-    cls: {key: f"{section}.{key}" for key in cls._fields}
+# The (field, dot-path) of every probability of each section class.
+_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {
+    cls: tuple((key, f"{section}.{key}") for key in cls._fields)
     for section, classes in _CLASSES.items()
     for cls in classes
 }
 
 
-def _check_sections(owner: str, degradation_mode: str | None = None, **sections) -> None:
-    """Raise TypeError naming the first of `sections` whose class its section
-    does not admit, then ScenarioValidationError for an unknown degradation
-    mode or a dependency past its bounds."""
+def _check_sections(owner: str, degradation_mode: str | None = None, **sections) -> dict[str, float]:
+    """The probabilities of `sections` by dot-path, as `leaves_of` gives them,
+    once each section's class is one its section admits (else TypeError
+    naming the first that is not), and the degradation mode is known and the
+    dependency within its bounds (else ScenarioValidationError)."""
     for name, section in sections.items():
         classes = _CLASSES[name]
         if type(section) not in classes:
             allowed = ", ".join(cls.__name__ for cls in classes)
             raise TypeError(f"{owner}.{name} must be one of {allowed}; got {section!r}")
-    violations = _scenario_violations(degradation_mode, sections)
+    leaves = leaves_of(sections)
+    violations = _scenario_violations(degradation_mode, sections.get("dependency"), leaves)
     if violations:
         raise ScenarioValidationError(violations)
+    return leaves
 
 
 def policy_name(policy: ReliancePolicy) -> str:
@@ -482,8 +494,8 @@ def policy_name(policy: ReliancePolicy) -> str:
     return _WIRE_NAMES[type(policy)]
 
 
-# `a if cond else b`, min and max for floats and numpy arrays alike; numpy is
-# imported only when an array is passed, so it is already loaded.
+# `a if cond else b` for floats and numpy arrays alike; numpy is imported only
+# when an array is passed, so it is already loaded.
 def _where(cond, a, b):
     if isinstance(cond, bool):
         return a if cond else b
@@ -492,14 +504,22 @@ def _where(cond, a, b):
     return numpy.where(cond, a, b)
 
 
-# min(a, b) and max(a, b) keep a unless b is strictly smaller or larger, which
-# decides between 0.0 and -0.0; np.minimum and np.maximum would not.
 def _min(a, b):
-    return _where(b < a, b, a)
+    """min(a, b) on floats, elementwise on arrays: a unless b is strictly
+    smaller, which decides between 0.0 and -0.0 as min does and np.minimum
+    does not.  A float comparison decides here; only arrays reach `_where`."""
+    smaller = b < a
+    if smaller.__class__ is bool:
+        return b if smaller else a
+    return _where(smaller, b, a)
 
 
 def _max(a, b):
-    return _where(b > a, b, a)
+    """max(a, b) on floats, elementwise on arrays, as `_min` is min."""
+    larger = b > a
+    if larger.__class__ is bool:
+        return b if larger else a
+    return _where(larger, b, a)
 
 
 def frechet_bounds(p_a, p_u):
@@ -507,11 +527,14 @@ def frechet_bounds(p_a, p_u):
     return _max(0.0, p_a + p_u - 1.0), _min(p_a, p_u)
 
 
-def bound_violations(dependency: DependencyModel, p_a, p_u, p_both=None) -> list[ConstraintViolation]:
-    """The violation, if any, of P(both correct) `p_both` past its
-    Frechet-Hoeffding bounds, or of a dominant advisor below the user, by more
-    than BOUND_TOLERANCE; on floats, for a scenario or one sweep value."""
+def bound_violations(dependency: DependencyModel, leaves: Mapping[str, float]) -> list[ConstraintViolation]:
+    """The violation, if any, of P(both correct) past its Frechet-Hoeffding
+    bounds, or of a dominant advisor below the user, by more than
+    BOUND_TOLERANCE, at the float `leaves` of a scenario or of one sweep
+    value; None, for a dependency not known, has none."""
+    p_a, p_u = leaves[P_ADVICE], leaves[P_UNAIDED]
     if isinstance(dependency, Joint):
+        p_both = leaves[P_BOTH]
         lo, hi = frechet_bounds(p_a, p_u)
         if p_both < lo - BOUND_TOLERANCE or p_both > hi + BOUND_TOLERANCE:
             return [
@@ -552,8 +575,7 @@ class Scenario:
     __slots__ = ("_leaves", "_mode")
 
     def __post_init__(self):
-        _check_sections("Scenario", **self._asdict())
-        object.__setattr__(self, "_leaves", leaves_of(self.aid, self.user, self.dependency, self.policy))
+        object.__setattr__(self, "_leaves", _check_sections("Scenario", **self._asdict()))
         object.__setattr__(self, "_mode", resolve_degradation_mode(self.degradation_mode, self.dependency))
 
     @property
@@ -567,28 +589,28 @@ class Scenario:
         return dict(self._leaves)
 
 
-def leaves_of(aid, user, dependency, policy=None) -> dict[str, float]:
-    """The probabilities of a scenario's sections keyed by their dot-paths."""
-    return {
-        path: getattr(section, name)
-        for section in (aid, user, policy, dependency)
-        if section is not None
-        for name, path in _FIELDS[type(section)].items()
-    }
+def leaves_of(sections: Mapping[str, Any]) -> dict[str, float]:
+    """The probabilities of the `sections`, a mapping of section name to
+    record in schema order, keyed by their dot-paths; a section left None
+    has none."""
+    leaves = {}
+    for section in sections.values():
+        if section is not None:
+            for name, path in _FIELDS[type(section)]:
+                leaves[path] = getattr(section, name)
+    return leaves
 
 
-def _scenario_violations(mode, sections: Mapping[str, Any]) -> list[ConstraintViolation]:
-    """The degradation mode's check, then the dependency's bound checks once
-    the aid, user and dependency `sections` are all known."""
+def _scenario_violations(mode, dependency, leaves: Mapping[str, float]) -> list[ConstraintViolation]:
+    """The degradation mode's check, then the bound checks of the
+    `dependency`, if any, once the aid's and user's `leaves` are known."""
     violations = []
     if mode is not None and mode not in DEGRADATION_MODES:
         violations.append(
             ConstraintViolation("degradation_mode", mode, "{" + ", ".join(DEGRADATION_MODES) + "}")
         )
-    aid, user, dependency = sections.get("aid"), sections.get("user"), sections.get("dependency")
-    if aid is not None and user is not None and dependency is not None:
-        p_both = getattr(dependency, "p_both_correct", None)
-        violations.extend(bound_violations(dependency, aid.p_advice_correct, user.p_unaided_correct, p_both))
+    if P_ADVICE in leaves and P_UNAIDED in leaves:
+        violations.extend(bound_violations(dependency, leaves))
     return violations
 
 
@@ -675,11 +697,35 @@ class EvalResult(_Wire):
             raise ValueError(f"p_accept_marginal={self.p_accept_marginal!r} is not the accepted mass {accepted!r}")
 
 
-_TOP_KEYS = {*_SECTIONS, "degradation_mode"}
+_TOP_KEYS = frozenset((*_SECTIONS, "degradation_mode"))
+# The keys each section class admits in its JSON object: its fields, and the
+# "type" tag of a tagged section.
+_KEYS: dict[type, frozenset[str]] = {
+    cls: frozenset((*cls._fields, *(("type",) if cls in _WIRE_NAMES else ()))) for cls in _FIELDS
+}
+
+
+def _unknown_fields(data: Mapping, allowed: frozenset[str], prefix: str) -> list[ConstraintViolation]:
+    """A violation per key of `data` outside `allowed`, named `prefix` plus the
+    key: string keys in sorted order, then any other key by its repr, as keys
+    of mixed types do not compare."""
+    if data.keys() <= allowed:
+        return []
+    return [
+        ConstraintViolation(f"{prefix}{key}", data[key], "(no such field)", "unknown field rejected")
+        for key in sorted(data.keys() - allowed, key=_key_order)
+    ]
+
+
+def _key_order(key) -> tuple:
+    return (0, key) if isinstance(key, str) else (1, repr(key))
 
 
 def _check_section(raw: Mapping[str, Any], name: str, violations: list[ConstraintViolation]):
-    """Validate one section strictly; return its object if clean, else None."""
+    """Validate one section strictly; return its object if clean, else None.
+
+    Each field goes through `as_probability` once, as the float it is in
+    JSON; unknown keys are those outside the section class's `_KEYS`."""
     section = raw[name]
     variants = _SECTIONS[name]
     tagged = isinstance(variants, dict)
@@ -696,19 +742,14 @@ def _check_section(raw: Mapping[str, Any], name: str, violations: list[Constrain
             allowed = "{" + ", ".join(sorted(variants)) + "}"
             violations.append(ConstraintViolation(f"{name}.type", kind, allowed))
             return None
-    unknown = set(section) - _FIELDS[cls].keys() - ({"type"} if tagged else set())
-    for key in sorted(unknown):
-        violations.append(
-            ConstraintViolation(
-                f"{name}.{key}", section[key], "(no such field)", "unknown field rejected"
-            )
-        )
+    unknown = _unknown_fields(section, _KEYS[cls], f"{name}.")
+    violations += unknown
     # Set each checked value directly: building through `cls(...)` would check
     # it again and warn about a degraded user before the scenario is known to
     # be valid; `validate_scenario` warns once it is.
     checked = object.__new__(cls)
     ok = not unknown
-    for key, path in _FIELDS[cls].items():
+    for key, path in _FIELDS[cls]:
         if key not in section:
             violations.append(ConstraintViolation(path, None, "[0, 1]", "required field missing"))
             ok = False
@@ -724,21 +765,19 @@ def _check_section(raw: Mapping[str, Any], name: str, violations: list[Constrain
 def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     """Build a Scenario from raw (JSON-shaped) data, checking every constraint.
 
-    Unknown fields are rejected at every level.  On failure raises
-    ScenarioValidationError carrying the complete list of violations.  A
-    valid scenario whose post-rejection rate exceeds its unaided rate issues
-    one DegradedRateWarning at the caller's line; an invalid one issues none.
+    Unknown fields are rejected at every level, each named, whatever the type
+    of its key.  Each probability is checked once by `as_probability`, on the
+    Python float it is; each cross-field rule runs once, as the Scenario is
+    built.  On failure raises ScenarioValidationError carrying the complete
+    list of violations.  A valid scenario whose post-rejection rate exceeds
+    its unaided rate issues one DegradedRateWarning at the caller's line; an
+    invalid one issues none.
     """
     if not isinstance(raw, Mapping):
         raise ScenarioValidationError(
             [ConstraintViolation("scenario", raw, "JSON object")]
         )
-    violations: list[ConstraintViolation] = []
-
-    for key in sorted(set(raw) - _TOP_KEYS):
-        violations.append(
-            ConstraintViolation(key, raw[key], "(no such field)", "unknown field rejected")
-        )
+    violations = _unknown_fields(raw, _TOP_KEYS, "")
     for key in _SECTIONS:
         if key not in raw:
             violations.append(
@@ -747,7 +786,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     sections = {name: _check_section(raw, name, violations) for name in _SECTIONS if name in raw}
     mode = raw.get("degradation_mode")
     if violations:
-        violations.extend(_scenario_violations(mode, sections))
+        violations.extend(_scenario_violations(mode, sections.get("dependency"), leaves_of(sections)))
         raise ScenarioValidationError(violations)
     scenario = Scenario(**sections, degradation_mode=mode)
     if scenario.user.p_post_reject_correct > scenario.user.p_unaided_correct:
@@ -793,9 +832,7 @@ def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> tuple[dict[
         # what `validate_scenario` reports for the base with this value: the
         # clamped value outside [0, 1], else the dependency past its bound
         clamped = leaves[path] = _clamped(value)
-        return _range_violations(clamped, path) or bound_violations(
-            base.dependency, leaves[P_ADVICE], leaves[P_UNAIDED], leaves.get(P_BOTH)
-        )
+        return _range_violations(clamped, path) or bound_violations(base.dependency, leaves)
 
     ends = value_at(0), value_at(count - 1)
     for end, value in zip((0, count - 1), ends):

@@ -43,7 +43,7 @@ from .model import (
 )
 
 # Every probability dot-path of the scenario schema.
-_PATHS = frozenset(path for fields in _FIELDS.values() for path in fields.values())
+_PATHS = frozenset(path for fields in _FIELDS.values() for _, path in fields)
 # A cost bound, not a tuned knob: where numpy is not loaded yet, run_sweep
 # evaluates a grid of at most this many points as floats rather than import
 # it.  At 1.2-1.8 us a point (2-CPU x86-64 host) the float loop costs under

@@ -7,6 +7,7 @@ import pickle
 import re
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from reliance.model import (
     Indiscriminate,
     Joint,
     OUTCOME_CELLS,
+    P_BOTH,
     RoutineAccept,
     RoutineIgnore,
     Scenario,
@@ -174,6 +176,38 @@ class TestValidateScenario:
             with pytest.raises(ScenarioValidationError):
                 validate_scenario(raw)
 
+    @pytest.mark.parametrize("where", [None, "aid", "policy"], ids=["top", "aid", "policy"])
+    def test_unknown_keys_of_mixed_types_are_each_named(self, where):
+        # keys that do not compare with each other: strings in sorted order, then the rest by repr
+        # (a Decimal's repr sorts after 1, its str before)
+        raw = copy.deepcopy(BASE_RAW)
+        (raw if where is None else raw[where]).update({1: 2, "y": 3, None: 4, "x": 5, Decimal("0.5"): 6})
+        prefix = "" if where is None else f"{where}."
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(raw)
+        assert [str(v) for v in err.value.violations] == [
+            f"{prefix}{key}: {value} not in (no such field) (unknown field rejected)"
+            for key, value in (("x", 5), ("y", 3), (1, 2), (Decimal("0.5"), 6), (None, 4))
+        ]
+
+    @pytest.mark.parametrize("section", ["aid", "user"])
+    def test_a_plain_section_has_no_type_field(self, section):
+        raw = copy.deepcopy(BASE_RAW)
+        raw[section]["type"] = section
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(raw)
+        assert [str(v) for v in err.value.violations] == [
+            f"{section}.type: {section!r} not in (no such field) (unknown field rejected)"
+        ]
+
+    def test_a_section_with_an_unknown_field_is_not_bound_checked(self):
+        # the dependency below is past its Frechet bounds, but it is not known
+        # until its fields are, so only its unknown field is reported
+        raw = {**BASE_RAW, "dependency": {"type": "joint", "p_both_correct": 0.9, "extra": 1}}
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(raw)
+        assert [v.constraint for v in err.value.violations] == ["dependency.extra"]
+
     def test_missing_sections_and_fields_rejected(self):
         raw = copy.deepcopy(BASE_RAW)
         del raw["dependency"]
@@ -279,6 +313,84 @@ class TestValidateScenario:
         raw["aid"] = {"p_advice_correct": math.nextafter(edge, -math.inf)}
         with pytest.raises(ScenarioValidationError, match="uniformly dominant"):
             validate_scenario(raw)
+
+
+# The nine probability dot-paths of the schema, and the policy that has each
+# policy leaf.
+LEAF_POLICIES = {
+    "aid.p_advice_correct": "indiscriminate",
+    "user.p_unaided_correct": "indiscriminate",
+    "user.p_post_reject_correct": "indiscriminate",
+    "policy.p_accept": "indiscriminate",
+    "policy.p_accept_given_correct": "discriminating",
+    "policy.p_accept_given_wrong": "discriminating",
+    "policy.p_ignore_given_user_correct": "self_gated",
+    "policy.p_use_given_user_wrong": "self_gated",
+    "dependency.p_both_correct": "indiscriminate",
+}
+# (value in JSON, repr of the float validate_scenario keeps)
+KEPT_VALUES = [
+    (-0.0, "-0.0"),
+    (0.0, "0.0"),
+    (1e-300, "1e-300"),
+    (-5e-13, "0.0"),
+    (1 + 5e-13, "1.0"),
+    (1 - 2**-53, "0.9999999999999999"),
+    (0, "0.0"),
+    (1, "1.0"),
+]
+# (value in JSON, its violation after the dot-path)
+REFUSED_VALUES = [
+    (10**400, "inf not in [0, 1]"),
+    (math.nan, "nan not in [0, 1]"),
+    (math.inf, "inf not in [0, 1]"),
+    (True, "True not in [0, 1] (expected a number)"),
+    ("0.5", "'0.5' not in [0, 1] (expected a number)"),
+]
+
+
+def raw_with_leaf(path: str, value, near_one: bool = False) -> dict:
+    """A scenario with `value` at `path` that no cross-field rule refuses once
+    the value is kept: a dependency leaf gets joint marginals whose bounds
+    hold the kept value, 1.0 for one `near_one`, else 0.5; any other leaf
+    sits in an independent scenario whose post-rejection rate is 0."""
+    policy = LEAF_POLICIES[path]
+    raw = {
+        "aid": {"p_advice_correct": 0.5},
+        "user": {"p_unaided_correct": 1.0, "p_post_reject_correct": 0.0},
+        "policy": {"type": policy},
+        "dependency": {"type": "independent"},
+    }
+    for leaf, kind in LEAF_POLICIES.items():
+        if kind == policy and leaf.startswith("policy."):
+            raw["policy"][leaf.split(".")[1]] = 0.5
+    if path == P_BOTH:
+        raw["aid"]["p_advice_correct"] = raw["user"]["p_unaided_correct"] = 1.0 if near_one else 0.5
+        raw["dependency"] = {"type": "joint"}
+    section, key = path.split(".")
+    raw[section][key] = value
+    return raw
+
+
+class TestFloatPath:
+    def test_the_scenarios_hold_these_nine_leaves(self):
+        paths = set()
+        for path in LEAF_POLICIES:
+            paths |= validate_scenario(raw_with_leaf(path, 0.5)).leaves.keys()
+        assert paths == set(LEAF_POLICIES)
+
+    @pytest.mark.parametrize("value,shown", KEPT_VALUES, ids=[f"{type(v).__name__} {v!r}" for v, _ in KEPT_VALUES])
+    @pytest.mark.parametrize("path", LEAF_POLICIES)
+    def test_a_kept_value_is_this_float(self, path, value, shown):
+        kept = validate_scenario(raw_with_leaf(path, value, near_one=float(shown) > 0.5)).leaves[path]
+        assert (repr(kept), type(kept)) == (shown, float)
+
+    @pytest.mark.parametrize("value,text", REFUSED_VALUES, ids=["10**400", "nan", "inf", "True", "str"])
+    @pytest.mark.parametrize("path", LEAF_POLICIES)
+    def test_a_refused_value_is_this_violation(self, path, value, text):
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(raw_with_leaf(path, value))
+        assert str(err.value) == f"invalid scenario:\n  {path}: {text}"
 
 
 class TestMinMax:

@@ -151,6 +151,14 @@ def test_non_mapping_compared_results_are_named():
         PolicyComparison.from_dict(data)
 
 
+def test_margins_as_a_list_of_pairs_are_named():
+    # dict() would read [name, value] pairs, and to_dict would write them back as an object
+    data = tied_compare().to_dict()
+    data["margins"] = [[name, margin] for name, margin in data["margins"].items()]
+    with pytest.raises(TypeError, match="^PolicyComparison margins needs a mapping, got list$"):
+        PolicyComparison.from_dict(data)
+
+
 @pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
 def test_a_null_field_is_a_value_or_type_error(cls):
     # JSON null in place of each field
