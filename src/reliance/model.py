@@ -19,6 +19,7 @@ statement.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections.abc import Mapping
 from itertools import product
@@ -327,7 +328,12 @@ def _range_violations(value: float, name: str) -> list[ConstraintViolation]:
 
 def _as_float(value) -> float:
     """The real `value` as a float; an integer past float range is the
-    infinity of its sign, so that a range check refuses it."""
+    infinity of its sign, so that a range check refuses it.  Anything that
+    is not a real number, such as a numeric string, is a TypeError."""
+    if value.__class__ is float:  # skips the ABC check, 30 times slower
+        return value
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:

@@ -9,13 +9,22 @@ are use rates 1 and 0.  Shards own disjoint substreams derived
 deterministically from (seed, shard index), making every estimate a pure
 function of (scenario, n_trials, seed, shards).
 
-Only the non-empty shards run, in parallel threads (numpy releases the GIL)
-capped at the CPUs available to the process.  Each shard draws its trials in
-batches of `_BATCH` that consume its substream in trial order, so neither the
-batch size nor the thread count ever changes a result.  A shard allocates its
-buffer once and copies each batch's draws into one contiguous column per
-draw, so every comparison reads contiguous memory; a batch tallies its
-outcome cells by counting a few mask intersections.
+The unit of parallel work is a piece: a contiguous run of one shard's
+trials.  Each `Generator.random` double takes one 64-bit PCG64 draw, so a
+piece starting at trial t jumps the shard's stream ahead by
+`DRAWS_PER_TRIAL * t` draws (PCG64's `advance`, O(log t)) and reads exactly
+the uniforms the shard would reach after t trials.  Only the non-empty
+shards run.  When they are fewer than the CPUs available to the process,
+each is cut at whole-batch boundaries into a piece per CPU it has to itself,
+none shorter than `_PIECE_BATCHES` batches, so a long one-shard run uses
+every CPU.  The pieces run on at most one thread per CPU (numpy releases the
+GIL), and a run of one piece stays on the calling thread.  A piece draws
+its trials in batches of `_BATCH`, in trial order, and the tallies are
+integers, summed in any order: neither the batch size, the cut nor the
+thread count ever changes a result.  A piece allocates its buffer once and
+copies each batch's draws into one contiguous column per draw, so every
+comparison reads contiguous memory; a batch tallies its outcome cells by
+counting a few mask intersections.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 
 import numpy as np
 
@@ -48,10 +58,23 @@ from .model import (
 # Uniforms consumed per trial, in fixed order.
 DRAWS_PER_TRIAL = 3
 # Trials per vectorized batch.  On a 2-CPU x86-64 host (2 MiB of L2 per core),
-# 10^7-trial runs cost 22-23 ns a trial on one shard and 14-15 ns on four at
-# 2^15, against 24-25 and 15-16 ns at 2^16 and 21-24 and 17-19 ns at 2^14:
-# the batch's 1.5 MB of draws and columns and its 32 KB masks stay in L2.
+# 10^7-trial runs cost a median 8.3 ns a trial on one shard and 8.3 on four at
+# 2^15, against 8.3 and 7.7 ns at 2^16 and 9.5 and 10.1 ns at 2^14 (6 fresh
+# processes each, alternated; one shard took 12.3 ns at 2^15 before shards
+# were cut into pieces).  2^16 is within the host's drift for twice each
+# piece's buffer: at 2^15 the batch's 1.5 MB of draws and columns and its
+# 32 KB masks stay in L2.
 _BATCH = 1 << 15
+# Fewest batches in a piece cut from a shard.  A piece on its own thread has
+# a fixed cost: the thread, its malloc arena and its buffer's first page
+# faults.  On the same host, in-process one-shard runs of 4 to 7 batches
+# gained x0.79-1.04 from a cut in two, and runs of 10 and 13 batches
+# x1.16-1.53 (two sittings, 60-80 alternated calls each).  In fresh
+# processes, the first 10^5-trial call (the CLI's default: 4 batches) took a
+# median 13.9 ms as one piece, 16.2 ms cut in two on `threading` threads and
+# 21.1 ms on a `concurrent.futures` pool, whose import alone takes 4-8 ms;
+# the whole `reliance simulate` took 182.8, 196.1 and 198.3 ms (30 each).
+_PIECE_BATCHES = 4
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -241,14 +264,20 @@ def _summed(tallies) -> list[int]:
     return [sum(column) for column in zip(*tallies)]
 
 
-def _simulate_shard(scenario: Scenario, n: int, seed: int, shard: int) -> list[int]:
-    """All n trials of one shard, drawn batch by batch from its own substream.
+def _simulate_shard(scenario: Scenario, seed: int, shard: int, start: int, n: int) -> list[int]:
+    """Trials start to start + n of one shard, drawn batch by batch from its own substream.
 
-    The shard's buffer is allocated once: each batch's uniforms are drawn
-    into `draws`, the stream `rng.random((m, 3))` would take, and copied into
-    `cols`, one contiguous column per draw.
+    Each `Generator.random` double takes one 64-bit PCG64 draw, so advancing
+    the shard's stream by `DRAWS_PER_TRIAL * start` draws (O(log start))
+    reaches exactly where the shard's trial `start` begins; a piece at trial
+    0 skips the jump, about 1 us of a 10^4-trial run.  The buffer is
+    allocated once: each batch's uniforms are drawn into `draws`, the stream
+    `rng.random((m, 3))` would take, and copied into `cols`, one contiguous
+    column per draw.
     """
     rng = shard_rng(seed, shard)
+    if start:
+        rng.bit_generator.advance(DRAWS_PER_TRIAL * start)
     cuts, decision = _joint_cell_cuts(scenario), _decision(scenario)
     size = min(_BATCH, n) * DRAWS_PER_TRIAL
     # One allocation, not two: under glibc's malloc, two such blocks freed
@@ -265,6 +294,66 @@ def _simulate_shard(scenario: Scenario, n: int, seed: int, shard: int) -> list[i
         return _simulate_batch(cuts, decision, cols[:, :m])
 
     return _summed(batch(min(_BATCH, n - done)) for done in range(0, n, _BATCH))
+
+
+def _pieces(n_trials: int, shards: int, cpus: int) -> list[tuple[int, int, int]]:
+    """The (shard, start, n) pieces that together draw all n_trials trials.
+
+    Trials are spread across shards as evenly as possible, remainder to the
+    lowest shard indices, and only the non-empty shards get pieces.  A shard
+    is one piece, unless there are fewer non-empty shards than CPUs: then it
+    is cut at whole-batch boundaries into a piece per CPU it has to itself,
+    none shorter than `_PIECE_BATCHES` batches, a partial last batch counted.
+    """
+    base, remainder = divmod(n_trials, shards)
+    used = min(shards, n_trials)
+    per_shard = -(-cpus // used)
+    pieces = []
+    for shard in range(used):
+        size = base + (shard < remainder)
+        batches = -(-size // _BATCH)
+        cut = max(1, min(per_shard, batches // _PIECE_BATCHES))
+        start = 0
+        for k in range(1, cut + 1):
+            stop = min(size, _BATCH * (batches * k // cut))
+            pieces.append((shard, start, stop - start))
+            start = stop
+    return pieces
+
+
+def _simulate_pieces(scenario: Scenario, seed: int, n_trials: int, shards: int) -> list[int]:
+    """The summed tallies of n_trials trials on `shards` shards, cut into
+    `_pieces` that run on at most one thread per CPU.
+
+    With one CPU, or a single piece, the calling thread draws every piece
+    and no thread starts; otherwise it draws the first group of pieces
+    itself.  Tallies are integers, whose sum does not depend on the order
+    the pieces finish in.  A worker's exception is raised again on the
+    calling thread.
+    """
+    cpus = _available_cpus()
+    pieces = _pieces(n_trials, shards, cpus)
+    threads = min(len(pieces), cpus)
+    if threads == 1:  # skips the thread path's set-up, 3-5 % of a 10^4-trial run
+        return _summed([_simulate_shard(scenario, seed, *piece) for piece in pieces])
+    results: list = [None] * threads
+
+    def run(group: int) -> None:
+        try:
+            results[group] = _summed(_simulate_shard(scenario, seed, *piece) for piece in pieces[group::threads])
+        except BaseException as error:  # raised again below, on the calling thread
+            results[group] = error
+
+    workers = [threading.Thread(target=run, args=(group,)) for group in range(1, threads)]
+    for worker in workers:
+        worker.start()
+    run(0)
+    for worker in workers:
+        worker.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return _summed(results)
 
 
 def _available_cpus() -> int:
@@ -291,8 +380,9 @@ def estimate_accuracy(
 
     Deterministic for fixed (scenario, n_trials, seed, shards); trials are
     spread across shards as evenly as possible, remainder to the lowest
-    shard indices.  Only the non-empty shards run, on at most as many
-    threads as the process has CPUs; batch size and thread count never
+    shard indices, and `shards` chooses the substreams, not the CPUs.  Only
+    the non-empty shards run, cut into pieces that use every CPU the
+    process has (see `_pieces`); batch size, pieces and thread count never
     change the result.  The three counts may be any integers but bools, and
     are recorded as ints.
     """
@@ -303,23 +393,7 @@ def estimate_accuracy(
     if shards < 1:
         raise ValueError("shards must be >= 1")
 
-    base, remainder = divmod(n_trials, shards)
-    sizes = [base + (1 if shard < remainder else 0) for shard in range(min(shards, n_trials))]
-    workers = min(len(sizes), _available_cpus())
-    if workers == 1:
-        results = [
-            _simulate_shard(scenario, size, seed, shard) for shard, size in enumerate(sizes)
-        ]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_shard, scenario, size, seed, shard)
-                for shard, size in enumerate(sizes)
-            ]
-            results = [future.result() for future in futures]
-    tallies = _summed(results)
+    tallies = _simulate_pieces(scenario, seed, n_trials, shards)
     counts, (n_advice, n_user, n_either) = tallies[:8], tallies[8:]
     outcome_counts = dict(zip(OUTCOME_CELLS, counts))
     n_correct = sum(counts[::2])  # even OUTCOME_CELLS indices have final_correct = True

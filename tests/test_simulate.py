@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import threading
 
 import numpy as np
@@ -200,6 +201,8 @@ def assert_replayed(estimate, scenario):
     )
 
 
+_PIECES = simulate._PIECE_BATCHES
+
 GOLDEN_SCENARIOS = {
     "discriminating": lambda: make_scenario(
         policy=Discriminating(0.8, 0.3), dependency=Joint(0.5), mode=CONDITIONAL_FROM_JOINT
@@ -218,7 +221,7 @@ GOLDEN_SCENARIOS = {
 
 # (scenario, seed, shards, n_trials, p_hat, outcome counts in OUTCOME_CELLS
 # order, (advice, user, either) latent counts), computed once with the
-# serial 1M-batch engine.  Batch size and shard threading must never move them.
+# serial 1M-batch engine.  Batch size, pieces and threads must never move them.
 GOLDEN = [
     ("discriminating", 0, 1, 1, 0.0, (0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0)),
     ("discriminating", 7, 1, 70_001, 0.7311038413736947,
@@ -285,15 +288,94 @@ class TestGoldenValues:
         monkeypatch.setattr(simulate, "_BATCH", batch)
         assert estimate_accuracy(scenario, n_trials, seed=7, shards=3) == reference
 
-    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    # With batches of 1000, a 70,001-trial shard has 71 batches, enough to be
+    # cut into a piece per CPU it has to itself: every row with fewer shards
+    # than CPUs, one-shard rows included, runs as several pieces.
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
     def test_thread_count_never_changes_the_estimate(self, monkeypatch, name, cpus):
         monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate, "_BATCH", 1000)
         for case in GOLDEN:
-            if case[0] == name and case[2] > 1:
+            if case[0] == name:
                 _, seed, shards, n_trials, p_hat, cells, latent = case
                 estimate = estimate_accuracy(GOLDEN_SCENARIOS[name](), n_trials, seed, shards)
                 assert_golden(estimate, p_hat, cells, latent)
+
+    @pytest.mark.parametrize("shard", [0, 3])
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+    def test_a_jump_of_whole_trials_reaches_the_drawn_stream(self, seed, shard):
+        for k in (0, 1, 7, 1000, (1 << 15) + 1):
+            jumped, drawn = shard_rng(seed, shard), shard_rng(seed, shard)
+            jumped.bit_generator.advance(simulate.DRAWS_PER_TRIAL * k)
+            drawn.random(simulate.DRAWS_PER_TRIAL * k)
+            assert jumped.random(9).tolist() == drawn.random(9).tolist()
+
+    # With batches of 1000: (n_trials, shards, cpus, pieces).  A shard of 71
+    # batches is cut into a piece per CPU it has to itself, one of 7 batches
+    # is not cut, and 3 shards on 2 CPUs are one piece each.
+    @pytest.mark.parametrize(
+        "n_trials,shards,cpus,n_pieces",
+        [(70_001, 1, 2, 2), (70_001, 1, 5, 5), (70_001, 3, 5, 6), (70_001, 3, 2, 3),
+         (7_001, 1, 2, 2), (7_000, 1, 2, 1), (3, 8, 4, 3), (1_000_003, 4, 3, 4)],
+    )
+    def test_pieces_cover_every_trial_from_whole_batch_starts(self, monkeypatch, n_trials, shards, cpus, n_pieces):
+        monkeypatch.setattr(simulate, "_BATCH", 1000)
+        pieces = simulate._pieces(n_trials, shards, cpus)
+        assert len(pieces) == n_pieces
+        assert sum(n for _, _, n in pieces) == n_trials
+        for shard in range(min(shards, n_trials)):
+            own = [(start, n) for s, start, n in pieces if s == shard]
+            assert [start for start, _ in own] == [sum(n for _, n in own[:i]) for i in range(len(own))]
+            assert all(start % 1000 == 0 and n > 0 for start, n in own)
+
+    # With batches of 1000, a shard is cut into pieces of at least
+    # _PIECE_BATCHES batches: it needs 2 * _PIECE_BATCHES batches, the last
+    # of them partial, to be cut in two.
+    @pytest.mark.parametrize(
+        "cpus,n_trials,n_threads",
+        [(2, 1000, 1), (2, 1000 * (2 * _PIECES - 1), 1), (2, 1000 * (2 * _PIECES - 1) + 1, 2),
+         (2, 1000 * 10 * _PIECES, 2), (3, 1000 * 10 * _PIECES, 3)],
+    )
+    def test_one_shard_of_two_pieces_or_more_draws_on_every_cpu(self, monkeypatch, base_scenario, cpus, n_trials, n_threads):
+        threads = []
+
+        def recording_shard_rng(seed, shard):
+            threads.append(threading.current_thread())
+            return shard_rng(seed, shard)
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate, "_BATCH", 1000)
+        reference = estimate_accuracy(base_scenario, n_trials, seed=5)
+        monkeypatch.setattr(simulate, "shard_rng", recording_shard_rng)
+        assert estimate_accuracy(base_scenario, n_trials, seed=5) == reference
+        assert len(set(threads)) == len(threads) == n_threads
+        assert threading.main_thread() in threads
+
+    def test_an_error_in_a_worker_thread_is_raised_on_the_caller(self, monkeypatch, base_scenario):
+        def failing_shard_rng(seed, shard):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no room for the draws")
+            return shard_rng(seed, shard)
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(simulate, "shard_rng", failing_shard_rng)
+        with pytest.raises(MemoryError, match="no room for the draws"):
+            estimate_accuracy(base_scenario, 100, seed=5, shards=2)
+
+    # 18 pieces on 16 threads, far more than the cores, switching as often as
+    # the interpreter allows: a lost or doubled tally would move the estimate.
+    def test_threads_switching_rapidly_lose_no_tally(self, monkeypatch, base_scenario):
+        reference = estimate_accuracy(base_scenario, 20_011, seed=9, shards=3)
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 16)
+        monkeypatch.setattr(simulate, "_BATCH", 100)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            estimate = estimate_accuracy(base_scenario, 20_011, seed=9, shards=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert estimate == reference
 
     def test_huge_shard_count_runs_only_the_nonempty_shards(self, monkeypatch, base_scenario):
         calls = []

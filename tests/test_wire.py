@@ -452,6 +452,16 @@ def test_a_huge_estimate_is_named(key, named, huge):
         SimEstimate.from_dict({**one_of(SimEstimate).to_dict(), key: huge})
 
 
+@pytest.mark.parametrize(
+    "cls,key", [(SimEstimate, "std_err"), (EvalResult, "p_accept_marginal")], ids=["std_err", "p_accept_marginal"]
+)
+def test_a_number_as_a_string_is_a_type_error(cls, key):
+    data = one_of(cls).to_dict()
+    text = str(data[key])
+    with pytest.raises(TypeError, match=f"^expected a real number, got '{text}'$"):
+        cls.from_dict({**data, key: text})
+
+
 def test_a_sweep_over_any_leaf_reads_back():
     scenario = make_scenario(policy=SelfGated(0.8, 0.3), dependency=Joint(0.45))
     for path in scenario.leaves:
