@@ -44,12 +44,11 @@ from .model import (
     SelfGated,
     UserProfile,
     _JOINT_SUCCESS,
-    _NOTES,
     _Wire,
     _as_float,
     _check_sections,
-    _mapping,
-    _no_bools,
+    _is_number,
+    _reader,
     _record,
     joint_success_probability,
     policy_name,
@@ -199,21 +198,6 @@ class PolicyComparison(_Wire):
     margins: dict[str, float]
     notes: tuple[str, ...] = ()
 
-    _CODECS = {
-        "results": (
-            lambda results: {name: result.to_dict() for name, result in results.items()},
-            lambda data: {
-                name: EvalResult.from_dict(result)
-                for name, result in _mapping(data, "PolicyComparison results").items()
-            },
-        ),
-        "margins": (
-            dict,
-            lambda data: _no_bools(dict(_mapping(data, "PolicyComparison margins")), "PolicyComparison margin"),
-        ),
-        "notes": _NOTES,
-    }
-
     def __post_init__(self):
         for role in ("configured_policy", "best_policy"):
             if getattr(self, role) not in self.results:
@@ -276,9 +260,12 @@ class BreakevenResult(_Wire):
     degradation_mode: str
 
     _CODECS = {
-        "d_star": (lambda d: "unattainable" if d is None else d, lambda d: None if d == "unattainable" else d)
+        "d_star": (
+            lambda d: "unattainable" if d is None else d,
+            _reader("a number or 'unattainable'", lambda d: d == "unattainable" or _is_number(d),
+                    lambda d: None if d == "unattainable" else d),
+        )
     }
-    _NULLABLE = ("accuracy_at_d_star",)
 
     def __post_init__(self):
         if self.degradation_mode not in DEGRADATION_MODES:

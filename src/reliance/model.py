@@ -19,7 +19,6 @@ statement.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections.abc import Mapping
 from itertools import product
@@ -132,10 +131,13 @@ def _record(cls: type) -> type:
     the class has one, and its `_asdict` gives the fields by name.  Both are
     generated per class, as generic ones that loop over the fields are
     slower on every result built and every scenario serialised.
-    A result class gets its `_WIRE` table here too, so no codec is looked up per call.
+    A result class gets its `_WIRE` table here too, so no codec is looked up
+    per call; a field whose annotation `_SHAPES` lacks, and that no `_CODECS`
+    entry states, is a TypeError here, so that no field is read unchecked.
     """
     namespace = dict(vars(cls))
-    fields = tuple(namespace.get("__annotations__", ()))
+    annotations = namespace.get("__annotations__", {})
+    fields = tuple(annotations)
     extra = tuple(namespace.pop("__slots__", ()))
     for key in (*extra, "__dict__", "__weakref__"):
         namespace.pop(key, None)
@@ -153,26 +155,28 @@ def _record(cls: type) -> type:
         namespace[method] = scope[method]
     namespace.update(__slots__=fields + extra, _fields=fields, _defaults=defaults)
     if issubclass(cls, _Wire):
-        order = namespace.get("_WIRE_ORDER", fields)
-        namespace["_WIRE"] = tuple((key, *cls._CODECS.get(key, (None, None))) for key in order)
+        codecs = {key: cls._CODECS.get(key) or _SHAPES.get(annotations[key]) for key in fields}
+        for key, codec in codecs.items():
+            if codec is None:
+                raise TypeError(f"{cls.__name__} {key} has no JSON shape for its annotation {annotations[key]!r}")
+        namespace["_WIRE"] = tuple((key, *codecs[key]) for key in namespace.get("_WIRE_ORDER", fields))
     bases = cls.__bases__ if issubclass(cls, _Record) else (_Record,)
     return type(cls.__name__, bases, namespace)
 
 
 class _Wire(_Record):
     """`to_dict` and `from_dict` read the `_WIRE` table that `_record` derives:
-    (key, encode, decode) per field, in `_WIRE_ORDER` if the class states one,
-    else in field order.  Each class states `_CODECS`, the (encode, decode)
-    of each field whose JSON form differs from its value, such as `notes`
-    (`_NOTES`, a list of strings); any other field is written and read as it is.
-    `from_dict` may omit a field with a default, such as `notes`.  It names
-    any other missing key in a KeyError, an unknown key in a ValueError, and
-    in a TypeError a bool, which no result field holds, or a null read as it
-    is, unless `_NULLABLE` lists it.
+    (key, encode, read) per field, in `_WIRE_ORDER` if the class states one,
+    else in field order.  A field's annotation picks its codec in `_SHAPES`,
+    unless the class's `_CODECS` states one, as for `d_star`'s "unattainable".
+    A reader refuses any JSON type but its field's, inside the field too, in
+    one TypeError: "<Class> <field>[<index or key>] must be <shape>, got
+    <value>".  `from_dict` may omit a field with a default, such as `notes`,
+    and names any other missing key in a KeyError, an unknown one in a ValueError.
     """
 
     __slots__ = ()
-    _NULLABLE = ()
+    _CODECS = {}
 
     def to_dict(self) -> dict[str, Any]:
         data = {}
@@ -183,67 +187,92 @@ class _Wire(_Record):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
-        unknown = _mapping(data, f"{cls.__name__}.from_dict").keys() - cls._fields
+        unknown = _object(data, cls.__name__).keys() - cls._fields
         if unknown:
             raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
         values = {}
-        for key, _, decode in cls._WIRE:
+        for key, _, read in cls._WIRE:
             if key in data or key not in cls._defaults:
-                value = data[key]
-                if isinstance(value, bool) or value is None and decode is None and key not in cls._NULLABLE:
-                    raise TypeError(f"{cls.__name__} {key} must not be {'null' if value is None else 'a bool'}")
-                values[key] = value if decode is None else decode(value)
+                values[key] = read(data[key], f"{cls.__name__} {key}")
         return cls(**values)
 
 
-def _mapping(data: Any, what: str) -> Mapping:
-    """`data`, unless it is no mapping: then TypeError naming `what`."""
-    if not isinstance(data, Mapping):
-        raise TypeError(f"{what} needs a mapping, got {type(data).__name__}")
-    return data
+def _is_number(value) -> bool:
+    """Whether `value` is a JSON number: an int or a float, and no bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _no_bools(values, what: str):
-    """The JSON list or object `values`, unless it holds a bool: then
-    TypeError naming `what` and the bool's index or key.  A result holds
-    numbers where it holds a list or object of scalars, and no bool."""
-    for key, value in values.items() if isinstance(values, dict) else enumerate(values):
-        if isinstance(value, bool):
-            raise TypeError(f"{what} {key!r} must not be a bool")
-    return values
+def _reader(shape: str, accepts, decode=None):
+    """The reader of a JSON value of `shape`, which `accepts`, through `decode` if given."""
+
+    def read(value, where: str):
+        if not accepts(value):
+            raise TypeError(f"{where} must be {shape}, got {value!r}")
+        return value if decode is None else decode(value)
+
+    return read
 
 
-def _cells(key: str) -> tuple:
-    """Encode and decode of an eight-cell table as JSON rows in canonical
-    order, each value under `key`.  Decoding refuses, naming the row, one
-    that is no mapping or whose flag is no bool (TypeError) and a key beside
-    the three flags and `key` (ValueError); a missing one is a KeyError."""
+_number = _reader("a number", _is_number)
+_int = _reader("an int", lambda value: isinstance(value, int) and not isinstance(value, bool))
+_string = _reader("a string", lambda value: isinstance(value, str))
+_bool = _reader("a bool", lambda value: isinstance(value, bool))
+_object = _reader("an object", lambda value: isinstance(value, Mapping))
+
+
+def _list(item, size=None):
+    """The reader of a JSON list, of `size` items if given, as a tuple of what `item` reads from each."""
+    shape = f"a list of {size} items" if size else "a list"
+    whole = _reader(shape, lambda v: isinstance(v, list) and size in (None, len(v)))
+    return lambda items, where: tuple(item(v, f"{where}[{i}]") for i, v in enumerate(whole(items, where)))
+
+
+def _dict(item):
+    """The reader of a JSON object as a dict of what `item` reads from each value."""
+    return lambda data, where: {key: item(v, f"{where}[{key!r}]") for key, v in _object(data, where).items()}
+
+
+def _cells(key: str, value) -> tuple:
+    """Encode and read of an eight-cell table as JSON rows in canonical
+    order, each an object of exactly the three bool flags and `key`, whose
+    value `value` reads: another key, or a cell an earlier row holds, is a
+    ValueError, and a missing key a KeyError.  `_cell_sums` checks the rest."""
     flags = a, u, f = "advice_correct", "accepted_or_used", "final_correct"
+    rows = _list(_object)
 
-    def cell(i: int, row) -> tuple[bool, bool, bool]:
-        name = f"{key} row {i}"
-        extra = _mapping(row, name).keys() - {*flags, key}
-        if extra:
-            raise ValueError(f"{name} has no field {', '.join(sorted(map(repr, extra)))}")
-        c = row[a], row[u], row[f]
-        if {*map(type, c)} != {bool}:
-            raise TypeError(f"{name} flags must be bools, got {c!r}")
-        return c
+    def read(data, where):
+        table = {}
+        for i, row in enumerate(rows(data, where)):
+            name = f"{where}[{i}]"
+            extra = row.keys() - {*flags, key}
+            if extra:
+                raise ValueError(f"{name} has no field {', '.join(sorted(map(repr, extra)))}")
+            cell = tuple(_bool(row[flag], f"{name}[{flag!r}]") for flag in flags)
+            if cell in table:
+                raise ValueError(f"{name} repeats cell {cell}")
+            table[cell] = value(row[key], f"{name}[{key!r}]")
+        return table
 
-    return (
-        lambda table: [{a: c[0], u: c[1], f: c[2], key: table[c]} for c in OUTCOME_CELLS],
-        lambda rows: _no_bools({cell(i, row): row[key] for i, row in enumerate(rows)}, f"{key} of cell"),
-    )
-
-
-def _notes(items) -> tuple[str, ...]:
-    """The JSON list of strings `items` as a tuple, else TypeError naming `notes`."""
-    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
-        raise TypeError(f"notes must be a list of strings, got {items!r}")
-    return tuple(items)
+    return lambda table: [{a: c[0], u: c[1], f: c[2], key: table[c]} for c in OUTCOME_CELLS], read
 
 
-_NOTES = (list, _notes)
+# The (encode, read) of a `_Wire` field by its annotation: the JSON shape the
+# annotation states.  An encode of None writes the value as it is.
+_SHAPES = {
+    "float": (None, _number),
+    "Probability": (None, _number),
+    "int": (None, _int),
+    "str": (None, _string),
+    "float | None": (None, _reader("a number or null", lambda value: value is None or _is_number(value))),
+    "tuple[float, float]": (list, _list(_number, 2)),
+    "tuple[float, ...]": (list, _list(_number)),
+    "tuple[str, ...]": (list, _list(_string)),
+    "dict[str, float]": (dict, _dict(_number)),
+    "dict[str, EvalResult]": (lambda results: {name: result.to_dict() for name, result in results.items()},
+                              _dict(lambda data, where: EvalResult.from_dict(data))),
+    "dict[tuple[bool, bool, bool], float]": _cells("probability", _number),
+    "dict[tuple[bool, bool, bool], int]": _cells("count", _int),
+}
 
 
 class DegradedRateWarning(UserWarning):
@@ -328,12 +357,10 @@ def _range_violations(value: float, name: str) -> list[ConstraintViolation]:
 
 def _as_float(value) -> float:
     """The real `value` as a float; an integer past float range is the
-    infinity of its sign, so that a range check refuses it.  Anything that
-    is not a real number, such as a numeric string, is a TypeError."""
-    if value.__class__ is float:  # skips the ABC check, 30 times slower
+    infinity of its sign, so that a range check refuses it.  Its callers'
+    values are numbers already, checked by a reader or `as_probability`."""
+    if value.__class__ is float:
         return value
-    if not isinstance(value, numbers.Real):
-        raise TypeError(f"expected a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -690,7 +717,6 @@ class EvalResult(_Wire):
     # Loose construction guard; the test suite asserts the 1e-12 versions on
     # every computed result. The slack covers 12-significant-digit round-trips.
     _GUARD = 1e-9
-    _CODECS = {"outcome_table": _cells("probability"), "notes": _NOTES}
     # the wire order is not the field order, which positional callers rely on
     _WIRE_ORDER = ("p_correct_aided", "p_accept_marginal", "outcome_table", "notes")
 

@@ -48,8 +48,6 @@ from .model import (
     _Wire,
     _as_float,
     _cell_sums,
-    _cells,
-    _no_bools,
     _record,
     conditional_user_rates,
     joint_success_probability,
@@ -117,10 +115,7 @@ class SimEstimate(_Wire):
             latent marginals, kept for cross-checks against the configured
             hit rates and the combined-accuracy ceiling.
 
-    Each field annotated `int` (`n_trials`, `seed`, `n_shards` and the three
-    latent counts) and each of the eight counts is exactly an int: a float
-    or bool is a TypeError naming it.  `n_trials` and `n_shards` are at
-    least 1.
+    `n_trials` and `n_shards` are at least 1.
     """
 
     p_hat: float
@@ -134,17 +129,8 @@ class SimEstimate(_Wire):
     user_correct_count: int
     either_correct_count: int
 
-    _CODECS = {
-        "ci95": (list, lambda items: tuple(_no_bools(items, "SimEstimate ci95 item"))),
-        "outcome_counts": _cells("count"),
-    }
-    _INTEGERS = tuple(key for key, kind in __annotations__.items() if kind == "int")
-
     def __post_init__(self):
-        counts, n, integers = self.outcome_counts, self.n_trials, operator.attrgetter(*self._INTEGERS)(self)
-        if {*map(type, integers), *map(type, counts.values())} != {int}:
-            named = (*zip(self._INTEGERS, integers), *((f"outcome_counts cell {c}", k) for c, k in counts.items()))
-            raise TypeError("{} must be an int, got {!r}".format(*next(p for p in named if type(p[1]) is not int)))
+        counts, n = self.outcome_counts, self.n_trials
         if n < 1:
             raise ValueError(f"n_trials must be >= 1, got {n!r}")
         if self.n_shards < 1:

@@ -35,6 +35,7 @@ from .model import (
     Scenario,
     SweepError,  # re-exported; defined in model so the CLI can catch it before importing sweep
     _FIELDS,
+    _SHAPES,
     _Wire,
     _as_float,
     _clamped,
@@ -58,22 +59,22 @@ def _on_arrays(steps: int) -> bool:
     return "numpy" in sys.modules or steps > _SCALAR_STEPS
 
 
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(_as_float(value))
-
-
 def _is_rate(value) -> bool:
-    return _is_number(value) and -EvalResult._GUARD <= value <= 1.0 + EvalResult._GUARD
+    return -EvalResult._GUARD <= value <= 1.0 + EvalResult._GUARD
 
 
-def _checked(name: str, is_valid, items) -> tuple:
-    """`items` as a tuple, unless one fails `is_valid`: then ValueError naming
-    `name` and the first such item."""
-    items = tuple(items)
+def _checked(where: str, is_valid, items: tuple) -> tuple:
+    """`items`, unless one fails `is_valid`: then ValueError naming `where` and it."""
     for item in items:
         if not is_valid(item):
-            raise ValueError(f"SweepSeries {name} cannot hold {item!r}")
+            raise ValueError(f"{where} cannot hold {item!r}")
     return items
+
+
+def _each(is_valid):
+    """The codec of a list of numbers, read as a tuple once each passes `is_valid`."""
+    encode, read = _SHAPES["tuple[float, ...]"]
+    return encode, lambda items, where: _checked(where, is_valid, read(items, where))
 
 
 @_record
@@ -124,9 +125,9 @@ class SweepSpec:
 class SweepSeries(_Wire):
     """Accuracies along a sweep grid, with the two routine reference lines.
 
-    Each grid value is a finite number and each accuracy and reference a rate
-    in [0, 1], within EvalResult's guard for round-off; `from_dict` checks the
-    grid and the accuracies, the record its path and references.
+    A series has at least 2 points, each grid value finite and each accuracy
+    and reference a rate in [0, 1], within EvalResult's guard for round-off;
+    `from_dict` checks the grid and the accuracies, the record the rest.
     """
 
     parameter_path: str
@@ -135,18 +136,18 @@ class SweepSeries(_Wire):
     unaided_reference: float
     routine_accept_reference: float
 
-    _CODECS = {
-        "parameter_values": (list, lambda items: _checked("parameter_values", _is_number, items)),
-        "accuracies": (list, lambda items: _checked("accuracies", _is_rate, items)),
-    }
+    _CODECS = {"parameter_values": _each(lambda v: math.isfinite(_as_float(v))), "accuracies": _each(_is_rate)}
 
     def __post_init__(self):
-        if len(self.parameter_values) != len(self.accuracies):
+        points = len(self.parameter_values)
+        if points != len(self.accuracies):
             raise ValueError("parameter_values and accuracies must have equal length")
-        if not isinstance(self.parameter_path, str) or self.parameter_path not in _PATHS:
+        if points < 2:
+            raise ValueError(f"SweepSeries parameter_values must hold at least 2 points, got {points}")
+        if self.parameter_path not in _PATHS:
             raise ValueError(f"SweepSeries parameter_path {self.parameter_path!r} is no probability of the schema")
         for name in ("unaided_reference", "routine_accept_reference"):
-            _checked(name, _is_rate, (getattr(self, name),))
+            _checked(f"SweepSeries {name}", _is_rate, (getattr(self, name),))
 
 
 def _swept(base: Scenario, path: str, leaves: dict):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -27,6 +28,7 @@ from reliance.model import (  # noqa: E402
     Discriminating,
     EvalResult,
     ScenarioValidationError,
+    _SHAPES,
     frechet_bounds,
     scenario_to_dict,
     validate_scenario,
@@ -215,6 +217,34 @@ ATOMS = (None, True, False, 0, -0.0, math.nan, math.inf, -math.inf, 10**400, -(1
          "", "x", [], {}, [None], {"a": 1})
 # SweepError is a ValueError
 DOCUMENTED = (ScenarioValidationError, ValueError, TypeError, KeyError)
+# The JSON types a result field admits, by its annotation, stated apart from
+# `model._SHAPES`: a tuple is a list, a dict an object, a cell table a list of rows.
+NUMBER = (int, float)
+ADMITS = {
+    "float": NUMBER,
+    "Probability": NUMBER,
+    "int": (int,),
+    "str": (str,),
+    "float | None": (*NUMBER, type(None)),
+    "tuple[float, float]": (list,),
+    "tuple[float, ...]": (list,),
+    "tuple[str, ...]": (list,),
+    "dict[str, float]": (dict,),
+    "dict[str, EvalResult]": (dict,),
+    "dict[tuple[bool, bool, bool], float]": (list,),
+    "dict[tuple[bool, bool, bool], int]": (list,),
+}
+# a field whose class states its own JSON form: `d_star` is a number or "unattainable"
+OWN_FORMS = {(BreakevenResult, "d_star"): NUMBER}
+
+
+def admitted(cls, key):
+    """The JSON types of a value that field `key` of the result type `cls` reads."""
+    return OWN_FORMS.get((cls, key)) or ADMITS[cls.__annotations__[key]]
+
+
+def test_the_admitted_types_cover_every_annotation_the_readers_know():
+    assert set(_SHAPES) == set(ADMITS)
 
 
 def node_paths(data, path=()):
@@ -243,6 +273,14 @@ def mutated(data, path, atom):
     return copied
 
 
+def naming(cls, path):
+    """The start of a refusal that names the field holding `path` in the dict
+    of a `cls` result: a compared result's own, inside a comparison."""
+    if cls is PolicyComparison and path[0] == "results" and len(path) > 2:
+        cls, path = EvalResult, path[2:]
+    return rf"^{cls.__name__} {re.escape(path[0])}[ \[]"
+
+
 @settings(PROPERTY, max_examples=16)
 @given(scenarios())
 def test_every_reader_refuses_a_mutated_leaf_with_a_documented_error(scenario):
@@ -251,32 +289,42 @@ def test_every_reader_refuses_a_mutated_leaf_with_a_documented_error(scenario):
     sections = (scenario.aid, scenario.user, scenario.dependency, scenario.degradation_mode)
     readers = [
         (validate_scenario, scenario_to_dict(scenario)),
-        (EvalResult.from_dict, evaluate(scenario).to_dict()),
-        (PolicyComparison.from_dict, compare_policies(scenario).to_dict()),
-        (BreakevenResult.from_dict, breakeven_discrimination(*sections).to_dict()),
-        (SimEstimate.from_dict, estimate_accuracy(scenario, 100, seed=1).to_dict()),
-        (SweepSeries.from_dict, run_sweep(SweepSpec(scenario, path, value, value, 3)).to_dict()),
+        (EvalResult, evaluate(scenario).to_dict()),
+        (PolicyComparison, compare_policies(scenario).to_dict()),
+        (BreakevenResult, breakeven_discrimination(*sections).to_dict()),
+        (SimEstimate, estimate_accuracy(scenario, 100, seed=1).to_dict()),
+        (SweepSeries, run_sweep(SweepSpec(scenario, path, value, value, 3)).to_dict()),
         (lambda fields: SweepSpec(scenario, **fields), {"parameter_path": path, "start": 0.0, "stop": 1.0, "steps": 5}),
     ]
-    for read, data in readers:
+    for reader, data in readers:
+        cls = reader if isinstance(reader, type) else None
+        read = reader if cls is None else cls.from_dict
         for node in node_paths(data):
             for atom in ATOMS:
                 try:
                     read(mutated(data, node, atom))
                 except DOCUMENTED:
                     pass
-            # no number is a bool, no integer of an estimate a float, no cell
-            # flag the int it equals, and no notes anything but a list of strings
+            if cls is not None and len(node) == 1:
+                # a result field refuses every JSON type but its own, naming it
+                for atom in ATOMS:
+                    if type(atom) not in admitted(cls, node[0]):
+                        with pytest.raises(TypeError, match=naming(cls, node)):
+                            read(mutated(data, node, atom))
+                continue
+            # inside a field: no number is a bool, no count of an estimate a
+            # float, no cell flag the int it equals, and no notes anything but
+            # a list of strings
             leaf, wrongs = leaf_at(data, node), ()
             if type(leaf) in (int, float):
-                integer = read is SimEstimate.from_dict and type(leaf) is int
+                integer = cls is SimEstimate and type(leaf) is int
                 wrongs = (True, False, float(leaf)) if integer else (True, False)
             elif type(leaf) is bool:
                 wrongs = (int(leaf),)
             elif node[-1] == "notes":
                 wrongs = [atom for atom in ATOMS if atom != []]
             for wrong in wrongs:
-                with pytest.raises(DOCUMENTED):
+                with pytest.raises(TypeError if cls else DOCUMENTED, match=cls and naming(cls, node)):
                     read(mutated(data, node, wrong))
 
 
