@@ -10,9 +10,9 @@ table, headline and use rate, the policy comparison, break-even's intercept
 and slope, the sweep arrays and `sensitivity`, on floats and numpy arrays
 alike without importing numpy.  The one difference between readings:
 `sensitivity` reads P(both correct) unclamped, so that its form stays
-multilinear a step past a bound.  Every result is an EvalResult carrying the
-full outcome decomposition, so the Monte Carlo engine can check it cell by
-cell.
+multilinear in each leaf over all of [0, 1].  Every result is an EvalResult
+carrying the full outcome decomposition, so the Monte Carlo engine can check
+it cell by cell; results are checked where they are read (`from_dict`).
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ from .model import (
 
 # Two accuracies within this distance are treated as tied.
 TIE_TOLERANCE = 1e-12
-# Central-difference step and required agreement for the sensitivity guard.
-FD_STEP = 1e-6
-FD_TOLERANCE = 1e-6
 # A routine policy's headline is this leaf, exactly.
 _ROUTINE = {RoutineAccept: P_ADVICE, RoutineIgnore: P_UNAIDED}
 # An attending policy decides on the advice, then solves at the mode's rate.
@@ -198,27 +195,26 @@ class PolicyComparison(_Wire):
     margins: dict[str, float]
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
+    def _check(self, where: str) -> None:
         for role in ("configured_policy", "best_policy"):
             if getattr(self, role) not in self.results:
-                raise ValueError(f"{role} {getattr(self, role)!r} has no result")
+                raise ValueError(f"{where} {role} {getattr(self, role)!r} has no result")
         if self.margins.keys() != self.results.keys():
-            raise ValueError("margins must name exactly the compared policies")
+            raise ValueError(f"{where} margins must name exactly the compared policies")
         best = self.results[self.best_policy].p_correct_aided
-        top = max(r.p_correct_aided for r in self.results.values())
-        if best < top - TIE_TOLERANCE:
-            raise ValueError("best_policy does not attain the maximum accuracy")
+        if best < max(r.p_correct_aided for r in self.results.values()) - TIE_TOLERANCE:
+            raise ValueError(f"{where} best_policy {self.best_policy!r} does not attain the maximum accuracy")
         for name, margin in self.margins.items():
             if not margin >= 0.0:
-                raise ValueError("margins must be >= 0")
+                raise ValueError(f"{where} margins must be >= 0")
             if abs(_as_float(margin) - (best - self.results[name].p_correct_aided)) > EvalResult._GUARD:
-                raise ValueError(f"margin {margin!r} for {name} is not the best accuracy minus its own")
+                raise ValueError(f"{where} margins[{name!r}] {margin!r} is not the best accuracy minus its own")
 
 
 def compare_policies(scenario: Scenario) -> PolicyComparison:
     """Evaluate the configured policy next to routine acceptance and routine
     ignoring.  The three read one clamped P(both correct) (`_with_p11`) and
-    the scenario's one resolved mode; each result is checked as it is built."""
+    the scenario's one resolved mode."""
     configured = policy_name(scenario.policy)
     v = _with_p11(scenario)
     results: dict[str, EvalResult] = {
@@ -267,19 +263,19 @@ class BreakevenResult(_Wire):
         )
     }
 
-    def __post_init__(self):
+    def _check(self, where: str) -> None:
+        d_star, target, accuracy = self.d_star, self.target, self.accuracy_at_d_star
         if self.degradation_mode not in DEGRADATION_MODES:
             modes = ", ".join(DEGRADATION_MODES)
-            raise ValueError(f"degradation_mode {self.degradation_mode!r} is not one of {modes}")
-        if self.d_star is not None and not 0.5 <= self.d_star <= 1.0:
-            raise ValueError(f"d_star {self.d_star!r} not in [0.5, 1]")
-        if not 0.0 <= self.target <= 1.0:
-            raise ValueError(f"target {self.target!r} not in [0, 1]")
-        if (self.accuracy_at_d_star is None) != (self.d_star is None):
-            raise ValueError("accuracy_at_d_star must be None exactly when d_star is")
-        accuracy = self.accuracy_at_d_star
-        if accuracy is not None and not max(0.0, self.target - EvalResult._GUARD) <= accuracy <= 1.0:
-            raise ValueError(f"accuracy_at_d_star {accuracy!r} not in [max(0, target - 1e-9), 1]")
+            raise ValueError(f"{where} degradation_mode {self.degradation_mode!r} is not one of {modes}")
+        if d_star is not None and not 0.5 <= d_star <= 1.0:
+            raise ValueError(f"{where} d_star {d_star!r} not in [0.5, 1]")
+        if not 0.0 <= target <= 1.0:
+            raise ValueError(f"{where} target {target!r} not in [0, 1]")
+        if (accuracy is None) != (d_star is None):
+            raise ValueError(f"{where} accuracy_at_d_star must be None exactly when d_star is")
+        if accuracy is not None and not max(0.0, target - EvalResult._GUARD) <= accuracy <= 1.0:
+            raise ValueError(f"{where} accuracy_at_d_star {accuracy!r} not in [max(0, target - 1e-9), 1]")
 
     @property
     def attainable(self) -> bool:
@@ -321,10 +317,8 @@ def breakeven_discrimination(
 # --- sensitivity ----------------------------------------------------------
 #
 # The partials need the closed forms as plain multilinear functions of their
-# free parameters, with no range validation: central finite differences step
-# 1e-6 past a boundary, where Probability construction would reject.
-# Parameters are keyed by the dot-paths used in scenario JSON (e.g.
-# "policy.p_accept").
+# free parameters, with no range validation.  Parameters are keyed by the
+# dot-paths used in scenario JSON (e.g. "policy.p_accept").
 
 
 def free_parameters(scenario: Scenario) -> dict[str, float]:
@@ -344,26 +338,19 @@ def sensitivity(scenario: Scenario) -> dict[str, float]:
 
     Keys are the scenario-JSON dot-paths of the parameters the active closed
     form reads.  The closed form is multilinear, so each partial is its
-    value with the parameter at 1 minus its value at 0.  Each partial is
-    cross-checked in-process against a central finite difference (step
-    1e-6, agreement 1e-6 absolute); a mismatch means an implementation bug
-    and raises ArithmeticError.
+    value with the parameter at 1 minus its value at 0: two evaluations per
+    parameter.  P(both correct) is read raw, as f(1) - f(0) needs the form
+    multilinear over all of [0, 1]: a marginal at 0 or 1 moves the
+    Frechet-Hoeffding bounds past it, where the clamped form would bend.
     """
     values = free_parameters(scenario)
     form = _form(type(scenario.policy), scenario.effective_degradation_mode, type(scenario.dependency), False)
     partials = {}
     for name, x in values.items():
         # one working dict: the parameter is set in place, then restored
-        f = []
-        for point in (1.0, 0.0, x + FD_STEP, x - FD_STEP):
-            values[name] = point
-            f.append(form(values))
+        values[name] = 1.0
+        at_one = form(values)
+        values[name] = 0.0
+        partials[name] = at_one - form(values)
         values[name] = x
-        exact, estimate = f[0] - f[1], (f[2] - f[3]) / (2.0 * FD_STEP)
-        if abs(estimate - exact) > FD_TOLERANCE:
-            raise ArithmeticError(
-                f"partial for {name} disagrees with finite difference: "
-                f"{exact!r} vs {estimate!r}"
-            )
-        partials[name] = exact
     return partials

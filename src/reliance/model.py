@@ -22,7 +22,6 @@ import math
 import warnings
 from collections.abc import Mapping
 from itertools import product
-from operator import itemgetter
 from typing import Any
 
 # A probability is a plain float in [0, 1]; `as_probability` is the checked
@@ -50,41 +49,41 @@ OUTCOME_CELLS: tuple[tuple[bool, bool, bool], ...] = tuple(
     product((True, False), repeat=3)
 )
 
-_in_order = itemgetter(*OUTCOME_CELLS)
 _EMPTY_CELLS = ((True, True, False), (False, True, True))  # used advice is the final answer
-_empties = itemgetter(*map(OUTCOME_CELLS.index, _EMPTY_CELLS))
 
 
 def _cell_sums(table: Mapping[tuple[bool, bool, bool], Any], name: str, top, slack=0) -> tuple:
     """The used, advice-correct and final-correct sums of the outcome table
-    `name`, once its eight canonical cells are each in [0, `top`] ([0, 0] if
-    empty) and sum to `top`, within `slack`; else ValueError naming the first
-    bad cell, which is sought only then, or the sum."""
-    try:
-        c = _in_order(table)
-    except KeyError:
-        c = None
-    if c is None or len(table) != len(c):
+    `name`, in one walk that checks its eight canonical cells are each in
+    [0, `top`] ([0, 0] if empty) and sum to `top`, within `slack`; else
+    ValueError naming the first bad cell, or the sum."""
+    if table.keys() != set(OUTCOME_CELLS):
         raise ValueError(f"{name} must cover exactly the 8 canonical cells")
-    if -slack <= min(c) and max(c) <= top + slack and not any(_empties(c)) and abs(sum(c) - top) <= slack:
-        return c[0] + c[1] + c[4] + c[5], c[0] + c[1] + c[2] + c[3], c[0] + c[2] + c[4] + c[6]
-    for cell, v in zip(OUTCOME_CELLS, c):
+    sums = [0, 0, 0, 0]  # over the cells whose advice is correct, used or final answer correct, and all
+    for cell in OUTCOME_CELLS:
+        v = table[cell]
         if not -slack <= v <= top + slack or v and cell in _EMPTY_CELLS:
             raise ValueError(f"{name} cell {cell} holds {v!r}, not in [0, {0 if cell in _EMPTY_CELLS else top}]")
-    raise ValueError(f"{name} sum to {sum(c)!r}, expected {top}")
+        for k, flag in enumerate((*cell, True)):
+            if flag:
+                sums[k] += v
+    advice, used, correct, total = sums
+    if not abs(total - top) <= slack:
+        raise ValueError(f"{name} sum to {total!r}, expected {top}")
+    return used, advice, correct
 
 
 class _Record:
     """The base of every frozen record, which `_record` builds.
 
-    A record is built by position or keyword through `__init__`, then
-    `__post_init__`; it equals a record of the same class with equal fields,
-    hashes by them and is shown as ``Name(field=value, ...)``.  Fields cannot
-    be assigned or deleted.  A copy or an unpickled record gets its slots set
-    as they were, without `__post_init__`, so it neither checks nor warns
-    again.  `__replace__` (`copy.replace` from Python 3.13) builds a new
-    record through `__init__`, so a degraded `UserProfile` it rebuilds warns
-    at `__replace__`'s own line.
+    A record is built by position or keyword through `__init__`, then an
+    input's `__post_init__` (a result has none: see `_Wire`).  It equals a
+    record of the same class with equal fields, hashes by them and is shown
+    as ``Name(field=value, ...)``.  Fields cannot be assigned or deleted.  A
+    copy or an unpickled record gets its slots set as they were, without
+    `__post_init__`, so it neither checks nor warns again.  `__replace__`
+    (`copy.replace` from Python 3.13) builds a new record through `__init__`,
+    so a degraded `UserProfile` it rebuilds warns at `__replace__`'s own line.
     """
 
     __slots__ = ()
@@ -173,6 +172,12 @@ class _Wire(_Record):
     one TypeError: "<Class> <field>[<index or key>] must be <shape>, got
     <value>".  `from_dict` may omit a field with a default, such as `notes`,
     and names any other missing key in a KeyError, an unknown one in a ValueError.
+
+    A result is checked where it is read, and only there: after the readers,
+    `from_dict` runs the class's value rules (`_check`) once, each refusal a
+    ValueError with the same "<Class> <field>" prefix.  The library builds
+    results that meet them, as the tests show by reading each back; one a
+    caller builds directly is trusted as built, as for its JSON types.
     """
 
     __slots__ = ()
@@ -187,14 +192,25 @@ class _Wire(_Record):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
-        unknown = _object(data, cls.__name__).keys() - cls._fields
+        return cls._read(data, cls.__name__)
+
+    @classmethod
+    def _read(cls, data, where):
+        """The record read from `data`, named `where` (see `_name`) in every refusal."""
+        name = _name(where)
+        unknown = _object(data, where).keys() - cls._fields
         if unknown:
-            raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
+            raise ValueError(f"{name} has no field {', '.join(sorted(map(repr, unknown)))}")
         values = {}
         for key, _, read in cls._WIRE:
             if key in data or key not in cls._defaults:
-                values[key] = read(data[key], f"{cls.__name__} {key}")
-        return cls(**values)
+                values[key] = read(data[key], f"{name} {key}")
+        record = cls(**values)
+        record._check(name)
+        return record
+
+    def _check(self, where: str) -> None:
+        """ValueError, named `where` and the field, for a value that breaks a rule of the class."""
 
 
 def _is_number(value) -> bool:
@@ -202,12 +218,19 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _name(where) -> str:
+    """The text of a reader's location: a string, or a pair (outer location,
+    index or key) as ``outer[key]``, for an item of a list, a dict or a cell
+    table, made into text only if a value is refused."""
+    return f"{_name(where[0])}[{where[1]!r}]" if where.__class__ is tuple else where
+
+
 def _reader(shape: str, accepts, decode=None):
     """The reader of a JSON value of `shape`, which `accepts`, through `decode` if given."""
 
-    def read(value, where: str):
+    def read(value, where):
         if not accepts(value):
-            raise TypeError(f"{where} must be {shape}, got {value!r}")
+            raise TypeError(f"{_name(where)} must be {shape}, got {value!r}")
         return value if decode is None else decode(value)
 
     return read
@@ -224,12 +247,12 @@ def _list(item, size=None):
     """The reader of a JSON list, of `size` items if given, as a tuple of what `item` reads from each."""
     shape = f"a list of {size} items" if size else "a list"
     whole = _reader(shape, lambda v: isinstance(v, list) and size in (None, len(v)))
-    return lambda items, where: tuple(item(v, f"{where}[{i}]") for i, v in enumerate(whole(items, where)))
+    return lambda items, where: tuple([item(v, (where, i)) for i, v in enumerate(whole(items, where))])
 
 
 def _dict(item):
     """The reader of a JSON object as a dict of what `item` reads from each value."""
-    return lambda data, where: {key: item(v, f"{where}[{key!r}]") for key, v in _object(data, where).items()}
+    return lambda data, where: {key: item(v, (where, key)) for key, v in _object(data, where).items()}
 
 
 def _cells(key: str, value) -> tuple:
@@ -243,14 +266,14 @@ def _cells(key: str, value) -> tuple:
     def read(data, where):
         table = {}
         for i, row in enumerate(rows(data, where)):
-            name = f"{where}[{i}]"
+            at = (where, i)
             extra = row.keys() - {*flags, key}
             if extra:
-                raise ValueError(f"{name} has no field {', '.join(sorted(map(repr, extra)))}")
-            cell = tuple(_bool(row[flag], f"{name}[{flag!r}]") for flag in flags)
+                raise ValueError(f"{_name(at)} has no field {', '.join(sorted(map(repr, extra)))}")
+            cell = tuple([_bool(row[flag], (at, flag)) for flag in flags])
             if cell in table:
-                raise ValueError(f"{name} repeats cell {cell}")
-            table[cell] = value(row[key], f"{name}[{key!r}]")
+                raise ValueError(f"{_name(at)} repeats cell {cell}")
+            table[cell] = value(row[key], (at, key))
         return table
 
     return lambda table: [{a: c[0], u: c[1], f: c[2], key: table[c]} for c in OUTCOME_CELLS], read
@@ -269,7 +292,7 @@ _SHAPES = {
     "tuple[str, ...]": (list, _list(_string)),
     "dict[str, float]": (dict, _dict(_number)),
     "dict[str, EvalResult]": (lambda results: {name: result.to_dict() for name, result in results.items()},
-                              _dict(lambda data, where: EvalResult.from_dict(data))),
+                              _dict(lambda data, where: EvalResult._read(data, where))),
     "dict[tuple[bool, bool, bool], float]": _cells("probability", _number),
     "dict[tuple[bool, bool, bool], int]": _cells("count", _int),
 }
@@ -706,7 +729,7 @@ class EvalResult(_Wire):
         notes: human-readable caveats (defaults applied, assumptions).
 
     Each cell and the headline lie in [0, 1], and the sums, headline and use
-    rate agree, each within `_GUARD`.
+    rate agree, each within `_GUARD`; `from_dict` refuses any other (`_check`).
     """
 
     p_correct_aided: Probability
@@ -714,19 +737,18 @@ class EvalResult(_Wire):
     p_accept_marginal: Probability
     notes: tuple[str, ...] = ()
 
-    # Loose construction guard; the test suite asserts the 1e-12 versions on
-    # every computed result. The slack covers 12-significant-digit round-trips.
+    # Read-back slack for 12-significant-digit JSON; the tests hold computed results to 1e-12.
     _GUARD = 1e-9
     # the wire order is not the field order, which positional callers rely on
     _WIRE_ORDER = ("p_correct_aided", "p_accept_marginal", "outcome_table", "notes")
 
-    def __post_init__(self):
-        guard, headline = self._GUARD, self.p_correct_aided
-        accepted, _, correct = _cell_sums(self.outcome_table, "outcome_table", 1, guard)
+    def _check(self, where: str) -> None:
+        guard, headline, marginal = self._GUARD, self.p_correct_aided, self.p_accept_marginal
+        accepted, _, correct = _cell_sums(self.outcome_table, f"{where} outcome_table", 1, guard)
         if not (-guard <= headline <= 1.0 + guard and abs(correct - headline) <= guard):
-            raise ValueError(f"p_correct_aided={headline!r} is not the final-correct mass {correct!r}")
-        if not abs(accepted - _as_float(self.p_accept_marginal)) <= guard:
-            raise ValueError(f"p_accept_marginal={self.p_accept_marginal!r} is not the accepted mass {accepted!r}")
+            raise ValueError(f"{where} p_correct_aided {headline!r} is not the final-correct mass {correct!r}")
+        if not abs(accepted - _as_float(marginal)) <= guard:
+            raise ValueError(f"{where} p_accept_marginal {marginal!r} is not the accepted mass {accepted!r}")
 
 
 _TOP_KEYS = frozenset((*_SECTIONS, "degradation_mode"))

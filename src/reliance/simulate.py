@@ -115,7 +115,8 @@ class SimEstimate(_Wire):
             latent marginals, kept for cross-checks against the configured
             hit rates and the combined-accuracy ceiling.
 
-    `n_trials` and `n_shards` are at least 1.
+    `n_trials` and `n_shards` are at least 1, and the statistics and latent
+    counts agree with the cells; `from_dict` refuses any other (`_check`).
     """
 
     p_hat: float
@@ -129,28 +130,28 @@ class SimEstimate(_Wire):
     user_correct_count: int
     either_correct_count: int
 
-    def __post_init__(self):
-        counts, n = self.outcome_counts, self.n_trials
+    def _check(self, where: str) -> None:
+        n, p_hat = self.n_trials, self.p_hat
         if n < 1:
-            raise ValueError(f"n_trials must be >= 1, got {n!r}")
+            raise ValueError(f"{where} n_trials must be >= 1, got {n!r}")
         if self.n_shards < 1:
-            raise ValueError(f"n_shards must be an int >= 1, got {self.n_shards!r}")
-        _, advice, correct = _cell_sums(counts, "outcome_counts", n)
-        if not abs(_as_float(self.p_hat) - correct / n) <= 1e-9:
-            raise ValueError(f"p_hat {self.p_hat!r} is not the final-correct count {correct} / {n}")
-        expected_se = math.sqrt(self.p_hat * (1.0 - self.p_hat) / _as_float(n))
+            raise ValueError(f"{where} n_shards must be >= 1, got {self.n_shards!r}")
+        _, advice, correct = _cell_sums(self.outcome_counts, f"{where} outcome_counts", n)
+        if not abs(_as_float(p_hat) - correct / n) <= 1e-9:
+            raise ValueError(f"{where} p_hat {p_hat!r} is not the final-correct count {correct} / {n}")
+        expected_se = math.sqrt(p_hat * (1.0 - p_hat) / _as_float(n))
         if abs(_as_float(self.std_err) - expected_se) > 1e-9:
-            raise ValueError("std_err inconsistent with p_hat and n_trials")
-        if len(self.ci95) != 2 or not 0.0 <= self.ci95[0] <= self.p_hat <= self.ci95[1] <= 1.0:
-            raise ValueError(f"ci95 {self.ci95!r} is not an interval in [0, 1] that holds p_hat")
+            raise ValueError(f"{where} std_err inconsistent with p_hat and n_trials")
+        if not 0.0 <= self.ci95[0] <= p_hat <= self.ci95[1] <= 1.0:
+            raise ValueError(f"{where} ci95 {self.ci95!r} is not an interval in [0, 1] that holds p_hat")
         user, either = self.user_correct_count, self.either_correct_count
         if self.advice_correct_count != advice:
-            raise ValueError(f"advice_correct_count {self.advice_correct_count} is not its cells' {advice}")
+            raise ValueError(f"{where} advice_correct_count {self.advice_correct_count} is not its cells' {advice}")
         if not 0 <= user <= n:
-            raise ValueError(f"user_correct_count {user} not in [0, {n}]")
+            raise ValueError(f"{where} user_correct_count {user} not in [0, {n}]")
         lo, hi = max(advice, user), min(n, advice + user)
         if not lo <= either <= hi:
-            raise ValueError(f"either_correct_count {either} not in [{lo}, {hi}]")
+            raise ValueError(f"{where} either_correct_count {either} not in [{lo}, {hi}]")
 
 
 def _joint_cell_cuts(scenario: Scenario) -> tuple[float, float, float]:

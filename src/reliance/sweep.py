@@ -35,7 +35,6 @@ from .model import (
     Scenario,
     SweepError,  # re-exported; defined in model so the CLI can catch it before importing sweep
     _FIELDS,
-    _SHAPES,
     _Wire,
     _as_float,
     _clamped,
@@ -61,20 +60,6 @@ def _on_arrays(steps: int) -> bool:
 
 def _is_rate(value) -> bool:
     return -EvalResult._GUARD <= value <= 1.0 + EvalResult._GUARD
-
-
-def _checked(where: str, is_valid, items: tuple) -> tuple:
-    """`items`, unless one fails `is_valid`: then ValueError naming `where` and it."""
-    for item in items:
-        if not is_valid(item):
-            raise ValueError(f"{where} cannot hold {item!r}")
-    return items
-
-
-def _each(is_valid):
-    """The codec of a list of numbers, read as a tuple once each passes `is_valid`."""
-    encode, read = _SHAPES["tuple[float, ...]"]
-    return encode, lambda items, where: _checked(where, is_valid, read(items, where))
 
 
 @_record
@@ -126,8 +111,7 @@ class SweepSeries(_Wire):
     """Accuracies along a sweep grid, with the two routine reference lines.
 
     A series has at least 2 points, each grid value finite and each accuracy
-    and reference a rate in [0, 1], within EvalResult's guard for round-off;
-    `from_dict` checks the grid and the accuracies, the record the rest.
+    and reference a rate in [0, 1], within EvalResult's guard for round-off.
     """
 
     parameter_path: str
@@ -136,18 +120,23 @@ class SweepSeries(_Wire):
     unaided_reference: float
     routine_accept_reference: float
 
-    _CODECS = {"parameter_values": _each(lambda v: math.isfinite(_as_float(v))), "accuracies": _each(_is_rate)}
-
-    def __post_init__(self):
+    def _check(self, where: str) -> None:
         points = len(self.parameter_values)
         if points != len(self.accuracies):
-            raise ValueError("parameter_values and accuracies must have equal length")
+            raise ValueError(f"{where} parameter_values and accuracies must have equal length")
         if points < 2:
-            raise ValueError(f"SweepSeries parameter_values must hold at least 2 points, got {points}")
+            raise ValueError(f"{where} parameter_values must hold at least 2 points, got {points}")
         if self.parameter_path not in _PATHS:
-            raise ValueError(f"SweepSeries parameter_path {self.parameter_path!r} is no probability of the schema")
-        for name in ("unaided_reference", "routine_accept_reference"):
-            _checked(f"SweepSeries {name}", _is_rate, (getattr(self, name),))
+            raise ValueError(f"{where} parameter_path {self.parameter_path!r} is no probability of the schema")
+        for name, values, is_valid in (
+            ("parameter_values", self.parameter_values, lambda v: math.isfinite(_as_float(v))),
+            ("accuracies", self.accuracies, _is_rate),
+            ("unaided_reference", (self.unaided_reference,), _is_rate),
+            ("routine_accept_reference", (self.routine_accept_reference,), _is_rate),
+        ):
+            for value in values:
+                if not is_valid(value):
+                    raise ValueError(f"{where} {name} cannot hold {value!r}")
 
 
 def _swept(base: Scenario, path: str, leaves: dict):

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reliance.model import (
+    CONDITIONAL_FROM_JOINT,
+    DEGRADATION_MODES,
+    FIXED_RATE,
     AidProfile,
     DependencyModel,
     Discriminating,
@@ -26,9 +31,16 @@ from reliance.model import (
     Scenario,
     SelfGated,
     UserProfile,
+    _DEPENDENCIES,
+    _POLICIES,
     frechet_bounds,
     validate_scenario,
 )
+
+# Step of the finite differences that check `sensitivity`'s partials.
+FD_STEP = 1e-6
+# Every policy x dependency x degradation mode, by wire name.
+COMBOS = list(product(_POLICIES, _DEPENDENCIES, DEGRADATION_MODES))
 
 BASE_RAW = {
     "aid": {"p_advice_correct": 0.7},
@@ -116,6 +128,53 @@ def random_scenario(
     if explicit_mode and mode is None:
         mode = str(rng.choice(["fixed_rate", "conditional_from_joint"]))
     return make_scenario(p_a, p_u, r, policy=policy, dependency=dependency, mode=mode)
+
+
+def edge_scenarios():
+    """(k, scenario) over every policy x dependency x mode at edge values:
+    empty cells, certain cells and cuts at the validation slack, none of
+    which random_scenario's interior draws reach.  `k` counts the
+    combinations tried, the valid ones and those past a bound or out of
+    range beyond the slack, which are skipped."""
+    rates = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1e-300, 0.5), (0.5, 1e-300)]
+    policies = [
+        lambda k: RoutineAccept(),
+        lambda k: RoutineIgnore(),
+        lambda k: Indiscriminate(rates[k % len(rates)][0]),
+        lambda k: Discriminating(*rates[k % len(rates)]),
+        lambda k: SelfGated(*rates[k % len(rates)]),
+    ]
+    edges = [0.0, 1e-300, 0.3, 1.0]
+    marginals = [(p_a, p_u) for p_a in edges for p_u in edges] + [(0.3, 0.3 + 5e-10)]
+
+    def dependencies(p_a, p_u):
+        lo, hi = max(0.0, p_a + p_u - 1.0), min(p_a, p_u)
+        return {
+            "independent": [Independent],
+            "dominant": [Dominant],
+            "joint": [lambda p=p: Joint(p) for p in (lo, hi, lo - 5e-10, hi + 5e-10)],
+        }
+
+    k = 0
+    for policy in policies:
+        for kind in ("independent", "joint", "dominant"):
+            for mode in (FIXED_RATE, CONDITIONAL_FROM_JOINT):
+                for p_a, p_u in marginals:
+                    for dependency in dependencies(p_a, p_u)[kind]:
+                        k += 1
+                        try:
+                            scenario = make_scenario(
+                                p_a, p_u, (0.0, 1.0, 1e-300)[k % 3], policy(k), dependency(), mode
+                            )
+                        except ValueError:
+                            continue
+                        yield k, scenario
+
+
+def read_back(record):
+    """`record` read back from its JSON text through its class's `from_dict`,
+    which runs every value rule of the class."""
+    return type(record).from_dict(json.loads(json.dumps(record.to_dict())))
 
 
 def exact_accuracy(scenario) -> Fraction:

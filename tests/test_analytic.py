@@ -372,27 +372,28 @@ class TestComparePolicies:
         assert PolicyComparison.from_dict(comparison.to_dict()) == comparison
 
     def test_best_policy_must_attain_the_top(self, base_scenario):
-        comparison = compare_policies(base_scenario)
-        with pytest.raises(ValueError, match="does not attain the maximum accuracy"):
-            replace(comparison, best_policy="indiscriminate")
+        data = {**compare_policies(base_scenario).to_dict(), "best_policy": "indiscriminate"}
+        named = "^PolicyComparison best_policy 'indiscriminate' does not attain the maximum accuracy$"
+        with pytest.raises(ValueError, match=named):
+            PolicyComparison.from_dict(data)
 
     @pytest.mark.parametrize(
         "changes,message",
         [
-            ({"margins": {"routine_ignore": -3.0}}, "^margins must name exactly the compared policies$"),
+            ({"margins": {"routine_ignore": -3.0}}, "^PolicyComparison margins must name exactly the compared policies$"),
             (
                 {"margins": {"routine_ignore": -3.0, "routine_accept": 0.0, "indiscriminate": 0.0}},
-                "^margins must be >= 0$",
+                "^PolicyComparison margins must be >= 0$",
             ),
-            ({"configured_policy": "self_gated"}, "^configured_policy 'self_gated' has no result$"),
+            ({"configured_policy": "self_gated"}, "^PolicyComparison configured_policy 'self_gated' has no result$"),
             (
                 # the margins read 0.1, 0.0 and 0.15
                 {"margins": {"routine_ignore": 0.0, "routine_accept": 0.0, "indiscriminate": 0.0}},
-                "^margin 0.0 for routine_ignore is not the best accuracy minus its own$",
+                r"^PolicyComparison margins\['routine_ignore'\] 0.0 is not the best accuracy minus its own$",
             ),
             (
                 {"margins": {"routine_ignore": 0.1, "routine_accept": 0.0, "indiscriminate": 0.1}},
-                "^margin 0.1 for indiscriminate is not the best accuracy minus its own$",
+                r"^PolicyComparison margins\['indiscriminate'\] 0.1 is not the best accuracy minus its own$",
             ),
         ],
     )
@@ -483,21 +484,21 @@ class TestBreakevenDiscrimination:
         [
             (
                 {"d_star": 7.5, "degradation_mode": "sometimes"},
-                "^degradation_mode 'sometimes' is not one of fixed_rate, conditional_from_joint$",
+                "^BreakevenResult degradation_mode 'sometimes' is not one of fixed_rate, conditional_from_joint$",
             ),
-            ({"d_star": 7.5}, r"^d_star 7.5 not in \[0.5, 1\]$"),
-            ({"d_star": 0.49}, r"^d_star 0.49 not in \[0.5, 1\]$"),
-            ({"d_star": "unattainable"}, "^accuracy_at_d_star must be None exactly when d_star is$"),
-            ({"accuracy_at_d_star": None}, "^accuracy_at_d_star must be None exactly when d_star is$"),
-            ({"target": 7.0}, r"^target 7.0 not in \[0, 1\]$"),
-            ({"target": -0.1}, r"^target -0.1 not in \[0, 1\]$"),
+            ({"d_star": 7.5}, r"^BreakevenResult d_star 7.5 not in \[0.5, 1\]$"),
+            ({"d_star": 0.49}, r"^BreakevenResult d_star 0.49 not in \[0.5, 1\]$"),
+            ({"d_star": "unattainable"}, "^BreakevenResult accuracy_at_d_star must be None exactly when d_star is$"),
+            ({"accuracy_at_d_star": None}, "^BreakevenResult accuracy_at_d_star must be None exactly when d_star is$"),
+            ({"target": 7.0}, r"^BreakevenResult target 7.0 not in \[0, 1\]$"),
+            ({"target": -0.1}, r"^BreakevenResult target -0.1 not in \[0, 1\]$"),
             (
                 {"accuracy_at_d_star": 0.6},
-                r"^accuracy_at_d_star 0.6 not in \[max\(0, target - 1e-9\), 1\]$",
+                r"^BreakevenResult accuracy_at_d_star 0.6 not in \[max\(0, target - 1e-9\), 1\]$",
             ),
             (
                 {"accuracy_at_d_star": 1.5},
-                r"^accuracy_at_d_star 1.5 not in \[max\(0, target - 1e-9\), 1\]$",
+                r"^BreakevenResult accuracy_at_d_star 1.5 not in \[max\(0, target - 1e-9\), 1\]$",
             ),
         ],
     )

@@ -505,31 +505,42 @@ class TestEvalResult:
             (False, False, False): 0.09,
         }
 
+    @staticmethod
+    def read(headline, table, marginal):
+        """`EvalResult.from_dict` of the wire form of these values: the
+        table's rows in canonical order, any cell it lacks left out."""
+        rows = [
+            dict(zip(("advice_correct", "accepted_or_used", "final_correct"), cell), probability=table[cell])
+            for cell in OUTCOME_CELLS
+            if cell in table
+        ]
+        return EvalResult.from_dict({"p_correct_aided": headline, "p_accept_marginal": marginal, "outcome_table": rows})
+
     def test_consistent_result_accepted(self):
-        result = EvalResult(0.55, self._table(), 0.5)
+        result = self.read(0.55, self._table(), 0.5)
         assert sum(result.outcome_table.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_headline_must_match_final_correct_mass(self):
-        with pytest.raises(ValueError):
-            EvalResult(0.9, self._table(), 0.5)
+        with pytest.raises(ValueError, match="^EvalResult p_correct_aided 0.9 is not the final-correct mass"):
+            self.read(0.9, self._table(), 0.5)
 
     def test_table_must_sum_to_one(self):
         table = self._table()
         table[(False, False, False)] = 0.5
-        with pytest.raises(ValueError):
-            EvalResult(0.55, table, 0.5)
+        with pytest.raises(ValueError, match=r"^EvalResult outcome_table sum to 1\.41, expected 1$"):
+            self.read(0.55, table, 0.5)
 
     def test_table_must_cover_all_cells(self):
         table = self._table()
         del table[(False, False, False)]
-        with pytest.raises(ValueError):
-            EvalResult(0.55, table, 0.5)
+        with pytest.raises(ValueError, match="^EvalResult outcome_table must cover exactly the 8 canonical cells$"):
+            self.read(0.55, table, 0.5)
 
     def test_cells_must_lie_in_unit_interval(self):
         table = dict.fromkeys(OUTCOME_CELLS, 0.0)
         table[(True, True, True)], table[(False, False, False)] = 1.5, -0.5
-        with pytest.raises(ValueError, match=r"^outcome_table cell \(True, True, True\) holds 1\.5, not in \[0, 1\]$"):
-            EvalResult(1.5, table, 0.5)
+        with pytest.raises(ValueError, match=r"^EvalResult outcome_table cell \(True, True, True\) holds 1\.5, not in \[0, 1\]$"):
+            self.read(1.5, table, 0.5)
 
     @pytest.mark.parametrize(
         "cells,named",
@@ -544,8 +555,8 @@ class TestEvalResult:
         # one cell 0.5e-9 past the guard, the others inside it and summing to 1
         table = dict.fromkeys(OUTCOME_CELLS, 0.0)
         table[(True, True, True)], table[(True, False, True)], table[(False, False, False)] = cells
-        with pytest.raises(ValueError, match=rf"^outcome_table cell {named}, not in \[0, 1\]$"):
-            EvalResult(1.0, table, 1.0)
+        with pytest.raises(ValueError, match=rf"^EvalResult outcome_table cell {named}, not in \[0, 1\]$"):
+            self.read(1.0, table, 1.0)
 
     # Each move keeps the total, used and final-correct masses that the
     # result checks; each read back before the cells were checked.
@@ -559,7 +570,7 @@ class TestEvalResult:
         for row in data["outcome_table"]:
             key = (row["advice_correct"], row["accepted_or_used"], row["final_correct"])
             row["probability"] += 0.1 if key == cell else -0.1 if key == donor else 0.0
-        named = re.escape(f"outcome_table cell {cell} holds 0.1, not in [0, 0]")
+        named = re.escape(f"EvalResult outcome_table cell {cell} holds 0.1, not in [0, 0]")
         with pytest.raises(ValueError, match=f"^{named}$"):
             EvalResult.from_dict(data)
 
@@ -568,15 +579,15 @@ class TestEvalResult:
         # the final-correct mass; the second is more than 1e-9 past 1
         table = dict.fromkeys(OUTCOME_CELLS, 0.0)
         table[(True, True, True)], table[(False, False, False)] = 1.0 + 0.9e-9, -0.9e-9
-        EvalResult(1.0 + 0.9e-9, table, 1.0)
-        with pytest.raises(ValueError, match="^p_correct_aided=1.0000000015 is not the final-correct mass"):
-            EvalResult(1.0 + 1.5e-9, table, 1.0)
+        self.read(1.0 + 0.9e-9, table, 1.0)
+        with pytest.raises(ValueError, match="^EvalResult p_correct_aided 1.0000000015 is not the final-correct mass"):
+            self.read(1.0 + 1.5e-9, table, 1.0)
 
     def test_accept_marginal_must_match_accepted_mass(self):
-        EvalResult(0.55, self._table(), 0.5 + 0.9e-9)
+        self.read(0.55, self._table(), 0.5 + 0.9e-9)
         data = evaluate(make_scenario()).to_dict()
         data["p_accept_marginal"] = 7.0
-        with pytest.raises(ValueError, match=r"^p_accept_marginal=7\.0 is not the accepted mass 0\.5$"):
+        with pytest.raises(ValueError, match=r"^EvalResult p_accept_marginal 7\.0 is not the accepted mass 0\.5$"):
             EvalResult.from_dict(data)
 
     def test_dict_round_trip(self):

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from reliance.analytic import (  # noqa: E402
-    FD_STEP,
     TIE_TOLERANCE,
     BreakevenResult,
     PolicyComparison,
@@ -43,7 +42,7 @@ from reliance.sweep import (  # noqa: E402
     sensitivity,
 )
 
-from conftest import perturbed_scenario, replace  # noqa: E402
+from conftest import FD_STEP, perturbed_scenario, replace  # noqa: E402
 
 EXACT = 1e-12
 SLACK = 5e-10  # inside the 1e-9 bound tolerance
@@ -275,10 +274,11 @@ def mutated(data, path, atom):
 
 def naming(cls, path):
     """The start of a refusal that names the field holding `path` in the dict
-    of a `cls` result: a compared result's own, inside a comparison."""
+    of a `cls` result: a compared result's, inside a comparison, by its key."""
+    owner = cls.__name__
     if cls is PolicyComparison and path[0] == "results" and len(path) > 2:
-        cls, path = EvalResult, path[2:]
-    return rf"^{cls.__name__} {re.escape(path[0])}[ \[]"
+        owner, path = f"{owner} results[{path[1]!r}]", path[2:]
+    return rf"^{re.escape(owner)} {re.escape(path[0])}[ \[]"
 
 
 @settings(PROPERTY, max_examples=16)

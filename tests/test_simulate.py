@@ -34,7 +34,7 @@ from reliance.simulate import (
     shard_rng,
 )
 
-from conftest import make_scenario, random_scenario
+from conftest import edge_scenarios, make_scenario, random_scenario, read_back
 
 
 class TestSampleTrial:
@@ -124,7 +124,7 @@ class TestDeterminism:
 
     @pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
     def test_every_table_the_library_builds_leaves_the_empty_cells_exactly_zero(self):
-        # each record checked its table when built; the empty cells are 0 and 0.0, not -0.0
+        # the empty cells are 0 and 0.0, not -0.0
         rng = np.random.default_rng(61)
         interior = [random_scenario(rng, explicit_mode=True) for _ in range(200)]
         for k, scenario in [*edge_scenarios(), *enumerate(interior)]:
@@ -137,47 +137,6 @@ class TestDeterminism:
     def test_negative_seed_is_normalized_not_fatal(self, base_scenario):
         estimate = estimate_accuracy(base_scenario, 100, seed=-7)
         assert estimate.n_trials == 100
-
-
-def edge_scenarios():
-    """(k, scenario) over every policy x dependency x mode at edge values:
-    empty cells, certain cells and cuts at the validation slack, none of
-    which random_scenario's interior draws reach.  `k` counts the
-    combinations tried, the valid ones and those past a bound or out of
-    range beyond the slack, which are skipped."""
-    rates = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1e-300, 0.5), (0.5, 1e-300)]
-    policies = [
-        lambda k: RoutineAccept(),
-        lambda k: RoutineIgnore(),
-        lambda k: Indiscriminate(rates[k % len(rates)][0]),
-        lambda k: Discriminating(*rates[k % len(rates)]),
-        lambda k: SelfGated(*rates[k % len(rates)]),
-    ]
-    edges = [0.0, 1e-300, 0.3, 1.0]
-    marginals = [(p_a, p_u) for p_a in edges for p_u in edges] + [(0.3, 0.3 + 5e-10)]
-
-    def dependencies(p_a, p_u):
-        lo, hi = max(0.0, p_a + p_u - 1.0), min(p_a, p_u)
-        return {
-            "independent": [Independent],
-            "dominant": [Dominant],
-            "joint": [lambda p=p: Joint(p) for p in (lo, hi, lo - 5e-10, hi + 5e-10)],
-        }
-
-    k = 0
-    for policy in policies:
-        for kind in ("independent", "joint", "dominant"):
-            for mode in (FIXED_RATE, CONDITIONAL_FROM_JOINT):
-                for p_a, p_u in marginals:
-                    for dependency in dependencies(p_a, p_u)[kind]:
-                        k += 1
-                        try:
-                            scenario = make_scenario(
-                                p_a, p_u, (0.0, 1.0, 1e-300)[k % 3], policy(k), dependency(), mode
-                            )
-                        except ValueError:
-                            continue
-                        yield k, scenario
 
 
 def assert_replayed(estimate, scenario):
@@ -274,6 +233,8 @@ class TestGoldenValues:
         estimate = estimate_accuracy(GOLDEN_SCENARIOS[name](), n_trials, seed, shards)
         assert (estimate.seed, estimate.n_shards, estimate.n_trials) == (seed, shards, n_trials)
         assert_golden(estimate, p_hat, cells, latent)
+        # built without the value rules, which only `from_dict` runs
+        assert read_back(estimate) == estimate
 
     # 1 << 16 was the default batch before; 3,001 trials on 3 shards leave
     # each shard fewer trials than any batch of 1000 or more.
@@ -446,7 +407,7 @@ class TestEstimateAccuracy:
         ]:
             data = estimate.to_dict()
             data[key] = edit(data[key])
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=f"^SimEstimate {message}"):
                 SimEstimate.from_dict(data)
         for ci95 in [[0.9, 0.95, 0.99], [estimate.ci95[0]]]:
             with pytest.raises(TypeError, match=rf"^SimEstimate ci95 must be a list of 2 items, got {re.escape(repr(ci95))}$"):
@@ -458,7 +419,7 @@ class TestEstimateAccuracy:
                     user_correct_count=0, either_correct_count=0)
         for row in data["outcome_counts"]:
             row["count"] = 0
-        with pytest.raises(ValueError, match=r"^n_trials must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=r"^SimEstimate n_trials must be >= 1, got 0$"):
             SimEstimate.from_dict(data)
 
     def test_p_hat_and_latent_counts_must_fit_the_cells(self, base_scenario):
@@ -467,12 +428,12 @@ class TestEstimateAccuracy:
         p = 0.9  # with its own std_err and ci95, so only the count disagrees
         for changes, message in [
             ({"p_hat": p, "std_err": math.sqrt(p * (1 - p) / 1000), "ci95": [0.88, 0.92]},
-             r"^p_hat 0\.9 is not the final-correct count 546 / 1000$"),
-            ({"advice_correct_count": 5}, rf"^advice_correct_count 5 is not its cells' {advice}$"),
-            ({"user_correct_count": 999_999}, r"^user_correct_count 999999 not in \[0, 1000\]$"),
-            ({"user_correct_count": -1}, r"^user_correct_count -1 not in \[0, 1000\]$"),
-            ({"either_correct_count": 3}, rf"^either_correct_count 3 not in \[{max(advice, user)}, 1000\]$"),
-            ({"either_correct_count": 1001}, "^either_correct_count 1001 not in"),
+             r"^SimEstimate p_hat 0\.9 is not the final-correct count 546 / 1000$"),
+            ({"advice_correct_count": 5}, rf"^SimEstimate advice_correct_count 5 is not its cells' {advice}$"),
+            ({"user_correct_count": 999_999}, r"^SimEstimate user_correct_count 999999 not in \[0, 1000\]$"),
+            ({"user_correct_count": -1}, r"^SimEstimate user_correct_count -1 not in \[0, 1000\]$"),
+            ({"either_correct_count": 3}, rf"^SimEstimate either_correct_count 3 not in \[{max(advice, user)}, 1000\]$"),
+            ({"either_correct_count": 1001}, "^SimEstimate either_correct_count 1001 not in"),
         ]:
             with pytest.raises(ValueError, match=message):
                 SimEstimate.from_dict({**estimate.to_dict(), **changes})
@@ -504,7 +465,7 @@ class TestEstimateAccuracy:
     )
     def test_a_count_outside_its_cell_is_named(self, base_scenario, donor, cell, trials, named):
         estimate = estimate_accuracy(base_scenario, 1000, seed=7)
-        with pytest.raises(ValueError, match=f"^outcome_counts cell {named}"):
+        with pytest.raises(ValueError, match=f"^SimEstimate outcome_counts cell {named}"):
             SimEstimate.from_dict(self.moved(estimate, donor, cell, trials))
 
     @pytest.mark.parametrize("cell", _EMPTY_CELLS)
@@ -512,7 +473,7 @@ class TestEstimateAccuracy:
         # its count is n_trials, the top of the range
         estimate = estimate_accuracy(base_scenario, 1, seed=7)
         (donor,) = [key for key, count in estimate.outcome_counts.items() if count]
-        with pytest.raises(ValueError, match=rf"^outcome_counts cell {re.escape(str(cell))} holds 1, not in \[0, 0\]$"):
+        with pytest.raises(ValueError, match=rf"^SimEstimate outcome_counts cell {re.escape(str(cell))} holds 1, not in \[0, 0\]$"):
             SimEstimate.from_dict(self.moved(estimate, donor, cell, 1))
 
     def test_a_single_trial_counted_twice_is_a_sum_not_a_cell(self, base_scenario):
@@ -520,7 +481,7 @@ class TestEstimateAccuracy:
         estimate = estimate_accuracy(base_scenario, 1, seed=7)
         (cell,) = [key for key, count in estimate.outcome_counts.items() if count]
         other = (False, False, False) if cell != (False, False, False) else (True, True, True)
-        with pytest.raises(ValueError, match=r"^outcome_counts sum to 2, expected 1$"):
+        with pytest.raises(ValueError, match=r"^SimEstimate outcome_counts sum to 2, expected 1$"):
             SimEstimate.from_dict(self.moved(estimate, None, other, 1))
 
     # `test_wire.py::test_a_bad_seed_or_shard_count_is_named` covers `n_trials` and `seed`

@@ -12,7 +12,6 @@ import pytest
 from reliance import analytic, sweep
 from reliance.cli import MAX_STEPS
 from reliance.analytic import (
-    FD_STEP,
     evaluate,
     free_parameters,
 )
@@ -44,11 +43,14 @@ from reliance.sweep import (
 
 from conftest import (
     BASE_RAW,
+    COMBOS,
+    FD_STEP,
     exact_accuracy,
     loaded_after,
     make_scenario,
     perturbed_scenario,
     random_scenario,
+    read_back,
     replace,
 )
 
@@ -586,6 +588,7 @@ def assert_matches_per_point(spec):
     grid, accuracies = expected
     assert list(map(repr, series.parameter_values)) == list(map(repr, grid))
     assert list(map(repr, series.accuracies)) == list(map(repr, accuracies)), spec
+    assert read_back(series) == series  # built without the value rules, which only `from_dict` runs
     return True
 
 
@@ -1451,6 +1454,57 @@ class TestLinearRootAgainstBisection:
         assert find_reference_crossing(spec) is None
 
 
+def with_leaf(scenario, path, value):
+    """The scenario with the leaf at `path` set to `value`, validated."""
+    raw = scenario_to_dict(scenario)
+    section, key = path.split(".")
+    raw[section][key] = value
+    return validate_scenario(raw)
+
+
+def fd_points(policy, dependency, mode):
+    """Seeded points of one policy x dependency x mode: interior ones, and
+    each with one free leaf moved, where that still validates, to 0, to 1,
+    under Joint to where it puts P(both correct) at either Frechet end, and
+    under Dominant to the other marginal."""
+    rng = np.random.default_rng(COMBOS.index((policy, dependency, mode)))
+    for _ in range(5):
+        scenario = random_scenario(rng, policy, dependency, mode)
+        yield scenario
+        p_a, p_u = scenario.aid.p_advice_correct, scenario.user.p_unaided_correct
+        ends = {"aid.p_advice_correct": (p_u,), "user.p_unaided_correct": (p_a,)} if dependency == "dominant" else {}
+        if dependency == "joint":
+            p11 = scenario.dependency.p_both_correct
+            ends = {
+                "dependency.p_both_correct": frechet_bounds(p_a, p_u),
+                "aid.p_advice_correct": (p11, 1.0 - p_u + p11),
+                "user.p_unaided_correct": (p11, 1.0 - p_a + p11),
+            }
+        for path in free_parameters(scenario):
+            for value in (0.0, 1.0, *ends.get(path, ())):
+                try:
+                    yield with_leaf(scenario, path, value)
+                except ScenarioValidationError:
+                    pass
+
+
+def finite_difference(scenario, path):
+    """The finite difference of public `evaluate` in the leaf at `path`:
+    central where both steps of FD_STEP validate, else one-sided in the
+    direction that does, as at 0, at 1 and at a Frechet end."""
+    steps = {}
+    for h in (FD_STEP, -FD_STEP):
+        try:
+            steps[h] = evaluate(perturbed_scenario(scenario, path, h)).p_correct_aided
+        except ScenarioValidationError:
+            pass
+    assert steps, f"no step in {path} validates at {scenario}"
+    if len(steps) == 2:
+        return (steps[FD_STEP] - steps[-FD_STEP]) / (2 * FD_STEP)
+    ((h, f),) = steps.items()
+    return (f - evaluate(scenario).p_correct_aided) / h
+
+
 class TestSensitivity:
     def test_indiscriminate_base_partials(self, base_scenario):
         partials = sensitivity(base_scenario)
@@ -1506,18 +1560,31 @@ class TestSensitivity:
 
         assert sweep.sensitivity is analytic.sensitivity is reliance.sensitivity
 
-    def test_guard_raises_when_the_form_is_not_multilinear(self, base_scenario, monkeypatch):
-        # clamped at 1, the form is flat at the base point (2 * 0.55 > 1) but
-        # not between p_advice_correct = 0 and 1: 1 - 2 * 0.2 = 0.6
+    @pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
+    @pytest.mark.parametrize("policy,dependency,mode", COMBOS)
+    def test_partials_match_finite_differences_at_interior_points_and_edges(self, policy, dependency, mode):
+        # the finite-difference oracle: every partial against a difference of
+        # public `evaluate`, central where both steps validate, else one-sided
+        points = list(fd_points(policy, dependency, mode))
+        assert len(points) >= 15  # 5 interior, each with 2 edges or more
+        for scenario in points:
+            for path, exact in sensitivity(scenario).items():
+                assert finite_difference(scenario, path) == pytest.approx(exact, abs=1e-8), (path, scenario)
+
+    def test_the_form_is_evaluated_twice_per_leaf(self, monkeypatch):
+        calls = []
         form = analytic._form
-        monkeypatch.setattr(
-            analytic, "_form", lambda *key: lambda v: min(1.0, 2.0 * form(*key)(v))
-        )
-        with pytest.raises(ArithmeticError) as err:
-            sensitivity(base_scenario)
-        assert str(err.value) == (
-            "partial for aid.p_advice_correct disagrees with finite difference: 0.6 vs 0.0"
-        )
+
+        def counted(*key):
+            f = form(*key)
+            return lambda v: calls.append(key) or f(v)
+
+        monkeypatch.setattr(analytic, "_form", counted)
+        rng = np.random.default_rng(72)
+        for combo in COMBOS:
+            calls.clear()
+            partials = sensitivity(random_scenario(rng, *combo))
+            assert partials and len(calls) == 2 * len(partials), combo
 
     def test_partials_match_finite_differences_through_public_evaluate(self):
         """Independent check: perturb real scenarios and difference evaluate()."""

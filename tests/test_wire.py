@@ -6,8 +6,11 @@ reads each field through the reader its annotation selects (`model._SHAPES`),
 which refuses any other JSON type, there or in an item of the field, with
 one TypeError naming the class and the field.  It treats `notes` as
 optional, and names any other missing key in a KeyError and any unknown key
-in a ValueError.  `test_properties.py` fuzzes every field with every JSON
-type; the cases here pin the texts and the defects each reader mended.
+in a ValueError.  Then it runs the class's value rules, which nothing else
+runs: the library builds its results without them, and every result it
+builds must read back equal.  `test_properties.py` fuzzes every field with
+every JSON type; the cases here pin the texts and the defects each reader
+mended.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 from reliance.analytic import (
@@ -27,6 +31,7 @@ from reliance.analytic import (
 )
 from reliance.model import (
     AidProfile,
+    Discriminating,
     EvalResult,
     Independent,
     Indiscriminate,
@@ -38,11 +43,12 @@ from reliance.model import (
     _SHAPES,
     _Wire,
     _record,
+    scenario_to_dict,
 )
 from reliance.simulate import SimEstimate, estimate_accuracy
 from reliance.sweep import SweepSeries, SweepSpec, run_sweep
 
-from conftest import make_scenario
+from conftest import COMBOS, edge_scenarios, make_scenario, random_scenario, read_back
 
 # A tied scenario: every policy reaches 0.5, and its mode is left to default.
 TIED = dict(p_a=0.5, p_u=0.5, r=0.5, policy=Indiscriminate(0.5))
@@ -80,6 +86,29 @@ GOLDEN_WIRE = [
 @pytest.mark.parametrize("build,sha", GOLDEN_WIRE, ids=[build.__name__ for build, _ in GOLDEN_WIRE])
 def test_wire_bytes_are_pinned(build, sha):
     assert wire_sha(build()) == sha
+
+
+def combo_of(scenario) -> tuple[str, str, str]:
+    """The (policy, dependency, mode) wire names of a scenario, as in COMBOS."""
+    data = scenario_to_dict(scenario)
+    return data["policy"]["type"], data["dependency"]["type"], data["degradation_mode"]
+
+
+@pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
+@pytest.mark.parametrize("policy,dependency,mode", COMBOS)
+def test_every_record_the_library_builds_reads_back_equal(policy, dependency, mode):
+    # the producers build their records without the value rules, which only
+    # `from_dict` runs: every record they build must pass them, at interior
+    # points and at the edges (0, 1, 1e-300, both Frechet ends and values
+    # only the 1e-9 slack admits)
+    rng = np.random.default_rng(COMBOS.index((policy, dependency, mode)))
+    interior = [random_scenario(rng, policy, dependency, mode) for _ in range(10)]
+    edges = [scenario for _, scenario in edge_scenarios() if combo_of(scenario) == (policy, dependency, mode)]
+    assert len(edges) >= 10
+    for scenario in interior + edges:
+        sections = scenario.aid, scenario.user, scenario.dependency, scenario.degradation_mode
+        for record in evaluate(scenario), compare_policies(scenario), breakeven_discrimination(*sections):
+            assert read_back(record) == record
 
 
 def test_pinned_shapes_are_the_ones_named():
@@ -149,7 +178,19 @@ def test_a_non_mapping_is_a_type_error_naming_the_type(cls):
 def test_a_non_mapping_compared_result_is_named():
     data = tied_compare().to_dict()
     data["results"]["routine_ignore"] = "0.6"
-    with pytest.raises(TypeError, match="^EvalResult must be an object, got '0.6'$"):
+    with pytest.raises(TypeError, match=r"^PolicyComparison results\['routine_ignore'\] must be an object, got '0.6'$"):
+        PolicyComparison.from_dict(data)
+
+
+def test_a_field_of_a_compared_result_is_named_by_its_result():
+    data = compare_policies(make_scenario(policy=Discriminating(0.8, 0.3))).to_dict()
+    data["results"]["discriminating"]["p_correct_aided"] = "0.5"
+    named = "PolicyComparison results['discriminating'] p_correct_aided must be a number, got '0.5'"
+    with pytest.raises(TypeError, match=f"^{re.escape(named)}$"):
+        PolicyComparison.from_dict(data)
+    data["results"]["discriminating"]["p_correct_aided"] = 0.5
+    named = "PolicyComparison results['discriminating'] p_correct_aided 0.5 is not the final-correct mass"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
         PolicyComparison.from_dict(data)
 
 
@@ -193,7 +234,8 @@ def test_a_null_field_is_a_value_or_type_error(cls):
 )
 def test_a_bad_seed_or_shard_count_is_named(key, value, error):
     # a value of another JSON type is refused by `from_dict` before the record sees it
-    named = f"{key} must be an int >= 1" if error is ValueError else f"SimEstimate {key} must be an int, got {value!r}$"
+    shape = "be >= 1" if error is ValueError else "be an int"
+    named = f"SimEstimate {key} must {shape}, got {value!r}$"
     with pytest.raises(error, match=f"^{named}"):
         SimEstimate.from_dict({**one_of(SimEstimate).to_dict(), key: value})
 
@@ -393,7 +435,7 @@ def test_notes_must_be_a_list_of_strings(cls, place, notes):
     if cls is EvalResult:
         data = data["results"]["routine_ignore"]
     place(data, notes)
-    owner = "PolicyComparison" if place is notes_of and cls is PolicyComparison else "EvalResult"
+    owner = {notes_of: cls.__name__, notes_of_compared: "PolicyComparison results['routine_ignore']"}[place]
     if isinstance(notes, list):
         i, item = next((i, item) for i, item in enumerate(notes) if not isinstance(item, str))
         named = f"{owner} notes[{i}] must be a string, got {item!r}"
@@ -417,7 +459,7 @@ def test_an_estimate_past_float_range_reads_back():
     data = dict(p_hat=1.0, n_trials=n, std_err=0.0, ci95=[1.0, 1.0], seed=1, n_shards=1, outcome_counts=rows,
                 advice_correct_count=n, user_correct_count=0, either_correct_count=n)
     assert SimEstimate.from_dict(data).to_dict() == data
-    with pytest.raises(ValueError, match="^std_err inconsistent with p_hat and n_trials$"):
+    with pytest.raises(ValueError, match="^SimEstimate std_err inconsistent with p_hat and n_trials$"):
         SimEstimate.from_dict({**data, "std_err": 0.5})
 
 
@@ -491,7 +533,8 @@ HUGE_IDS = ["+10**400", "-10**400"]
 def test_a_huge_accept_marginal_is_named(compared, huge):
     data = tied_compare().to_dict()
     data["results"]["routine_ignore"]["p_accept_marginal"] = huge
-    with pytest.raises(ValueError, match=f"^p_accept_marginal={huge} is not the accepted mass"):
+    owner = r"PolicyComparison results\['routine_ignore'\]" if compared else "EvalResult"
+    with pytest.raises(ValueError, match=f"^{owner} p_accept_marginal {huge} is not the accepted mass"):
         if compared:
             PolicyComparison.from_dict(data)
         else:
@@ -499,12 +542,14 @@ def test_a_huge_accept_marginal_is_named(compared, huge):
 
 
 @pytest.mark.parametrize(
-    "huge,named", zip(HUGE, [f"margin {10**400} for routine_accept is not", "margins must be >= 0$"]), ids=HUGE_IDS
+    "huge,named",
+    zip(HUGE, [rf"margins\['routine_accept'\] {10**400} is not", "margins must be >= 0$"]),
+    ids=HUGE_IDS,
 )
 def test_a_huge_margin_is_refused(huge, named):
     data = tied_compare().to_dict()
     data["margins"]["routine_accept"] = huge
-    with pytest.raises(ValueError, match=f"^{named}"):
+    with pytest.raises(ValueError, match=f"^PolicyComparison {named}"):
         PolicyComparison.from_dict(data)
 
 
@@ -515,7 +560,7 @@ def test_a_huge_margin_is_refused(huge, named):
     ids=["p_hat", "std_err"],
 )
 def test_a_huge_estimate_is_named(key, named, huge):
-    with pytest.raises(ValueError, match=f"^{named.format(huge)}"):
+    with pytest.raises(ValueError, match=f"^SimEstimate {named.format(huge)}"):
         SimEstimate.from_dict({**one_of(SimEstimate).to_dict(), key: huge})
 
 
@@ -545,7 +590,7 @@ def test_an_unattainable_break_even_still_reads_back_its_null():
 def test_an_unknown_key_in_a_compared_result_is_named():
     data = tied_compare().to_dict()
     data["results"]["routine_ignore"]["bogus"] = 1
-    with pytest.raises(ValueError, match="^EvalResult has no field 'bogus'$"):
+    with pytest.raises(ValueError, match=r"^PolicyComparison results\['routine_ignore'\] has no field 'bogus'$"):
         PolicyComparison.from_dict(data)
 
 
