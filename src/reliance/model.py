@@ -259,18 +259,25 @@ def _cells(key: str, value) -> tuple:
     """Encode and read of an eight-cell table as JSON rows in canonical
     order, each an object of exactly the three bool flags and `key`, whose
     value `value` reads: another key, or a cell an earlier row holds, is a
-    ValueError, and a missing key a KeyError.  `_cell_sums` checks the rest."""
+    ValueError, and a missing key a KeyError.  The rows and flags take one
+    type test each and go through their readers, which name what they
+    refuse, only on a refusal.  `_cell_sums` checks the rest."""
     flags = a, u, f = "advice_correct", "accepted_or_used", "final_correct"
-    rows = _list(_object)
+    fields, rows = {*flags, key}, _list(_object)
 
     def read(data, where):
+        if not (isinstance(data, list) and all(isinstance(row, Mapping) for row in data)):
+            rows(data, where)  # names the list or its first row that is not an object
         table = {}
-        for i, row in enumerate(rows(data, where)):
+        for i, row in enumerate(data):
             at = (where, i)
-            extra = row.keys() - {*flags, key}
+            extra = row.keys() - fields
             if extra:
                 raise ValueError(f"{_name(at)} has no field {', '.join(sorted(map(repr, extra)))}")
-            cell = tuple([_bool(row[flag], (at, flag)) for flag in flags])
+            cell = row.get(a), row.get(u), row.get(f)
+            if not cell[0].__class__ is cell[1].__class__ is cell[2].__class__ is bool:
+                for flag in flags:
+                    _bool(row[flag], (at, flag))
             if cell in table:
                 raise ValueError(f"{_name(at)} repeats cell {cell}")
             table[cell] = value(row[key], (at, key))
@@ -393,7 +400,13 @@ def _as_float(value) -> float:
 def _clamped(values):
     """The clamp of overshoot within 1e-12 of [0, 1] to its end, on floats or
     arrays, without the range check: `as_probability`, for a value outside
-    [0, 1], and the sweep's grid both clamp through it."""
+    [0, 1], and the sweep's grid both clamp through it.  A float comparison
+    decides a float's band, as in `_min`; only arrays reach `_where`, and
+    both give the same bits, -0.0 and nan included."""
+    if values.__class__ is float:
+        if -PROBABILITY_CLAMP <= values < 0.0:
+            return 0.0
+        return 1.0 if 1.0 < values <= 1.0 + PROBABILITY_CLAMP else values
     values = _where((values >= -PROBABILITY_CLAMP) & (values < 0.0), 0.0, values)
     return _where((values > 1.0) & (values <= 1.0 + PROBABILITY_CLAMP), 1.0, values)
 
@@ -874,10 +887,10 @@ def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> tuple[dict[
     and so do its degraded ones, so the two ends decide both; where the last
     alone is invalid, bisection over plain ints finds the first, as `bisect`
     takes no index past `sys.maxsize`."""
-    section = path.split(".")[0]
-    if path.count(".") != 1 or section not in _SECTIONS:
-        raise SweepError(f"parameter_path {path!r} not recognized")
-    if path not in base._leaves:
+    if path not in base._leaves:  # every leaf's path names a section of the schema
+        section = path.split(".")[0]
+        if path.count(".") != 1 or section not in _SECTIONS:
+            raise SweepError(f"parameter_path {path!r} not recognized")
         kind = _WIRE_NAMES.get(type(getattr(base, section)), section)
         raise SweepError(f"parameter_path {path!r} not applicable to this scenario ({section} is {kind!r})")
     leaves, degraded = base.leaves, False

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from reliance.model import (
     UserProfile,
     _DEPENDENCIES,
     _POLICIES,
+    _clamped,
     frechet_bounds,
     validate_scenario,
 )
@@ -209,6 +211,15 @@ def exact_accuracy(scenario) -> Fraction:
             rate = Fraction(scenario.user.p_post_reject_correct) if fixed else alone
         total += mass * (use * advice + (1 - use) * rate)
     return total
+
+
+def assert_clamps_alike(value: float) -> None:
+    """`model._clamped` gives the float `value` the float its array clamp
+    gives, bit for bit: the same number, sign of zero and nan-ness."""
+    scalar, array = _clamped(value), _clamped(np.array([value]))[0]
+    assert scalar.__class__ is float, value
+    assert math.isnan(scalar) == math.isnan(array), value
+    assert math.isnan(scalar) or (scalar == array and math.copysign(1.0, scalar) == math.copysign(1.0, array)), value
 
 
 @pytest.fixture

@@ -42,7 +42,7 @@ from reliance.sweep import (  # noqa: E402
     sensitivity,
 )
 
-from conftest import FD_STEP, perturbed_scenario, replace  # noqa: E402
+from conftest import FD_STEP, assert_clamps_alike, perturbed_scenario, replace  # noqa: E402
 
 EXACT = 1e-12
 SLACK = 5e-10  # inside the 1e-9 bound tolerance
@@ -136,6 +136,13 @@ def test_sensitivity_agrees_with_central_differences_of_evaluate(scenario):
         up = evaluate(perturbed_scenario(scenario, name, FD_STEP)).p_correct_aided
         down = evaluate(perturbed_scenario(scenario, name, -FD_STEP)).p_correct_aided
         assert (up - down) / (2 * FD_STEP) == pytest.approx(exact, abs=1e-6), name
+
+
+@PROPERTY
+@given(st.floats() | st.floats(-2e-12, 2e-12) | st.floats(1.0 - 2e-12, 1.0 + 2e-12))
+def test_the_float_clamp_is_the_array_clamp(value):
+    # any float, and floats near the two clamp bands, which any float rarely hits
+    assert_clamps_alike(value)
 
 
 @PROPERTY

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reliance import analytic, sweep
+from reliance import analytic, model, sweep
 from reliance.cli import MAX_STEPS
 from reliance.analytic import (
     evaluate,
@@ -45,6 +45,7 @@ from conftest import (
     BASE_RAW,
     COMBOS,
     FD_STEP,
+    assert_clamps_alike,
     exact_accuracy,
     loaded_after,
     make_scenario,
@@ -955,6 +956,20 @@ def float_bits(values):
     return [(type(v), v.hex()) for v in values]
 
 
+# each end of the two clamp bands and its float neighbours, the smallest
+# subnormals, and the non-finite floats
+CLAMP_EDGES = EDGE_VALUES + tuple(
+    value
+    for end in (-1e-12, 1.0 + 1e-12, 0.0, 1.0)
+    for value in (math.nextafter(end, -math.inf), math.nextafter(end, math.inf))
+) + (5e-324, -5e-324, 1e-300, -1e-300, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("value", CLAMP_EDGES, ids=repr)
+def test_the_float_clamp_is_the_array_clamp(value):
+    assert_clamps_alike(value)
+
+
 @pytest.fixture
 def screened(monkeypatch):
     """The set of grid indices each call to `sweep._grid_leaves` evaluates."""
@@ -1020,17 +1035,35 @@ class TestCrossingEndsAsFloats:
             find_reference_crossing(SweepSpec(base_scenario, "policy.p_accept", 0.1, 0.9, steps))
             assert calls == [0, steps - 1]
 
-    def test_a_valid_crossing_evaluates_no_array(self, monkeypatch):
-        specs = golden_crossing_specs()
-        specs.append(SweepSpec(make_scenario(), "policy.p_accept", 0.0, 1.0, np.int64(11)))
+    @pytest.fixture
+    def no_arrays(self, monkeypatch):
+        """numpy's array builders and `model._where` refuse: a float takes a
+        float comparison through the clamp and the bounds, never `_where`."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a numpy array was evaluated")
+            raise AssertionError("a numpy array was evaluated, or `_where` reached")
 
         for name in ("arange", "where", "any"):
             monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(model, "_where", refuse)
+
+    @pytest.mark.usefixtures("no_arrays")
+    def test_a_valid_crossing_evaluates_no_array(self):
+        specs = golden_crossing_specs()
+        specs.append(SweepSpec(make_scenario(), "policy.p_accept", 0.0, 1.0, np.int64(11)))
         found = [find_reference_crossing(spec) for spec in specs]
         assert list(map(repr, found)) == GOLDEN_CROSSINGS + GOLDEN_CROSSINGS[:1]
+
+    def test_a_float_sweep_evaluates_no_array(self, no_arrays, monkeypatch):
+        monkeypatch.setattr(sweep, "_on_arrays", lambda steps: False)
+        for key, spec in GOLDEN_SPECS.items():
+            assert " ".join(map(repr, run_sweep(spec).accuracies)) == GOLDEN_ACCURACIES[key]
+        spec = SweepSpec(make_scenario(), "policy.p_accept", -1e-12, 1.0 + 1e-12, sweep._SCALAR_STEPS)
+        series = run_sweep(spec)
+        # the grid's ends, 1e-12 past [0, 1], are clamped to 0 and 1
+        ends = [evaluate(make_scenario(policy=Indiscriminate(p))).p_correct_aided for p in (0.0, 1.0)]
+        assert len(series.accuracies) == sweep._SCALAR_STEPS
+        assert [series.accuracies[0], series.accuracies[-1]] == ends
 
     def test_the_float_screen_loads_no_numpy(self):
         probe = f"""
@@ -1402,7 +1435,7 @@ class TestLinearRootAgainstBisection:
         for spec in golden_crossing_specs():
             del kernel_calls[:]
             find_reference_crossing(spec)
-            assert len(kernel_calls) <= 4
+            assert 2 <= len(kernel_calls) <= 4
             assert all(isinstance(leaves[spec.parameter_path], float) for leaves in kernel_calls)
 
     def test_a_flat_gap_costs_fewer_calls_than_the_secant_search(self, kernel_calls):
