@@ -6,9 +6,10 @@ solving alone right or wrong), and each policy gives a row per advice cell:
 the cell's mass, the mass where the advice is used, the chances it is left
 unused when solving alone would be right and when wrong, and the mass where
 solving alone is right.  The rows give `evaluate`'s eight-cell outcome
-table, headline and use rate, the policy comparison, break-even's intercept
-and slope, the sweep arrays and `sensitivity`, on floats and numpy arrays
-alike without importing numpy.  The one difference between readings:
+table, headline and use rate, and the policy comparison; the headline form
+(`_form`) gives break-even's line, the sweep arrays and `sensitivity`, on
+floats and numpy arrays alike without importing numpy.  Only `_correct` and
+`_result` read the row layout.  The one difference between readings:
 `sensitivity` reads P(both correct) unclamped, so that its form stays
 multilinear in each leaf over all of [0, 1].  Every result is an EvalResult
 carrying the full outcome decomposition, so the Monte Carlo engine can check
@@ -290,17 +291,21 @@ def breakeven_discrimination(
 ) -> BreakevenResult:
     """Solve for the discrimination level where attending stops being a loss.
 
-    The discriminating accuracy is affine in d, so the weak break-even
-    (accuracy >= max of the two routine policies) has a closed-form solution;
-    comparisons carry a 1e-12 slack so exact boundary cases resolve cleanly.
+    The discriminating form is affine along (ac, aw) = (d, 1 - d), since no
+    two of its moving leaves multiply, so its values at d = 0 and d = 1 give
+    the line's intercept and slope, and the weak break-even (accuracy >= max
+    of the two routine policies) has a closed-form solution; comparisons
+    carry a 1e-12 slack so exact boundary cases resolve cleanly.
     """
     v = _check_sections("breakeven_discrimination", mode, aid=aid, user=user, dependency=dependency)
     mode = resolve_degradation_mode(mode, dependency)
     target = max(aid.p_advice_correct, user.p_unaided_correct)
-    # at discrimination d the rows give d * p_a + (1 - d) * right_c + d * right_w
+    # the form at d = 0, where (ac, aw) = (0, 1), and at d = 1, where it is (1, 0)
+    form = _form(Discriminating, mode, type(dependency))
     v["policy.p_accept_given_correct"], v["policy.p_accept_given_wrong"] = 0.0, 1.0
-    (p_a, _, _, _, right_c), (_, _, _, _, right_w) = _kernel(Discriminating, mode, type(dependency))(v)
-    intercept, slope = right_c, p_a - right_c + right_w
+    intercept = form(v)
+    v["policy.p_accept_given_correct"], v["policy.p_accept_given_wrong"] = 1.0, 0.0
+    slope = form(v) - intercept
 
     def accuracy_at(d: float) -> float:
         return intercept + slope * d

@@ -3,19 +3,26 @@
 import importlib
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from reliance.analytic import (
+    TIE_TOLERANCE,
     BreakevenResult,
     PolicyComparison,
+    _form,
     breakeven_discrimination,
     compare_policies,
     evaluate,
+    free_parameters,
     potential_combined,
 )
 from reliance.model import (
+    DEGRADATION_MODES,
+    FIXED_RATE,
     AidProfile,
     Discriminating,
     Dominant,
@@ -27,12 +34,16 @@ from reliance.model import (
     ScenarioValidationError,
     SelfGated,
     UserProfile,
+    _DEPENDENCIES,
+    _POLICIES,
     frechet_bounds,
     validate_scenario,
 )
 
 from conftest import (
     BASE_RAW,
+    COMBOS,
+    edge_scenarios,
     exact_accuracy,
     grid_breakeven,
     loaded_after,
@@ -42,6 +53,8 @@ from conftest import (
 )
 
 EXACT = 1e-12
+# The discriminating policy's two leaves, by dot-path.
+AC, AW = "policy.p_accept_given_correct", "policy.p_accept_given_wrong"
 
 
 class TestIndiscriminateAccuracy:
@@ -430,6 +443,17 @@ class TestBreakevenDiscrimination:
         assert 0.0 < result.target - result.accuracy_at_d_star <= 1e-12
         assert result.d_star == 0.5
 
+    def test_a_tie_exactly_at_the_tolerance_is_reached(self):
+        # the accuracy lands on target - 1e-12 to the bit: at d = 1/2, where
+        # fixed rate gives (p_a + r) / 2, and at d = 1, where it gives p_a
+        # with r = 0 and the target p_u sits 1e-12 above
+        at_half = breakeven_discrimination(AidProfile(0.7), UserProfile(0.7, 0.699999999998), Independent())
+        assert at_half.accuracy_at_d_star == at_half.target - TIE_TOLERANCE
+        assert at_half.d_star == 0.5
+        at_one = breakeven_discrimination(AidProfile(0.5), UserProfile(0.500000000001, 0.0), Independent())
+        assert at_one.accuracy_at_d_star == at_one.target - TIE_TOLERANCE
+        assert at_one.d_star == 1.0
+
     def test_unattainable_when_user_far_ahead(self):
         result = breakeven_discrimination(AidProfile(0.5), UserProfile(0.9, 0.1), Independent())
         assert not result.attainable
@@ -456,6 +480,48 @@ class TestBreakevenDiscrimination:
             else:
                 assert result.attainable
                 assert abs(result.d_star - oracle) <= 1e-3 + 1e-9
+
+    @pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
+    def test_d_star_is_the_exact_root_on_a_rational_grid(self):
+        # marginals k/n, every dependency (Joint at both Frechet ends and
+        # between them, Dominant where it holds), both modes: the exact line
+        # is the latent sum at d = 0 and d = 1, in Fractions of the floats
+        marginals = sorted({k / n for n in (2, 3, 5, 7, 10) for k in range(n + 1)})
+        tie = Fraction(TIE_TOLERANCE)
+        cases = near_ties = 0
+        for p_a, p_u in itertools.product(marginals, repeat=2):
+            lo, hi = frechet_bounds(p_a, p_u)
+            dependencies = [Independent(), Joint(lo), Joint(hi), Joint((lo + hi) / 2)]
+            target = Fraction(max(p_a, p_u))
+            for dependency in dependencies + [Dominant()] * (p_a >= p_u):
+                for mode in DEGRADATION_MODES:
+                    line = {}  # per r that the mode reads: conditional_from_joint reads none
+                    for r in (0.0, 0.3, 1.0):
+                        key = r if mode == FIXED_RATE else None
+                        if key not in line:
+                            ends = [
+                                exact_accuracy(make_scenario(p_a, p_u, r, Discriminating(d, 1.0 - d), dependency, mode))
+                                for d in (0.0, 1.0)
+                            ]
+                            line[key] = ends[0], ends[1] - ends[0]
+                        intercept, slope = line[key]
+                        result = breakeven_discrimination(AidProfile(p_a), UserProfile(p_u, r), dependency, mode)
+                        cases += 1
+                        case = (p_a, p_u, r, dependency, mode)
+                        if 0 < abs(intercept + slope - target) <= tie:
+                            near_ties += 1  # either verdict is right here
+                        else:
+                            assert result.attainable == (intercept + slope >= target), case
+                        if not result.attainable:
+                            continue
+                        # the tie rule at d = 1/2, in exact arithmetic
+                        if intercept + slope / 2 >= target - tie:
+                            exact = Fraction(1, 2)
+                        else:
+                            exact = min(Fraction(1), (target - intercept) / slope)
+                        assert abs(result.d_star - exact) <= 2e-15, case
+                        assert abs(result.accuracy_at_d_star - (intercept + slope * exact)) <= 2e-15, case
+        assert cases == 9804 and near_ties == 24
 
     def test_invalid_dependency_rejected(self):
         with pytest.raises(ScenarioValidationError, match="Frechet-Hoeffding"):
@@ -513,6 +579,32 @@ class TestBreakevenDiscrimination:
         unreachable = breakeven_discrimination(AidProfile(0.5), UserProfile(0.9, 0.1), Independent())
         assert unreachable.to_dict()["d_star"] == "unattainable"
         assert BreakevenResult.from_dict(unreachable.to_dict()) == unreachable
+
+
+@pytest.mark.filterwarnings("ignore::reliance.model.DegradedRateWarning")
+@pytest.mark.parametrize("policy,dependency,mode", COMBOS)
+def test_the_forms_are_affine_along_every_line_read_from_two_ends(policy, dependency, mode):
+    # break-even reads the clamped discriminating form at (ac, aw) = (0, 1)
+    # and (1, 0), and `sensitivity` the raw form at each free leaf's 0 and 1:
+    # both take the line through the ends as the form, which holds while no
+    # two leaves that move together multiply in `_kernel`'s rows.  Measured
+    # in ulp(1.0), as the midpoint against the mean of the ends.
+    rng = np.random.default_rng(COMBOS.index((policy, dependency, mode)))
+    interior = [random_scenario(rng, policy, dependency, mode) for _ in range(40)]
+    classes = _POLICIES[policy], _DEPENDENCIES[dependency], mode
+    edges = [s for _, s in edge_scenarios() if (type(s.policy), type(s.dependency), s.degradation_mode) == classes]
+    assert len(edges) >= 10
+    bound = 2 * math.ulp(1.0)
+    diagonal = _form(Discriminating, mode, _DEPENDENCIES[dependency])
+    raw = _form(_POLICIES[policy], mode, _DEPENDENCIES[dependency], False)
+    for scenario in interior + edges:
+        v = scenario.leaves
+        at = [diagonal({**v, AC: ac, AW: 1.0 - ac}) for ac in (0.0, 1.0, 0.5)]
+        assert abs(at[2] - (at[0] + at[1]) / 2) <= bound, scenario
+        values = free_parameters(scenario)
+        for name in values:
+            at = [raw({**values, name: x}) for x in (0.0, 1.0, 0.5)]
+            assert abs(at[2] - (at[0] + at[1]) / 2) <= bound, (name, scenario)
 
 
 def test_closed_forms_import_without_numpy():
