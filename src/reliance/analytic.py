@@ -6,14 +6,15 @@ solving alone right or wrong), and each policy gives a row per advice cell:
 the cell's mass, the mass where the advice is used, the chances it is left
 unused when solving alone would be right and when wrong, and the mass where
 solving alone is right.  The rows give `evaluate`'s eight-cell outcome
-table, headline and use rate, and the policy comparison; the headline form
-(`_form`) gives break-even's line, the sweep arrays and `sensitivity`, on
-floats and numpy arrays alike without importing numpy.  Only `_correct` and
-`_result` read the row layout.  The one difference between readings:
-`sensitivity` reads P(both correct) unclamped, so that its form stays
-multilinear in each leaf over all of [0, 1].  Every result is an EvalResult
-carrying the full outcome decomposition, so the Monte Carlo engine can check
-it cell by cell; results are checked where they are read (`from_dict`).
+table, headline and use rate, and the policy comparison, read on the
+scenario's own leaves; the headline form (`_form`) gives break-even's line,
+the sweep arrays and `sensitivity`, on floats and numpy arrays alike without
+importing numpy.  Only `_correct` and `_result` read the row layout.  Every
+reading clamps P(both correct) to its bounds but one: `sensitivity` reads it
+raw, so that its form stays multilinear in each leaf over all of [0, 1].
+Every result is an EvalResult carrying the full outcome decomposition, so
+the Monte Carlo engine can check it cell by cell; results are checked where
+they are read (`from_dict`).
 """
 
 from __future__ import annotations
@@ -135,19 +136,11 @@ def _form(kind: type, mode: str, dependency: type, clamp: bool = True):
     return lambda v: _correct(rows(v))
 
 
-def _with_p11(scenario: Scenario) -> dict[str, float]:
-    """The scenario's leaves, with P_BOTH set to the clamped P(both correct)
-    its dependency implies, computed once for the policies evaluated on them."""
-    v = scenario.leaves
-    v[P_BOTH] = joint_success_probability(scenario.dependency, v)
-    return v
-
-
-def _result(scenario: Scenario, kind: type, v: Mapping[str, Any]) -> EvalResult:
-    """The EvalResult of policy class `kind` in the scenario, at the leaves
-    `v` of `_with_p11`, whose P_BOTH is read as it is, already clamped."""
-    mode = scenario.effective_degradation_mode
-    rows = _kernel(kind, mode, Joint, False)(v)
+def _result(scenario: Scenario, kind: type) -> EvalResult:
+    """The EvalResult of policy class `kind` in the scenario: the clamped
+    kernel of its mode and dependency, read on its own leaves."""
+    mode, v = scenario.effective_degradation_mode, scenario._leaves
+    rows = _kernel(kind, mode, type(scenario.dependency))(v)
     (m_c, used_c, right_kept_c, wrong_kept_c, right_c), (m_w, used_w, right_kept_w, wrong_kept_w, right_w) = rows
     masses = (  # in OUTCOME_CELLS order
         used_c, 0.0, right_kept_c * right_c, wrong_kept_c * (m_c - right_c),
@@ -165,7 +158,7 @@ def _result(scenario: Scenario, kind: type, v: Mapping[str, Any]) -> EvalResult:
 
 def evaluate(scenario: Scenario) -> EvalResult:
     """Closed-form accuracy for whatever policy the scenario configures."""
-    return _result(scenario, type(scenario.policy), _with_p11(scenario))
+    return _result(scenario, type(scenario.policy))
 
 
 def potential_combined(
@@ -214,16 +207,15 @@ class PolicyComparison(_Wire):
 
 def compare_policies(scenario: Scenario) -> PolicyComparison:
     """Evaluate the configured policy next to routine acceptance and routine
-    ignoring.  The three read one clamped P(both correct) (`_with_p11`) and
-    the scenario's one resolved mode."""
+    ignoring.  Each is `evaluate`'s reading of the scenario with that policy:
+    the clamped kernel on the scenario's leaves, at its one resolved mode."""
     configured = policy_name(scenario.policy)
-    v = _with_p11(scenario)
     results: dict[str, EvalResult] = {
-        "routine_ignore": _result(scenario, RoutineIgnore, v),
-        "routine_accept": _result(scenario, RoutineAccept, v),
+        "routine_ignore": _result(scenario, RoutineIgnore),
+        "routine_accept": _result(scenario, RoutineAccept),
     }
     if configured not in results:
-        results[configured] = _result(scenario, type(scenario.policy), v)
+        results[configured] = _result(scenario, type(scenario.policy))
 
     accuracy = {name: r.p_correct_aided for name, r in results.items()}
     top = max(accuracy.values())

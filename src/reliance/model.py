@@ -364,7 +364,9 @@ def as_probability(value: Any, name: str = "probability") -> float:
     clamp.  Any other number (an int, or a float outside [0, 1]) is made a
     float, and clamped to its end if within 1e-12 of [0, 1].  A bool, a
     non-number or a value still outside [0, 1] raises
-    ScenarioValidationError naming `name`.
+    ScenarioValidationError with its one violation, named `name`.  This is
+    the one range rule: the validator, the sections and the sweep's screen
+    (`_grid_leaves`) all check each value through it.
     """
     if value.__class__ is float and 0.0 <= value <= 1.0:
         return value
@@ -373,16 +375,9 @@ def as_probability(value: Any, name: str = "probability") -> float:
             [ConstraintViolation(name, value, "[0, 1]", "expected a number")]
         )
     v = _clamped(_as_float(value))
-    violations = _range_violations(v, name)
-    if violations:
-        raise ScenarioValidationError(violations)
+    if not 0.0 <= v <= 1.0:
+        raise ScenarioValidationError([ConstraintViolation(name, v, "[0, 1]")])
     return v
-
-
-def _range_violations(value: float, name: str) -> list[ConstraintViolation]:
-    """The violation, if any, of a clamped probability `value` named `name`
-    outside [0, 1]; `as_probability` raises it, the sweep's screen returns it."""
-    return [] if 0.0 <= value <= 1.0 else [ConstraintViolation(name, value, "[0, 1]")]
 
 
 def _as_float(value) -> float:
@@ -880,13 +875,13 @@ def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> tuple[dict[
     """The base's leaves with the leaf at `path` clamped to a grid value, and
     the grid's two end values, once `path` names a probability leaf of the
     base and each of the `count` floats `value_at(i)` of a monotone grid
-    passes the validator's own range and bound rules; otherwise SweepError
-    wrapping the validator's error for the first invalid value.  Then one
-    DegradedRateWarning if a value's post-rejection rate exceeds its unaided
-    rate and the base's does not.  One leaf's valid values form an interval,
-    and so do its degraded ones, so the two ends decide both; where the last
-    alone is invalid, bisection over plain ints finds the first, as `bisect`
-    takes no index past `sys.maxsize`."""
+    passes `as_probability`, then the validator's bound rules; otherwise
+    SweepError wrapping the validator's error for the first invalid value.
+    Then one DegradedRateWarning if a value's post-rejection rate exceeds its
+    unaided rate and the base's does not.  One leaf's valid values form an
+    interval, and so do its degraded ones, so the two ends decide both; where
+    the last alone is invalid, bisection over plain ints finds the first, as
+    `bisect` takes no index past `sys.maxsize`."""
     if path not in base._leaves:  # every leaf's path names a section of the schema
         section = path.split(".")[0]
         if path.count(".") != 1 or section not in _SECTIONS:
@@ -897,9 +892,12 @@ def _grid_leaves(base: Scenario, path: str, value_at, count: int) -> tuple[dict[
 
     def violations(value: float) -> list[ConstraintViolation]:
         # what `validate_scenario` reports for the base with this value: the
-        # clamped value outside [0, 1], else the dependency past its bound
-        clamped = leaves[path] = _clamped(value)
-        return _range_violations(clamped, path) or bound_violations(base.dependency, leaves)
+        # value's own, else the dependency past its bound
+        try:
+            leaves[path] = as_probability(value, path)
+        except ScenarioValidationError as err:
+            return err.violations
+        return bound_violations(base.dependency, leaves)
 
     ends = value_at(0), value_at(count - 1)
     for end, value in zip((0, count - 1), ends):

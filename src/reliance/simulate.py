@@ -139,8 +139,10 @@ class SimEstimate(_Wire):
         _, advice, correct = _cell_sums(self.outcome_counts, f"{where} outcome_counts", n)
         if not abs(_as_float(p_hat) - correct / n) <= 1e-9:
             raise ValueError(f"{where} p_hat {p_hat!r} is not the final-correct count {correct} / {n}")
+        if not 0.0 <= p_hat <= 1.0:  # the slack above admits one just past an end
+            raise ValueError(f"{where} p_hat {p_hat!r} not in [0, 1]")
         expected_se = math.sqrt(p_hat * (1.0 - p_hat) / _as_float(n))
-        if abs(_as_float(self.std_err) - expected_se) > 1e-9:
+        if not abs(_as_float(self.std_err) - expected_se) <= 1e-9:
             raise ValueError(f"{where} std_err inconsistent with p_hat and n_trials")
         if not 0.0 <= self.ci95[0] <= p_hat <= self.ci95[1] <= 1.0:
             raise ValueError(f"{where} ci95 {self.ci95!r} is not an interval in [0, 1] that holds p_hat")

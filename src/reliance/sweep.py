@@ -5,9 +5,9 @@ used in scenario JSON, e.g. ``"policy.p_accept"``) with each value of an
 inclusive, equally spaced grid and evaluates the closed form at every point:
 
 - ``model`` decides the grid's validity from the grid's two ends as floats,
-  through the range and bound rules that validate a scenario: one leaf's
-  valid values form an interval.  The swept leaf is clamped as
-  ``as_probability`` clamps it.  Where an end is invalid, the first value
+  through the rules that validate a scenario: each value through
+  ``as_probability``, which clamps it, then the bound rules.  One leaf's
+  valid values form an interval.  Where an end is invalid, the first value
   ``validate_scenario`` would reject (the first end, or else the edge that
   bisection finds) aborts the sweep with those rules' own violations before
   the grid is built or evaluated.

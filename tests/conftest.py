@@ -179,18 +179,21 @@ def read_back(record):
     return type(record).from_dict(json.loads(json.dumps(record.to_dict())))
 
 
+def exact_both_correct(p_a: Fraction, p_u: Fraction, dependency: DependencyModel) -> Fraction:
+    """P(both correct) in exact rationals, clamped to its Frechet-Hoeffding bounds."""
+    if isinstance(dependency, Independent):
+        return p_a * p_u
+    if isinstance(dependency, Dominant):
+        return min(p_a, p_u)
+    return min(max(Fraction(dependency.p_both_correct), p_a + p_u - 1, Fraction(0)), p_a, p_u)
+
+
 def exact_accuracy(scenario) -> Fraction:
     """P(final answer correct) in exact rationals: the sum over the four latent
     cells (advice right?, user right alone?) of mass * (use * advice right +
     (1 - use) * rate of being right alone), with P(both correct) clamped."""
     p_a, p_u = Fraction(scenario.aid.p_advice_correct), Fraction(scenario.user.p_unaided_correct)
-    dependency, policy = scenario.dependency, scenario.policy
-    if isinstance(dependency, Independent):
-        p11 = p_a * p_u
-    elif isinstance(dependency, Dominant):
-        p11 = min(p_a, p_u)
-    else:
-        p11 = min(max(Fraction(dependency.p_both_correct), p_a + p_u - 1, Fraction(0)), p_a, p_u)
+    p11, policy = exact_both_correct(p_a, p_u, scenario.dependency), scenario.policy
     masses = {(1, 1): p11, (1, 0): p_a - p11, (0, 1): p_u - p11, (0, 0): 1 - p_a - p_u + p11}
     total = Fraction(0)
     for (advice, alone), mass in masses.items():

@@ -312,6 +312,12 @@ def test_every_reader_refuses_a_mutated_leaf_with_a_documented_error(scenario):
                     read(mutated(data, node, atom))
                 except DOCUMENTED:
                     pass
+            leaf = leaf_at(data, node)
+            if cls is not None and type(leaf) in (int, float):
+                # no number of a result is nan or infinite: each is refused by name
+                for atom in (math.nan, math.inf, -math.inf):
+                    with pytest.raises(DOCUMENTED, match=naming(cls, node)):
+                        read(mutated(data, node, atom))
             if cls is not None and len(node) == 1:
                 # a result field refuses every JSON type but its own, naming it
                 for atom in ATOMS:
@@ -322,7 +328,7 @@ def test_every_reader_refuses_a_mutated_leaf_with_a_documented_error(scenario):
             # inside a field: no number is a bool, no count of an estimate a
             # float, no cell flag the int it equals, and no notes anything but
             # a list of strings
-            leaf, wrongs = leaf_at(data, node), ()
+            wrongs = ()
             if type(leaf) in (int, float):
                 integer = cls is SimEstimate and type(leaf) is int
                 wrongs = (True, False, float(leaf)) if integer else (True, False)

@@ -38,6 +38,7 @@ from reliance.model import (
     Joint,
     OUTCOME_CELLS,
     RoutineAccept,
+    RoutineIgnore,
     SelfGated,
     UserProfile,
     _SHAPES,
@@ -48,7 +49,7 @@ from reliance.model import (
 from reliance.simulate import SimEstimate, estimate_accuracy
 from reliance.sweep import SweepSeries, SweepSpec, run_sweep
 
-from conftest import COMBOS, edge_scenarios, make_scenario, random_scenario, read_back
+from conftest import COMBOS, edge_scenarios, make_scenario, random_scenario, read_back, replace
 
 # A tied scenario: every policy reaches 0.5, and its mode is left to default.
 TIED = dict(p_a=0.5, p_u=0.5, r=0.5, policy=Indiscriminate(0.5))
@@ -107,8 +108,14 @@ def test_every_record_the_library_builds_reads_back_equal(policy, dependency, mo
     assert len(edges) >= 10
     for scenario in interior + edges:
         sections = scenario.aid, scenario.user, scenario.dependency, scenario.degradation_mode
-        for record in evaluate(scenario), compare_policies(scenario), breakeven_discrimination(*sections):
+        comparison = compare_policies(scenario)
+        for record in evaluate(scenario), comparison, breakeven_discrimination(*sections):
             assert read_back(record) == record
+        # one reading: each compared result is `evaluate` with that policy
+        policies = {"routine_ignore": RoutineIgnore(), "routine_accept": RoutineAccept()}
+        for name, result in comparison.results.items():
+            alone = evaluate(replace(scenario, policy=policies.get(name, scenario.policy)))
+            assert result.to_dict() == alone.to_dict(), name
 
 
 def test_pinned_shapes_are_the_ones_named():
@@ -461,6 +468,21 @@ def test_an_estimate_past_float_range_reads_back():
     assert SimEstimate.from_dict(data).to_dict() == data
     with pytest.raises(ValueError, match="^SimEstimate std_err inconsistent with p_hat and n_trials$"):
         SimEstimate.from_dict({**data, "std_err": 0.5})
+
+
+@pytest.mark.parametrize(
+    "p_hat,cell", [(1.0 + 5e-10, (True, True, True)), (-5e-10, (False, False, False))], ids=["above_1", "below_0"]
+)
+def test_a_p_hat_past_an_end_within_the_count_slack_is_named(p_hat, cell):
+    # every trial in one cell, all correct or none: p_hat is within 1e-9 of
+    # the count's 1 or 0, but not a probability, so std_err cannot be computed
+    n = 10
+    rows = [dict(zip(FLAGS, c), count=n if c == cell else 0) for c in OUTCOME_CELLS]
+    advice = n if cell[0] else 0
+    data = dict(p_hat=p_hat, n_trials=n, std_err=0.0, ci95=[0.0, 1.0], seed=1, n_shards=1, outcome_counts=rows,
+                advice_correct_count=advice, user_correct_count=0, either_correct_count=advice)
+    with pytest.raises(ValueError, match=rf"^SimEstimate p_hat {re.escape(repr(p_hat))} not in \[0, 1\]$"):
+        SimEstimate.from_dict(data)
 
 
 def test_a_negative_seed_reads_back():
