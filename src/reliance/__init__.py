@@ -39,7 +39,6 @@ from .model import (
     SelfGated,
     SweepError,
     UserProfile,
-    conditional_user_rates,
     scenario_to_dict,
     validate_scenario,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "UserProfile",
     "breakeven_discrimination",
     "compare_policies",
-    "conditional_user_rates",
     "estimate_accuracy",
     "evaluate",
     "find_reference_crossing",

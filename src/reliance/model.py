@@ -370,7 +370,7 @@ def as_probability(value: Any, name: str = "probability") -> float:
     """
     if value.__class__ is float and 0.0 <= value <= 1.0:
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ScenarioValidationError(
             [ConstraintViolation(name, value, "[0, 1]", "expected a number")]
         )
@@ -558,11 +558,9 @@ def policy_name(policy: ReliancePolicy) -> str:
     return _WIRE_NAMES[type(policy)]
 
 
-# `a if cond else b` for floats and numpy arrays alike; numpy is imported only
-# when an array is passed, so it is already loaded.
+# `numpy.where`, for the array pass of `_min`, `_max` and `_clamped`, which
+# decide a float themselves; an array's caller has loaded numpy already.
 def _where(cond, a, b):
-    if isinstance(cond, bool):
-        return a if cond else b
     import numpy
 
     return numpy.where(cond, a, b)
@@ -622,10 +620,11 @@ def bound_violations(dependency: DependencyModel, leaves: Mapping[str, float]) -
 class Scenario:
     """Validated composite of advisor, user, policy, and dependency.
 
-    `degradation_mode` chooses the post-rejection correctness rate used by
-    attend-style policies: `fixed_rate` plugs in `p_post_reject_correct`
-    directly; `conditional_from_joint` uses the correctness rates conditional
-    on advice quality implied by the dependency, unscaled.  When left as
+    `degradation_mode` chooses how attend-style policies answer after
+    rejecting the advice: under `fixed_rate` the user is right at
+    `p_post_reject_correct`; under `conditional_from_joint` the user answers
+    as they would have alone, so right at the dependency's conditional rate
+    given the advice's correctness.  When left as
     None, it defaults to `fixed_rate` under an independent dependency and
     `conditional_from_joint` otherwise.
     """
@@ -706,22 +705,6 @@ def joint_success_probability(dependency: DependencyModel, values: Mapping[str, 
     `values` maps dot-paths to floats or numpy arrays (see Scenario.leaves).
     """
     return _JOINT_SUCCESS[type(dependency)](values)
-
-
-def conditional_user_rates(scenario: Scenario) -> tuple[float, float]:
-    """(P(user would be correct | advice correct), P(user would be correct | advice wrong)).
-
-    Degenerate conditionals are pinned to zero (p_advice_correct = 1 leaves
-    no wrong advice, and 0 no correct advice).
-    """
-    values = scenario._leaves
-    p_a, p_u = values[P_ADVICE], values[P_UNAIDED]
-    if isinstance(scenario.dependency, Independent):
-        return p_u, p_u
-    p11 = joint_success_probability(scenario.dependency, values)
-    given_correct = min(1.0, p11 / p_a) if p_a != 0.0 else 0.0
-    given_wrong = min(1.0, max(0.0, (p_u - p11) / (1.0 - p_a))) if p_a != 1.0 else 0.0
-    return given_correct, given_wrong
 
 
 @_record

@@ -5,7 +5,10 @@ draw, policy decision draw, post-rejection solve draw), so the scalar
 `sample_trial` and the vectorized `estimate_accuracy` walk the same random
 stream and produce identical outcomes for the same seed.  Both read each
 policy's one decision from `_decision`, where routine acceptance and ignoring
-are use rates 1 and 0.  Shards own disjoint substreams derived
+are use rates 1 and 0.  A trial that leaves the advice unused keeps the
+latent user's answer, as the closed form's cells do; only an attending
+policy under fixed_rate reads the third draw, to answer afresh at
+p_post_reject_correct.  Shards own disjoint substreams derived
 deterministically from (seed, shard index), making every estimate a pure
 function of (scenario, n_trials, seed, shards).
 
@@ -49,7 +52,6 @@ from .model import (
     _as_float,
     _cell_sums,
     _record,
-    conditional_user_rates,
     joint_success_probability,
 )
 
@@ -164,7 +166,7 @@ def _joint_cell_cuts(scenario: Scenario) -> tuple[float, float, float]:
     """
     p_a = scenario.aid.p_advice_correct
     p_u = scenario.user.p_unaided_correct
-    p11 = joint_success_probability(scenario.dependency, scenario.leaves)
+    p11 = joint_success_probability(scenario.dependency, scenario._leaves)
     p01 = max(0.0, p_u - p11)
     return p11, p_a, p_a + p01
 
@@ -180,24 +182,22 @@ _DECISIONS = {
 }
 
 
-def _decision(scenario: Scenario) -> tuple[float, float, tuple[float, float] | None]:
-    """The policy's one decision, read by both samplers: (use_if, use_unless, redraw).
+def _decision(scenario: Scenario) -> tuple[bool, float, float, float | None]:
+    """The policy's one decision, read by both samplers: (attends, use_if, use_unless, redraw).
 
     The advice is used at rate `use_if` when the latent bit decided on is
     true, else at `use_unless`.  An attending policy decides on whether the
-    advice is correct, and answers a rejection afresh at `redraw`'s rates:
-    p_post_reject_correct under fixed_rate, else the conditional user rates.
-    Every other policy decides on whether the user would be right alone and
-    keeps the latent user's answer (`redraw` None).  The use draw is from
-    `Generator.random`'s [0, 1), so `u2 < 1.0` always holds and `u2 < 0.0`
-    never does: routine acceptance and ignoring are use rates 1 and 0.
+    advice is correct, any other on whether the user would be right alone.
+    A trial that leaves the advice unused keeps the latent user's answer,
+    as the closed form's cells do, except an attending policy's under
+    fixed_rate: it answers afresh, right at `redraw` = p_post_reject_correct
+    (else `redraw` is None).  The use draw is from `Generator.random`'s
+    [0, 1), so `u2 < 1.0` always holds and `u2 < 0.0` never does: routine
+    acceptance and ignoring are use rates 1 and 0.
     """
     attends, use_if, use_unless = _DECISIONS[type(scenario.policy)](scenario.policy)
-    if not attends:
-        return use_if, use_unless, None
-    r = scenario.user.p_post_reject_correct
-    fixed = scenario.effective_degradation_mode == FIXED_RATE
-    return use_if, use_unless, (r, r) if fixed else conditional_user_rates(scenario)
+    fixed = attends and scenario.effective_degradation_mode == FIXED_RATE
+    return attends, use_if, use_unless, scenario.user.p_post_reject_correct if fixed else None
 
 
 def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
@@ -206,16 +206,16 @@ def sample_trial(scenario: Scenario, rng: np.random.Generator) -> TrialOutcome:
     c_both, c_advice, c_user = _joint_cell_cuts(scenario)
     advice = bool(u1 < c_advice)
     user = bool(u1 < c_both or (c_advice <= u1 < c_user))
-    use_if, use_unless, redraw = _decision(scenario)
-    bit = user if redraw is None else advice
+    attends, use_if, use_unless, redraw = _decision(scenario)
+    bit = advice if attends else user
     used = bool(u2 < (use_if if bit else use_unless))
-    alone = user if redraw is None else bool(u3 < (redraw[0] if advice else redraw[1]))
-    return TrialOutcome(advice, user, redraw is not None, used, advice if used else alone)
+    alone = user if redraw is None else bool(u3 < redraw)
+    return TrialOutcome(advice, user, attends, used, advice if used else alone)
 
 
 def _simulate_batch(
     cuts: tuple[float, float, float],
-    decision: tuple[float, float, tuple[float, float] | None],
+    decision: tuple[bool, float, float, float | None],
     u: np.ndarray,
 ) -> tuple[int, ...]:
     """Vectorized batch: trial i draws u[0][i], u[1][i], u[2][i], each a contiguous column.
@@ -229,10 +229,10 @@ def _simulate_batch(
     # comparisons, so the same outcomes, at a fraction of the passes.
     advice = u1 < c_advice
     user = (u1 < c_both) | (~advice & (u1 < c_user))
-    use_if, use_unless, redraw = decision
-    bit = user if redraw is None else advice
+    attends, use_if, use_unless, redraw = decision
+    bit = advice if attends else user
     used = (bit & (u2 < use_if)) | (~bit & (u2 < use_unless))
-    alone = user if redraw is None else (advice & (u3 < redraw[0])) | (~advice & (u3 < redraw[1]))
+    alone = user if redraw is None else u3 < redraw
     # A used trial's final answer is the advice's; any other trial's, alone's.
     right_alone = alone & ~used
     n_advice, n_user, n_used, n_advice_used, n_right_alone, n_advice_right_alone, n_both = (

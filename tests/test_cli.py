@@ -387,7 +387,7 @@ GOLDEN_CLI_RUNS = [
     ("joint_conditional", ["eval", "--format", "csv"], "4a7a99e5b907712099c4c4975599b95fcfb729dd2fc612b6e2b83796a7278fd2"),
     ("joint_conditional", ["compare"], "83518f338a9250071fdccd451471a27ac069d1b68650c1bd93541e1dfc033007"),
     ("joint_conditional", ["breakeven"], "42b125432204f15e68ef14fa3b9fab2e10f641de83d33e235848469ac710d5bf"),
-    ("joint_conditional", ["simulate", "--trials", "20000", "--seed", "5", "--shards", "3"], "78ca803aed81c27c9f58a02df53bbc35539ad1a05d14c5cad39ab59a72d0e94a"),
+    ("joint_conditional", ["simulate", "--trials", "20000", "--seed", "5", "--shards", "3"], "45e6f1eedad21f2a7ea517631c72da6e954562fba690bdeb75d97d573144134a"),
 ]
 
 

@@ -71,7 +71,8 @@ EDGES = {
 }
 MODES = ("fixed_rate", "conditional_from_joint")
 CASES = list(itertools.product(POLICIES, DEPENDENCIES, MODES))
-# self_gated ignores the mode; discriminating's conditional rates meet the edges
+# self_gated ignores the mode; discriminating keeps the latent answer after a
+# rejection, at edges that empty an advice cell or sit at a bound's end
 CASES += itertools.product(("self_gated", "discriminating"), EDGES, ("conditional_from_joint",))
 # case id -> sha256 of json.dumps(estimate.to_dict()), key order included:
 # determinism checked against a golden value, not run against run.
@@ -87,25 +88,25 @@ GOLDEN_SHA = {
     "self_gated-independent-fixed_rate": "e0dc2bec57845595eb2d6e698faa9c98ea5e74f7d36b72d557c9e06ee92d583b",
     "self_gated-independent-conditional_from_joint": "50486c81638f90f70a1877e6e229124f9cb58bfd6caf6890eb57f3767362a488",
     "discriminating-joint_interior-fixed_rate": "bbacc4aa1399bb32641c4c6aac7e1a508633722618704b5f5f1b3725778a5696",
-    "discriminating-joint_interior-conditional_from_joint": "108f43a17539ef5c3b2f7d011511f3e051c1c6c2e5faa68c5773dea900d97658",
+    "discriminating-joint_interior-conditional_from_joint": "74cf84d5e667a01a43fcfcc929fdcd2aac511745b115c807739cccb28e2504f7",
     "discriminating-joint_lower_end-fixed_rate": "9028fbd509851c91c525c25204259e995d2149b95dfb9a6c2b303b2e35396c0c",
-    "discriminating-joint_lower_end-conditional_from_joint": "f7abef0a22268c513433720dfa12518a0af88be1ceb56ae4ca1f758b6396b3ab",
+    "discriminating-joint_lower_end-conditional_from_joint": "68a71609d2294315ad6acbcda8dd4f7deb9999d6557ab7b38afd5ef6f96ade20",
     "discriminating-joint_upper_end-fixed_rate": "cda67968bbbdde21470cf1c59a88a63d0abcf4eb09afa05fdb48e331ac34e7e5",
-    "discriminating-joint_upper_end-conditional_from_joint": "837f5c53ff059ee2b5e15755f10572cf86e32c988266062582bb1d39a15c0ac1",
+    "discriminating-joint_upper_end-conditional_from_joint": "eb916f3f11aecbdeb5f34c37da6128372ca4cb74b73569aeb6974ac4f7e6823b",
     "discriminating-dominant-fixed_rate": "4be6aa77985912933631c4171614dd5f8a9d6f3d7030a86f73842548e6d5c0d5",
-    "discriminating-dominant-conditional_from_joint": "fa31af158f40af21d234affb7345fc48820c36d88b2790357c43df2bbd1002a8",
+    "discriminating-dominant-conditional_from_joint": "702167f71bcc7d715658fe513fee9a2bf64cfa54d63e79b980354f376cb3bdef",
     "discriminating-independent-fixed_rate": "73c21d3a5f630ffc187abbad1be6fc65730c501b69d9755341c905bc83811720",
-    "discriminating-independent-conditional_from_joint": "575f39fb4f81985e5ee627c26b8b03347bbcf5c007d5df953d9c5720a044bfdb",
+    "discriminating-independent-conditional_from_joint": "5edc2f1b1eba2c6e82c792f08c78089176498c0f228e91fc60fc443dbfb1b936",
     "indiscriminate-joint_interior-fixed_rate": "bd4d6b11cbcafba0df3d2cf9b5b4d0b5df137b55da7bb76b0ef911a50b9c36ee",
-    "indiscriminate-joint_interior-conditional_from_joint": "b8a0cdf17cd81b56d21de6f9aa6717a9811104b6167f84c895a506e6535479c1",
+    "indiscriminate-joint_interior-conditional_from_joint": "b814a3bee906dfcdf37da24b6ed2a8a95102d57b98aaf3eecce109aff7afd506",
     "indiscriminate-joint_lower_end-fixed_rate": "79fb745b47fb856fbbeb4b53533880c121b582f0126cb82495eddc20d6c99f96",
-    "indiscriminate-joint_lower_end-conditional_from_joint": "46968631699a692a7282d1e1d7818ff8b89d0c906b4bc4186c8e9dbe5af500cd",
+    "indiscriminate-joint_lower_end-conditional_from_joint": "1f503381aca22ff40a4306818a346159386af9215d5ef81850a1715b4c4937e5",
     "indiscriminate-joint_upper_end-fixed_rate": "7f57e9073cc64e3e68b94dd960e807b12700eeee98b2132a41e7b6a3f3dffa97",
-    "indiscriminate-joint_upper_end-conditional_from_joint": "df712b16e0dc00201498143208312497d10d42deb0830a4f52d8cd44a975ff4f",
+    "indiscriminate-joint_upper_end-conditional_from_joint": "4dacfe6a6ff783f329ed81676ea448b3d0dd741ad5bfeb1ef42bf2f52d95f7a5",
     "indiscriminate-dominant-fixed_rate": "27dcf5dc3fca58897799c323b4e479a3f09bf336355e12e1f668a1b484d70ec2",
-    "indiscriminate-dominant-conditional_from_joint": "338ff043290bdbe0db07115ec7a368a3b9df79bba901b2173642ae14018f4939",
+    "indiscriminate-dominant-conditional_from_joint": "b41d70e2a171f983381df97e074394b76d39b04b6c243ecbcbfba0366bc65782",
     "indiscriminate-independent-fixed_rate": "3052c892ee79f400eed69513184a257771f4c3a70a179547908af8b91311ec68",
-    "indiscriminate-independent-conditional_from_joint": "6ff7c6206384220dad732ae78126e3cf5c646c3d8cf01aea3cfc45352045dda1",
+    "indiscriminate-independent-conditional_from_joint": "8aa4288777b4019ae4bb2bc268ba37557fb3cebc58e39f0fac0a97852eb73675",
     "routine_accept-joint_interior-fixed_rate": "47b67638c19d3d57f8648a73b07016a15fa7410ebb347aa18064a60881769648",
     "routine_accept-joint_interior-conditional_from_joint": "f9d3045ea82f8af4c2199d17207f9d6bc6dbe5899b4e5f8f867fa5c82aefe013",
     "routine_accept-joint_lower_end-fixed_rate": "8841fc53f5f21a7afe6731172131fef56cbf17e089653fbe534d7aa6525bad9b",
@@ -140,20 +141,20 @@ GOLDEN_SHA = {
     "self_gated-unaided_1-joint-conditional_from_joint": "6b333ec4184c8eb7b426051990de1a39bae35f5c2dd825fc35a93790290da543",
     "self_gated-joint_past_upper_end_in_slack-conditional_from_joint": "78326f70317255c53cf7b62fb7f27e93f370eac6cfaaa315014c43a1a80f158b",
     "self_gated-joint_past_lower_end_in_slack-conditional_from_joint": "a3382bbd7ba9bb2a65e62c354d3f73bce632e028232821fcd5ebd50f648c8055",
-    "discriminating-advice_0-independent-conditional_from_joint": "ffb31d7e6ee578684ed54211b898b7e84f59a88a5e658aa16f3d60a6301e4415",
-    "discriminating-advice_0-joint-conditional_from_joint": "a30a7d8fe652a0d5e462ff7ed8aea4e8640ce467fc8ce5571dd9bb5165c0fb46",
-    "discriminating-advice_1-independent-conditional_from_joint": "746ae32ef96dc6a9513c5b55ef41975ca297899be85440c4a056fabd657cdbc7",
-    "discriminating-advice_1-joint-conditional_from_joint": "999db7c7572a1dda221e6b8dd73ec07311fff73827aba519ce83c6c96b5c2edb",
-    "discriminating-advice_1-dominant-conditional_from_joint": "f72934c856ffa4d7c3b054e2e2505a4c5065afcd3ed9ae7f68841e9080cff578",
-    "discriminating-advice_1e-300-independent-conditional_from_joint": "375164ded0cba6be850c6613b7cf50235095da3fc59c1f53e59aba96c20990db",
-    "discriminating-advice_1e-300-joint-conditional_from_joint": "8f7b37cf5c6163d9454a320e434744e6dbb47b8b9f057e563bf17413c7a4ee9d",
+    "discriminating-advice_0-independent-conditional_from_joint": "629d2a7e990355480eb9525756a9ab607fa95c61296d44f1ae3d10f1689e770e",
+    "discriminating-advice_0-joint-conditional_from_joint": "dab526de179bd5218151462f0979ca4286d9447496df97fa22e6e2a3bcba5d0f",
+    "discriminating-advice_1-independent-conditional_from_joint": "495247014ce8808631eb1ef92c93ae779bfae9f0315a44336e0f0f9f8c015330",
+    "discriminating-advice_1-joint-conditional_from_joint": "3678fb665e2514836b9d8c4c158ccc693a1e25d3795924d20a6c766950895797",
+    "discriminating-advice_1-dominant-conditional_from_joint": "2b73c016e7051ba2058e1edf1fbc91c658fbffbf88abe8de4fb2465837d174b0",
+    "discriminating-advice_1e-300-independent-conditional_from_joint": "2196a0414188d413c49d6c2cd9f4ea7a12d6e1da3473aec3a7529747846f8bbb",
+    "discriminating-advice_1e-300-joint-conditional_from_joint": "5a8c6dcbaa82b0ffbd690396643c05b5ffd53fbf40a72a96c8b0dd7d1ad442e4",
     "discriminating-unaided_0-independent-conditional_from_joint": "3bad328ad122c484413de3a186bc73f488c309a0ed498963d93eaec772001a60",
     "discriminating-unaided_0-joint-conditional_from_joint": "7a22cb30bf46e6e4ef06d8671820034aba587ad569fe33e0792148df83d4f3af",
     "discriminating-unaided_0-dominant-conditional_from_joint": "dfec7f907486597411bc495481a71a4f9af398658a044c811ed072ae53b63b30",
     "discriminating-unaided_1-independent-conditional_from_joint": "75a1ce953c6fd9a2dc852f8a88fddb6174a64419a68d7d393c015cd3b4bee0a7",
     "discriminating-unaided_1-joint-conditional_from_joint": "1ba988ba799cb8f7447cda37a6ff73dab04b7447711053a0a56b04fb12b9d05a",
-    "discriminating-joint_past_upper_end_in_slack-conditional_from_joint": "58886482434a7d48f7d1ead147dfa7b0b9622d472250a770f4acfd817dc64a4d",
-    "discriminating-joint_past_lower_end_in_slack-conditional_from_joint": "f55625e3b3ee20bcd00f0e8d41a883a2036d2050c0fa78913638eb0957da66e4",
+    "discriminating-joint_past_upper_end_in_slack-conditional_from_joint": "4d9a46de294d7bdac6565a1d43975393a4dacb02fe7814625e791deaa2d8c1fa",
+    "discriminating-joint_past_lower_end_in_slack-conditional_from_joint": "e969545643a1cd07cc38d0fc4cd90cd18f900c1b3a68772eb9a21e1f12efa788",
 }
 
 

@@ -40,7 +40,6 @@ from reliance.model import (
     SelfGated,
     UserProfile,
     as_probability,
-    conditional_user_rates,
     frechet_bounds,
     joint_success_probability,
     scenario_to_dict,
@@ -419,53 +418,6 @@ class TestDegradationModeDefaults:
     def test_explicit_mode_wins(self):
         scenario = make_scenario(dependency=Joint(0.42), mode="fixed_rate")
         assert scenario.effective_degradation_mode == "fixed_rate"
-
-
-class TestConditionalUserRates:
-    def test_dominant_rates(self):
-        scenario = make_scenario(dependency=Dominant())
-        u_c, u_w = conditional_user_rates(scenario)
-        assert u_c == pytest.approx(0.6 / 0.7, abs=1e-12)
-        assert u_w == 0.0
-
-    def test_independent_rates(self):
-        assert conditional_user_rates(make_scenario()) == (0.6, 0.6)
-
-    def test_joint_at_product_recovers_independence(self):
-        scenario = make_scenario(dependency=Joint(0.42))
-        u_c, u_w = conditional_user_rates(scenario)
-        assert u_c == pytest.approx(0.6, abs=1e-12)
-        assert u_w == pytest.approx(0.6, abs=1e-12)
-
-    def test_joint_at_product_matches_independent_for_random_marginals(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            p_a = rng.uniform(0.01, 0.99)
-            p_u = rng.uniform(0.01, 0.99)
-            joint = make_scenario(p_a, p_u, 0.0, dependency=Joint(p_a * p_u))
-            independent = make_scenario(p_a, p_u, 0.0, dependency=Independent())
-            for got, want in zip(conditional_user_rates(joint), conditional_user_rates(independent)):
-                assert got == pytest.approx(want, abs=1e-12)
-
-    def test_rates_in_unit_interval_and_total_probability(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            p_a = rng.uniform(0.02, 0.98)
-            p_u = rng.uniform(0.02, 0.98)
-            dependency = random_dependency(rng, p_a, p_u)
-            scenario = make_scenario(p_a, p_u, 0.0, dependency=dependency)
-            u_c, u_w = conditional_user_rates(scenario)
-            assert 0.0 <= u_c <= 1.0
-            assert 0.0 <= u_w <= 1.0
-            assert u_c * p_a + u_w * (1.0 - p_a) == pytest.approx(p_u, abs=1e-12)
-
-    def test_degenerate_marginals_pin_conditionals_to_zero(self):
-        sure_aid = make_scenario(p_a=1.0, dependency=Joint(0.6))
-        assert conditional_user_rates(sure_aid) == (0.6, 0.0)
-        hopeless_aid = make_scenario(p_a=0.0, p_u=0.6, dependency=Joint(0.0))
-        u_c, u_w = conditional_user_rates(hopeless_aid)
-        assert u_c == 0.0
-        assert u_w == pytest.approx(0.6, abs=1e-12)
 
 
 class TestScenarioSerialization:

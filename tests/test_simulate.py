@@ -72,6 +72,26 @@ class TestSampleTrial:
                 if trial.accepted_or_used:
                     assert trial.final_correct == trial.advice_correct
 
+    # A trial that leaves the advice unused is answered as in the closed
+    # form's cells: by the latent user, except an attending policy under
+    # fixed_rate, which answers afresh with the trial's third uniform.
+    @pytest.mark.parametrize("mode", [CONDITIONAL_FROM_JOINT, FIXED_RATE])
+    @pytest.mark.parametrize("dependency", [Independent(), Joint(0.45), Dominant()], ids=type)
+    @pytest.mark.parametrize("policy", [Indiscriminate(0.6), Discriminating(0.8, 0.3)], ids=type)
+    def test_a_rejection_keeps_the_latent_answer_unless_fixed_rate_answers_afresh(self, policy, dependency, mode):
+        scenario = make_scenario(policy=policy, dependency=dependency, mode=mode)
+        rng, replay = shard_rng(17, 0), shard_rng(17, 0)
+        rejected = 0
+        for _ in range(2000):
+            trial = sample_trial(scenario, rng)
+            u3 = replay.random(simulate.DRAWS_PER_TRIAL)[2]
+            if not trial.accepted_or_used:
+                rejected += 1
+                fresh = bool(u3 < scenario.user.p_post_reject_correct)
+                alone = trial.user_would_be_correct if mode == CONDITIONAL_FROM_JOINT else fresh
+                assert trial.final_correct == alone
+        assert rejected > 400
+
     def test_only_attend_policies_mark_attended(self):
         rng = shard_rng(5, 0)
         attended = sample_trial(make_scenario(policy=Discriminating(0.7, 0.3)), rng)
@@ -179,16 +199,16 @@ GOLDEN_SCENARIOS = {
 }
 
 # (scenario, seed, shards, n_trials, p_hat, outcome counts in OUTCOME_CELLS
-# order, (advice, user, either) latent counts), computed once with the
-# serial 1M-batch engine.  Batch size, pieces and threads must never move them.
+# order, (advice, user, either) latent counts).  Batch size, pieces and
+# threads must never move them.
 GOLDEN = [
     ("discriminating", 0, 1, 1, 0.0, (0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0)),
-    ("discriminating", 7, 1, 70_001, 0.7311038413736947,
-     (39410, 0, 6924, 2776, 0, 6270, 4844, 9777), (49110, 42064, 56086)),
-    ("discriminating", 7, 3, 70_001, 0.7286181625976772,
-     (39063, 0, 7074, 2729, 0, 6417, 4867, 9851), (48866, 41996, 55905)),
-    ("discriminating", 12345, 4, 1_000_003, 0.7302938091185727,
-     (559850, 0, 100588, 39870, 0, 89966, 69858, 139871), (700308, 600677, 800353)),
+    ("discriminating", 7, 1, 70_001, 0.7315752632105256,
+     (39410, 0, 6899, 2801, 0, 6270, 4902, 9719), (49110, 42064, 56086)),
+    ("discriminating", 7, 3, 70_001, 0.7281181697404323,
+     (39063, 0, 6983, 2820, 0, 6417, 4923, 9795), (48866, 41996, 55905)),
+    ("discriminating", 12345, 4, 1_000_003, 0.730228809313572,
+     (559850, 0, 100276, 40182, 0, 89966, 70105, 139624), (700308, 600677, 800353)),
     ("discriminating", 4, 8, 3, 0.3333333333333333, (1, 0, 0, 0, 0, 1, 0, 1), (1, 1, 1)),
     ("self_gated", 0, 1, 1, 0.0, (0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0)),
     ("self_gated", 7, 1, 70_001, 0.6300195711489835,
@@ -337,6 +357,14 @@ class TestGoldenValues:
         finally:
             sys.setswitchinterval(interval)
         assert estimate == reference
+
+    def test_without_an_affinity_mask_the_cpu_count_is_read(self, monkeypatch):
+        # as on macOS, which offers no os.sched_getaffinity
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        assert simulate._available_cpus() == 3
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert simulate._available_cpus() == 1
 
     def test_huge_shard_count_runs_only_the_nonempty_shards(self, monkeypatch, base_scenario):
         calls = []
